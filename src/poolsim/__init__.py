@@ -17,11 +17,8 @@ from .model import (
     Tabulated,
     Utility,
     UtilityFamily,
-    enumerate_ranked,
-    marginal,
     occupancy_to_q,
     overall_utility,
-    rank_precedes,
     utility_from_dict,
 )
 from .assign import (
@@ -49,7 +46,6 @@ from .policies import (
 )
 from .sim import (
     BoundViolation,
-    EventCalendar,
     Metrics,
     RunConfig,
     batch_means,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -165,10 +166,14 @@ def _policy_for(name: str, beta: float | None):
 
 
 def _fan_out(cells: list[dict], threads: int) -> list[list[list]]:
-    """Run cells in order; with threads > 1 fan out but keep input order."""
-    if threads <= 1:
+    """Run cells in order; with threads > 1 fan out but keep input order.
+
+    The worker count is clamped to [1, cpu count].
+    """
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    if workers == 1:
         return [_run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, cells))
 
 
@@ -314,7 +319,10 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
         "a": a, "eps": eps, "rho": rho, "horizon": args.T,
         "reps": args.reps,
         "closed_form_fixed2": a * (1.0 - math.exp(-rho)),
-        "jlmu_mean_formula": a * (eps * rho + rho / (rho + 1.0)),
+        # Greedy dispatch makes the capped pool an Erlang loss system, busy
+        # with probability rho / (rho + 1); the linear pool gets the overflow,
+        # of mean rho - rho / (rho + 1) = rho^2 / (rho + 1).
+        "jlmu_mean_formula": a * (eps * rho * rho / (rho + 1.0) + rho / (rho + 1.0)),
         "fixed2_mean": fx_mean, "fixed2_se": fx_se,
         "jlmu_mean": jl_mean, "jlmu_se": jl_se,
         "fixed2_beats_jlmu": wins,

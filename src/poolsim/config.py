@@ -26,6 +26,7 @@ parser's line and column.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -56,7 +57,14 @@ def _req(obj: dict, key: str, where: str) -> Any:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, f"expected a number, got {value!r}")
-    return float(value)
+    # JSON lets NaN, Infinity and 1e400 through.
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, where: str) -> int:
@@ -271,6 +279,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
             init = block["init"]
             if init not in ("empty", "optimal", "optimal-rounded"):
                 raise ConfigError("run.init", f"must be 'empty' or 'optimal', got {init!r}")
+            # Config files may spell "optimal" as "optimal-rounded".
             run.init = "optimal" if init == "optimal-rounded" else init
         if "batches" in block:
             run.batches = _integer(block["batches"], "run.batches")

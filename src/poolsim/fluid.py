@@ -59,12 +59,14 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and > 0")
         if self.levels < 2:
             raise ValueError("need at least two levels of truncation")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be finite and > 0")
+        if not math.isfinite(self.sigma_tol):
+            raise ValueError("sigma_tol must be finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -150,7 +152,7 @@ def _active_slot(
         for j in range(1, width - 1):
             if row[j - 1] - row[j] > tol:
                 cand = Coordinate(ci + 1, j)
-                if best is None or family.rank_precedes(best, cand, tol=0.0):
+                if best is None or family.rank_precedes(best, cand):
                     best = cand
                 break
     if best is None:

@@ -31,9 +31,6 @@ __all__ = [
     "SystemConfig",
     "QVector",
     "OccupancyState",
-    "marginal",
-    "rank_precedes",
-    "enumerate_ranked",
     "overall_utility",
     "occupancy_to_q",
     "utility_from_dict",
@@ -87,8 +84,8 @@ class LogQuality(Utility):
     kind = "log_quality"
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"log_quality utility needs r > 0, got {self.r}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"log_quality utility needs a finite r > 0, got {self.r}")
 
     def value(self, x: int) -> float:
         if x == 0:
@@ -105,6 +102,10 @@ class Linear(Utility):
 
     slope: float
     kind = "linear"
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.slope):
+            raise ValueError(f"linear utility needs a finite slope, got {self.slope}")
 
     def value(self, x: int) -> float:
         return self.slope * x
@@ -123,8 +124,8 @@ class CappedLinear(Utility):
 
     def __post_init__(self) -> None:
         # A negative slope would make the marginal jump up to 0 at the cap.
-        if self.slope < 0:
-            raise ValueError("capped_linear utility needs slope >= 0")
+        if not (math.isfinite(self.slope) and self.slope >= 0):
+            raise ValueError("capped_linear utility needs a finite slope >= 0")
         if not (isinstance(self.cap, int) and self.cap >= 1):
             raise ValueError(f"capped_linear cap must be an integer >= 1, got {self.cap!r}")
 
@@ -151,6 +152,8 @@ class Tabulated(Utility):
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise ValueError("table utility needs at least two values")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("table utility values must be finite")
         diffs = [vals[k + 1] - vals[k] for k in range(len(vals) - 1)]
         for k in range(len(diffs) - 1):
             if diffs[k + 1] > diffs[k] + CONCAVITY_TOL:
@@ -211,18 +214,13 @@ class UtilityFamily:
     """The per-class utilities of a system plus the slot ranking they induce.
 
     Marginals are cached per class. Rank comparisons use exact float equality
-    to detect ties by default; ``tie_tol`` widens the tie band for diagnostics
-    (note that with a positive tolerance the relation is no longer transitive,
-    so the lazy enumeration always uses the exact rule).
+    to detect ties.
     """
 
-    def __init__(self, utilities: Sequence[Utility], tie_tol: float = 0.0):
+    def __init__(self, utilities: Sequence[Utility]):
         if not utilities:
             raise ValueError("need at least one class utility")
         self.utilities: tuple[Utility, ...] = tuple(utilities)
-        if tie_tol < 0:
-            raise ValueError("tie_tol must be >= 0")
-        self.tie_tol = float(tie_tol)
         self._marg: list[list[float]] = [[] for _ in self.utilities]
 
     @property
@@ -252,21 +250,12 @@ class UtilityFamily:
             self.marginal(cls, occ - 1)
         return self._marg[cls - 1][:occ]
 
-    def _rank_key(self, coord: Coordinate) -> tuple[float, int, int]:
-        # Sorting ascending by this key lists slots from best to worst: higher
-        # marginal first, ties resolved toward the dictionary-smaller slot.
-        return (-self.marginal(coord.cls, coord.level - 1), coord.cls, coord.level)
-
-    def rank_precedes(self, a: Coordinate, b: Coordinate, tol: float | None = None) -> bool:
+    def rank_precedes(self, a: Coordinate, b: Coordinate) -> bool:
         """True when slot ``a`` ranks strictly below slot ``b``."""
-        if tol is None:
-            tol = self.tie_tol
         da = self.marginal(a.cls, a.level - 1)
         db = self.marginal(b.cls, b.level - 1)
-        if da < db - tol:
-            return True
-        if db < da - tol:
-            return False
+        if da != db:
+            return da < db
         # Tie: the dictionary-smaller slot ranks higher.
         return (a.cls, a.level) > (b.cls, b.level)
 
@@ -278,14 +267,14 @@ class UtilityFamily:
         toward the shallower slot), so an m-way merge over per-class streams
         enumerates the full order.
         """
-        heap: list[tuple[float, int, int]] = []
-        for cls in range(1, self.m + 1):
-            heap.append((-self.marginal(cls, 0), cls, 1))
-        heapq.heapify(heap)
-        while True:
-            neg, cls, level = heapq.heappop(heap)
+        streams = [self._ranked_in_class(cls) for cls in range(1, self.m + 1)]
+        for _, cls, level in heapq.merge(*streams):
             yield Coordinate(cls, level)
-            heapq.heappush(heap, (-self.marginal(cls, level), cls, level + 1))
+
+    def _ranked_in_class(self, cls: int) -> Iterator[tuple[float, int, int]]:
+        # Ascending sort keys of one class's slots: best (highest marginal) first.
+        for level in itertools.count(1):
+            yield (-self.marginal(cls, level - 1), cls, level)
 
     def enumerate_ranked(self, count: int) -> list[Coordinate]:
         """The best ``count`` slots in rank order."""
@@ -387,11 +376,11 @@ class SystemConfig:
             )
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         # lam == 0 is allowed: it models a draining system with no arrivals.
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         for i, a in enumerate(self.alpha):
             pools = a * self.n
             if abs(pools - round(pools)) > ALPHA_INT_TOL:
@@ -499,26 +488,21 @@ class QVector:
 
 
 class OccupancyState:
-    """Mutable pool-level state of a finite system.
+    """Mutable per-class occupancy counts of a finite system.
 
-    Pools are numbered 0..n-1 and grouped by class. ``buckets[ci][v]`` lists the
-    pools of class ``ci+1`` currently holding exactly ``v`` tasks, and ``pos``
-    gives each pool's index inside its bucket so moves are O(1). The counts
-    ``N(i, j) = len(buckets[i-1][j])`` have finite support: every level beyond
-    the deepest pool is an empty list.
-
-    The event loop in :mod:`poolsim.sim` mutates these structures in place (see
-    the inlined equivalents of :meth:`push_task` / :meth:`pop_task` there).
+    ``counts[ci][v]`` is ``N(ci+1, v)``, the number of class-``ci+1`` pools
+    holding exactly ``v`` tasks, and ``class_tasks[ci]`` is that class's task
+    total. Pools of one class are exchangeable and service is exponential, so
+    these counts are a complete Markov state. Each count list ends at least one
+    level past its deepest pool, so a push never indexes past the end.
     """
 
     __slots__ = (
         "n",
         "alpha",
         "class_sizes",
-        "pool_class",
-        "occ",
-        "pos",
-        "buckets",
+        "counts",
+        "class_tasks",
         "total_tasks",
         "_min_occ",
     )
@@ -529,6 +513,7 @@ class OccupancyState:
         alpha: Sequence[float],
         occupancies: Sequence[Sequence[int]],
     ):
+        """Build from one list of pool occupancies per class."""
         self.alpha = _check_fractions(alpha)
         self.n = int(n)
         sizes = []
@@ -540,31 +525,22 @@ class OccupancyState:
         self.class_sizes = sizes
         if len(occupancies) != len(sizes):
             raise ValueError("need one occupancy list per class")
-        self.pool_class: list[int] = []
-        self.occ: list[int] = []
-        self.pos: list[int] = []
-        self.buckets: list[list[list[int]]] = []
-        self.total_tasks = 0
-        self._min_occ = [0] * len(sizes)
-        pool = 0
+        self.counts: list[list[int]] = []
+        self.class_tasks: list[int] = []
         for ci, (size, occs) in enumerate(zip(sizes, occupancies)):
             if len(occs) != size:
                 raise ValueError(
                     f"class {ci + 1} needs {size} pool occupancies, got {len(occs)}"
                 )
-            depth = max(occs, default=0)
-            levels: list[list[int]] = [[] for _ in range(depth + 2)]
+            if any(v < 0 for v in occs):
+                raise ValueError("occupancies must be >= 0")
+            counts = [0] * (max(occs, default=0) + 2)
             for v in occs:
-                if v < 0:
-                    raise ValueError("occupancies must be >= 0")
-                self.pool_class.append(ci)
-                self.occ.append(v)
-                self.pos.append(len(levels[v]))
-                levels[v].append(pool)
-                self.total_tasks += v
-                pool += 1
-            self.buckets.append(levels)
-            self._min_occ[ci] = min(occs, default=0)
+                counts[v] += 1
+            self.counts.append(counts)
+            self.class_tasks.append(sum(occs))
+        self.total_tasks = sum(self.class_tasks)
+        self._min_occ = [min(occs, default=0) for occs in occupancies]
 
     # -- constructors -------------------------------------------------------
 
@@ -595,15 +571,14 @@ class OccupancyState:
 
     def count(self, cls: int, occ: int) -> int:
         """Number of class-``cls`` pools holding exactly ``occ`` tasks."""
-        levels = self.buckets[cls - 1]
-        if occ < 0 or occ >= len(levels):
+        counts = self.counts[cls - 1]
+        if occ < 0 or occ >= len(counts):
             return 0
-        return len(levels[occ])
+        return counts[occ]
 
     def tail_count(self, cls: int, level: int) -> int:
         """Number of class-``cls`` pools holding at least ``level`` tasks."""
-        levels = self.buckets[cls - 1]
-        return sum(len(b) for b in levels[level:])
+        return sum(self.counts[cls - 1][level:])
 
     def frac_at_least(self, cls: int, level: int) -> float:
         return self.tail_count(cls, level) / self.n
@@ -611,111 +586,131 @@ class OccupancyState:
     def min_occupied(self, cls: int) -> int:
         """Smallest occupancy among class-``cls`` pools (advances a lazy pointer)."""
         ci = cls - 1
-        levels = self.buckets[ci]
+        counts = self.counts[ci]
         v = self._min_occ[ci]
-        while not levels[v]:
+        while not counts[v]:
             v += 1
         self._min_occ[ci] = v
         return v
 
     def max_occupied(self, cls: int) -> int:
-        levels = self.buckets[cls - 1]
-        for v in range(len(levels) - 1, -1, -1):
-            if levels[v]:
+        counts = self.counts[cls - 1]
+        for v in range(len(counts) - 1, -1, -1):
+            if counts[v]:
                 return v
         raise ValueError(f"class {cls} has no pools")
 
+    def pick_pool(self, u: float, cls: int | None = None) -> tuple[int, int]:
+        """Cell ``(cls, occ)`` of a uniformly chosen pool, given a uniform draw ``u``.
+
+        The pool is chosen among all pools, or among class ``cls`` when given:
+        the draw picks a class by its pool count, then a level by ``N(i, j)``.
+        """
+        if cls is None:
+            k = int(u * self.n)
+            if k == self.n:  # u * n can round up to n
+                k -= 1
+            ci = 0
+            while k >= self.class_sizes[ci]:
+                k -= self.class_sizes[ci]
+                ci += 1
+        else:
+            ci = cls - 1
+            k = int(u * self.class_sizes[ci])
+            if k == self.class_sizes[ci]:
+                k -= 1
+        counts = self.counts[ci]
+        v = self._min_occ[ci]  # may sit below the minimum; empty levels add nothing
+        k -= counts[v]
+        while k >= 0:
+            v += 1
+            k -= counts[v]
+        return ci + 1, v
+
+    def pick_task(self, u: float) -> tuple[int, int]:
+        """Cell ``(cls, occ)`` of the pool holding a uniformly chosen task.
+
+        The draw ``u`` picks a class by its task total, then a level ``j`` by
+        weight ``j * N(i, j)``. Needs at least one task.
+        """
+        k = int(u * self.total_tasks)
+        if k == self.total_tasks:
+            k -= 1
+        tasks = self.class_tasks
+        ci = 0
+        while k >= tasks[ci]:
+            k -= tasks[ci]
+            ci += 1
+        counts = self.counts[ci]
+        v = self._min_occ[ci]
+        k -= v * counts[v]
+        while k >= 0:
+            v += 1
+            k -= v * counts[v]
+        return ci + 1, v
+
     # -- mutation ------------------------------------------------------------
 
-    def push_task(self, pool: int) -> int:
-        """Add one task to ``pool``; returns its previous occupancy."""
-        ci = self.pool_class[pool]
-        v = self.occ[pool]
-        levels = self.buckets[ci]
-        bucket = levels[v]
-        idx = self.pos[pool]
-        last = bucket[-1]
-        bucket[idx] = last
-        self.pos[last] = idx
-        bucket.pop()
-        if v + 2 >= len(levels):
-            levels.append([])
-        dest = levels[v + 1]
-        self.pos[pool] = len(dest)
-        dest.append(pool)
-        self.occ[pool] = v + 1
+    def push_task(self, cls: int, occ: int) -> None:
+        """Add one task to a class-``cls`` pool holding ``occ`` tasks."""
+        ci = cls - 1
+        counts = self.counts[ci]
+        if occ < 0 or not counts[occ]:
+            raise ValueError(f"class {cls} has no pool holding {occ} tasks")
+        counts[occ] -= 1
+        if occ + 2 == len(counts):
+            counts.append(0)
+        counts[occ + 1] += 1
+        self.class_tasks[ci] += 1
         self.total_tasks += 1
-        return v
 
-    def pop_task(self, pool: int) -> int:
-        """Remove one task from ``pool``; returns its previous occupancy."""
-        ci = self.pool_class[pool]
-        v = self.occ[pool]
-        if v == 0:
-            raise ValueError(f"pool {pool} has no tasks")
-        levels = self.buckets[ci]
-        bucket = levels[v]
-        idx = self.pos[pool]
-        last = bucket[-1]
-        bucket[idx] = last
-        self.pos[last] = idx
-        bucket.pop()
-        dest = levels[v - 1]
-        self.pos[pool] = len(dest)
-        dest.append(pool)
-        self.occ[pool] = v - 1
-        if v - 1 < self._min_occ[ci]:
-            self._min_occ[ci] = v - 1
+    def pop_task(self, cls: int, occ: int) -> None:
+        """Remove one task from a class-``cls`` pool holding ``occ`` tasks."""
+        ci = cls - 1
+        counts = self.counts[ci]
+        if occ < 1 or not counts[occ]:
+            raise ValueError(f"class {cls} has no pool holding {occ} tasks to remove")
+        counts[occ] -= 1
+        counts[occ - 1] += 1
+        if occ - 1 < self._min_occ[ci]:
+            self._min_occ[ci] = occ - 1
+        self.class_tasks[ci] -= 1
         self.total_tasks -= 1
-        return v
 
     # -- conversions and checks ----------------------------------------------
 
     def histogram(self, cls: int) -> list[int]:
-        return [len(b) for b in self.buckets[cls - 1]]
+        return list(self.counts[cls - 1])
 
     def aggregate_value(self, family: UtilityFamily) -> float:
         """Sum of per-pool utilities across the whole system (not normalized)."""
         total = 0.0
-        for ci, levels in enumerate(self.buckets):
-            for v, bucket in enumerate(levels):
-                if bucket:
-                    total += len(bucket) * family.value(ci + 1, v)
+        for ci, counts in enumerate(self.counts):
+            for v, c in enumerate(counts):
+                if c:
+                    total += c * family.value(ci + 1, v)
         return total
 
     def check_consistency(self) -> None:
-        """Full O(n) structural audit; used by tests and debug hooks."""
-        tasks = 0
-        for ci, levels in enumerate(self.buckets):
-            seen = 0
-            for v, bucket in enumerate(levels):
-                for idx, pool in enumerate(bucket):
-                    assert self.pool_class[pool] == ci
-                    assert self.occ[pool] == v
-                    assert self.pos[pool] == idx
-                seen += len(bucket)
-                tasks += v * len(bucket)
-            assert seen == self.class_sizes[ci], "bucket sizes disagree with class size"
-            assert self._min_occ[ci] <= self.min_occupied(ci + 1)
-        assert tasks == self.total_tasks, "cached task total is stale"
+        """Full structural audit; used by tests and debug hooks."""
+        for ci, counts in enumerate(self.counts):
+            assert min(counts) >= 0, "negative pool count"
+            assert counts[-1] == 0, "count list does not end past the deepest pool"
+            assert sum(counts) == self.class_sizes[ci], "counts disagree with class size"
+            assert not any(counts[: self._min_occ[ci]]), "min-level pointer overshoots"
+            tasks = sum(v * c for v, c in enumerate(counts))
+            assert tasks == self.class_tasks[ci], "cached class task total is stale"
+        assert sum(self.class_tasks) == self.total_tasks, "cached task total is stale"
 
 
 def occupancy_to_q(state: OccupancyState) -> QVector:
     """Tail fractions of an occupancy state: right cumulative counts over n."""
-    depth = 0
-    for cls in range(1, state.m + 1):
-        levels = state.buckets[cls - 1]
-        for v in range(len(levels) - 1, -1, -1):
-            if levels[v]:
-                depth = max(depth, v)
-                break
+    depth = max(state.max_occupied(cls) for cls in range(1, state.m + 1))
     tail = np.zeros((state.m, depth + 1))
-    for ci in range(state.m):
-        hist = np.zeros(depth + 1)
-        for v, bucket in enumerate(state.buckets[ci]):
-            if bucket and v <= depth:
-                hist[v] = len(bucket)
-        tail[ci] = hist[::-1].cumsum()[::-1] / state.n
+    for ci, counts in enumerate(state.counts):
+        hist = counts[: depth + 1]
+        tail[ci, : len(hist)] = np.cumsum(hist[::-1])[::-1]
+    tail /= state.n
     tail[:, 0] = state.alpha
     return QVector(alpha=np.asarray(state.alpha), tail=tail)
 
@@ -743,19 +738,3 @@ def overall_utility(family: UtilityFamily, q: QVector) -> float:
             total += float(np.dot(margs, row[1:]))
     return total
 
-
-# Module-level conveniences mirroring the family methods.
-
-
-def marginal(family: UtilityFamily, cls: int, occ: int) -> float:
-    return family.marginal(cls, occ)
-
-
-def rank_precedes(
-    family: UtilityFamily, a: Coordinate, b: Coordinate, tol: float | None = None
-) -> bool:
-    return family.rank_precedes(a, b, tol=tol)
-
-
-def enumerate_ranked(family: UtilityFamily, count: int) -> list[Coordinate]:
-    return family.enumerate_ranked(count)

@@ -1,9 +1,9 @@
 """Dispatch policies over occupancy states.
 
-Every policy sees only the occupancy counts, never pool identities: it returns
-the slot ``(cls, level)`` an arriving task should fill, meaning "some pool of
-that class currently holding level-1 tasks". Pools sharing a slot are
-exchangeable, so the simulator picks the concrete pool uniformly.
+Every policy sees only the occupancy counts: it returns the slot
+``(cls, level)`` an arriving task should fill, meaning "some pool of that class
+currently holding level-1 tasks". Pools sharing a slot are exchangeable, so the
+slot alone fixes the next state.
 
 Policies are configured by string: ``jlmu``, ``slta``, ``random``, or
 ``fixed:<cls>``.
@@ -109,26 +109,21 @@ class Jlmu(Policy):
     def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
         family = self._family
         marg = family._marg
-        buckets = state.buckets
-        min_occ = state._min_occ
+        min_occupied = state.min_occupied
         best_d = -float("inf")
         best_cls = 0
         best_level = 0
-        for ci in range(len(buckets)):
-            levels = buckets[ci]
-            v = min_occ[ci]
-            while not levels[v]:
-                v += 1
-            min_occ[ci] = v
-            cache = marg[ci]
+        # Classes are scanned in ascending order, so keeping the first of
+        # equal marginals breaks ties toward the dictionary-smaller slot.
+        for cls in range(1, len(marg) + 1):
+            v = min_occupied(cls)
+            cache = marg[cls - 1]
             if v >= len(cache):
-                family.marginal(ci + 1, v)
+                family.marginal(cls, v)
             d = cache[v]
-            if d > best_d or (
-                d == best_d and (ci + 1, v + 1) < (best_cls, best_level)
-            ):
+            if d > best_d:
                 best_d = d
-                best_cls = ci + 1
+                best_cls = cls
                 best_level = v + 1
         return PolicyDecision(Coordinate(best_cls, best_level), 0)
 
@@ -295,7 +290,7 @@ class Slta(Policy):
         return PolicyDecision(target, delta)
 
     def _pick_target(self, state: OccupancyState, u: float) -> Coordinate:
-        buckets = state.buckets
+        counts = state.counts
         thr = self._thr
         b = self._boundary
         prev_ci = self._prev.cls - 1 if self._prev is not None else -1
@@ -310,9 +305,9 @@ class Slta(Policy):
                 for ci in range(len(thr)):
                     if ci == prev_ci:
                         continue
-                    levels = buckets[ci]
+                    levels = counts[ci]
                     for v in range(thr[ci]):
-                        acc += len(levels[v])
+                        acc += levels[v]
                         if x < acc:
                             return Coordinate(ci + 1, v + 1)
                 # Float roundoff can push x to the boundary; take the last slot.
@@ -320,9 +315,9 @@ class Slta(Policy):
             # Only the previous boundary class has green pools.
             x = u * prev_green
             acc = 0
-            levels = buckets[prev_ci]
+            levels = counts[prev_ci]
             for v in range(thr[prev_ci]):
-                acc += len(levels[v])
+                acc += levels[v]
                 if x < acc:
                     return Coordinate(prev_ci + 1, v + 1)
             return self._last_green(state, only=prev_ci)
@@ -330,16 +325,13 @@ class Slta(Policy):
         if state.count(b.cls, b.level - 1) > 0:
             return b
         # Nothing to aim at: uniform over all pools.
-        pool = int(u * state.n)
-        if pool >= state.n:
-            pool = state.n - 1
-        return Coordinate(state.pool_class[pool] + 1, state.occ[pool] + 1)
+        return random_target(state, u)
 
     def _last_green(self, state: OccupancyState, skip: int = -1, only: int = -1):
         for ci in range(len(self._thr) - 1, -1, -1):
             if ci == skip or (only >= 0 and ci != only):
                 continue
-            levels = state.buckets[ci]
+            levels = state.counts[ci]
             for v in range(self._thr[ci] - 1, -1, -1):
                 if levels[v]:
                     return Coordinate(ci + 1, v + 1)
@@ -403,12 +395,9 @@ class RandomDispatch(Policy):
 
 
 def random_target(state: OccupancyState, u: float) -> Coordinate:
-    """Slot of a uniformly chosen pool. Pools are indexed in construction
-    order, so the draw maps straight to a pool id."""
-    pool = int(u * state.n)
-    if pool >= state.n:
-        pool = state.n - 1
-    return Coordinate(state.pool_class[pool] + 1, state.occ[pool] + 1)
+    """Slot of a uniformly chosen pool."""
+    cls, occ = state.pick_pool(u)
+    return Coordinate(cls, occ + 1)
 
 
 class FixedClassDispatch(Policy):
@@ -420,8 +409,6 @@ class FixedClassDispatch(Policy):
         if cls < 1:
             raise ValueError(f"class index must be >= 1, got {cls}")
         self.cls = cls
-        self._offset = 0
-        self._size = 0
 
     def bind(self, state, config, initial_rank=None):
         if self.cls > state.m:
@@ -429,31 +416,15 @@ class FixedClassDispatch(Policy):
                 f"fixed:{self.cls} needs class {self.cls} but the system has {state.m}"
             )
         self.name = f"fixed:{self.cls}"
-        self._offset = sum(state.class_sizes[: self.cls - 1])
-        self._size = state.class_sizes[self.cls - 1]
 
     def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
-        return PolicyDecision(
-            fixed_class_target(state, self.cls, u, self._offset, self._size), 0
-        )
+        return PolicyDecision(fixed_class_target(state, self.cls, u), 0)
 
 
-def fixed_class_target(
-    state: OccupancyState,
-    cls: int,
-    u: float,
-    offset: int | None = None,
-    size: int | None = None,
-) -> Coordinate:
+def fixed_class_target(state: OccupancyState, cls: int, u: float) -> Coordinate:
     """Slot of a uniformly chosen pool within one class."""
-    if offset is None or size is None:
-        offset = sum(state.class_sizes[: cls - 1])
-        size = state.class_sizes[cls - 1]
-    k = int(u * size)
-    if k >= size:
-        k = size - 1
-    pool = offset + k
-    return Coordinate(cls, state.occ[pool] + 1)
+    _, occ = state.pick_pool(u, cls)
+    return Coordinate(cls, occ + 1)
 
 
 def parse_policy(spec: str, beta: float | None = None) -> Policy:

@@ -1,23 +1,28 @@
 """Event-driven simulation of dispatch policies on a finite system.
 
-Each task gets its full service time when it arrives, drawn from a stream
-indexed by arrival order, and enters a calendar of pending departures. Runs
-use three counter-based random streams keyed by (seed, replication, stream):
-arrival gaps, service durations, and selection draws. Two runs that share the
-seed and replication therefore see identical arrival epochs and identical
-per-arrival service durations regardless of policy; only the selection stream
-(keyed additionally by a per-policy slot) differs, which is what makes paired
-policy comparisons low-variance.
+Pools of one class are exchangeable and service is exponential, so the
+per-class occupancy counts ``N(i, j)`` are a complete Markov state, and the run
+simulates them directly (the direct method of Gillespie, J. Phys. Chem. 81,
+2340, 1977). With ``S`` tasks present the next event comes at total rate
+``n * lam + mu * S``; it is an arrival with probability ``n * lam`` over that
+rate, and otherwise a departure of a uniformly chosen task.
 
-Draw order is fixed: services for initial tasks in pool order, then per
-arrival one service duration, one decision draw, and one pool-choice draw.
+Runs use two counter-based random streams keyed by (seed, replication,
+stream). The event stream gives each event its exponential gap and its
+arrival-or-departure draw. It depends on the policy only through ``S``, which
+every policy moves the same way, so runs that share the seed and replication
+see the same event epochs and the same M/M/infinity mass path whatever the
+policy. The selection stream, keyed additionally by a per-policy slot, gives
+one draw per event: on an arrival the policy's decision draw, on a departure
+the departing cell (a class by its task total, then a level ``j`` by weight
+``j * N(i, j)``). Paired policy comparisons are low-variance for that reason.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -34,7 +39,6 @@ from .model import (
 from .policies import Policy, parse_policy
 
 __all__ = [
-    "EventCalendar",
     "RunConfig",
     "Metrics",
     "BoundViolation",
@@ -44,9 +48,8 @@ __all__ = [
     "batch_means",
 ]
 
-_STREAM_ARRIVALS = 0
-_STREAM_SERVICES = 1
-_STREAM_SELECTION = 2
+_STREAM_EVENTS = 0
+_STREAM_SELECTION = 1
 
 _BLOCK = 1 << 14
 
@@ -61,35 +64,6 @@ class BoundViolation(RuntimeError):
 def _stream(seed: int, replication: int, stream: int, sub: int = 0) -> np.random.Generator:
     entropy = (seed, replication, stream, sub)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-@dataclass
-class EventCalendar:
-    """Pending departures as a heap of (time, task id, pool)."""
-
-    entries: list[tuple[float, int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        heapify(self.entries)
-
-    def push(self, when: float, task: int, pool: int) -> None:
-        heappush(self.entries, (when, task, pool))
-
-    def pop(self) -> tuple[float, int, int]:
-        return heappop(self.entries)
-
-    def peek(self) -> tuple[float, int, int] | None:
-        return self.entries[0] if self.entries else None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def audit(self, state: OccupancyState) -> None:
-        """Every pool must have exactly as many pending departures as tasks."""
-        per_pool = [0] * state.n
-        for _, _, pool in self.entries:
-            per_pool[pool] += 1
-        assert per_pool == state.occ, "calendar disagrees with occupancies"
 
 
 @dataclass(frozen=True)
@@ -113,25 +87,27 @@ class RunConfig:
     batches: int = 0
 
     def __post_init__(self) -> None:
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.warmup is not None and not 0 <= self.warmup < self.horizon:
             raise ValueError(f"warmup must lie in [0, horizon), got {self.warmup}")
         if self.seed < 0 or self.replication < 0:
             raise ValueError("seed and replication must be >= 0")
-        if self.init not in ("empty", "optimal", "optimal-rounded"):
+        if self.init not in ("empty", "optimal"):
             raise ValueError(f"init must be 'empty' or 'optimal', got {self.init!r}")
         if self.batches < 0:
             raise ValueError("batches must be >= 0")
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
             times = self.sample_times
+            if not all(math.isfinite(t) for t in times):
+                raise ValueError("sample_times must be finite")
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("sample_times must be strictly increasing")
 
     @property
     def starts_optimal(self) -> bool:
-        return self.init in ("optimal", "optimal-rounded")
+        return self.init == "optimal"
 
 
 @dataclass
@@ -176,7 +152,7 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
     """
     if init == "empty":
         return OccupancyState.empty(config.n, config.alpha), 1
-    if init not in ("optimal", "optimal-rounded"):
+    if init != "optimal":
         raise ValueError(f"unknown init mode {init!r}")
     n = config.n
     assign = optimal_assignment(config.family, config.alpha, config.rho)
@@ -244,32 +220,17 @@ def simulate(
             warmup = 0.0
     started = time.perf_counter()
 
-    state, base_rank = init_state(config, "optimal" if run.starts_optimal else "empty")
+    state, base_rank = init_state(config, run.init)
     policy.bind(state, config, initial_rank=base_rank)
 
-    arr_gen = _stream(run.seed, run.replication, _STREAM_ARRIVALS)
-    svc_gen = _stream(run.seed, run.replication, _STREAM_SERVICES)
+    ev_gen = _stream(run.seed, run.replication, _STREAM_EVENTS)
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
-
-    svc_scale = 1.0 / mu
     arr_rate = n * lam
 
-    # Pending departures for tasks present at time zero, pool by pool.
-    entries: list[tuple[float, int, int]] = []
-    task_id = 0
-    for pool, v in enumerate(state.occ):
-        if v:
-            for dur in svc_gen.exponential(svc_scale, v).tolist():
-                entries.append((dur, task_id, pool))
-                task_id += 1
-    heapify(entries)
-
     # Local bindings for the event loop.
-    buckets = state.buckets
-    occ = state.occ
-    pos = state.pos
-    pool_class = state.pool_class
-    min_occ = state._min_occ
+    push_task = state.push_task
+    pop_task = state.pop_task
+    pick_task = state.pick_task
     marg = family._marg
     for cls in range(1, state.m + 1):
         family.marginal(cls, max(state.max_occupied(cls), 0) + 1)
@@ -277,26 +238,17 @@ def simulate(
     decide = policy.decide
     tracks = policy.tracks_tokens
     notify_push = policy.notify_push
+    notify_pop = policy.notify_pop
     apply_learning = policy.apply_learning
 
     u_agg = state.aggregate_value(family)
-    s_tot = state.total_tasks
 
     inf = float("inf")
-    arr_buf: list[float] = []
-    arr_i = 0
-    svc_buf: list[float] = []
-    svc_i = 0
+    gaps: list[float] = []
+    kinds: list[float] = []
+    ev_i = _BLOCK
     sel_buf: list[float] = []
-    sel_i = 0
-    if arr_rate > 0:
-        arr_scale = 1.0 / arr_rate
-        arr_buf = arr_gen.exponential(arr_scale, _BLOCK).tolist()
-        next_arr = arr_buf[0]
-        arr_i = 1
-    else:
-        arr_scale = 0.0
-        next_arr = inf
+    sel_i = _BLOCK
 
     acc_u = 0.0
     comp_u = 0.0
@@ -322,13 +274,18 @@ def simulate(
         batch_width = (horizon - warmup) / batches
 
     while True:
-        td = entries[0][0] if entries else inf
-        if td <= next_arr:
-            te = td
-            is_arrival = False
+        s_tot = state.total_tasks
+        rate = arr_rate + mu * s_tot
+        if rate > 0:
+            if ev_i == _BLOCK:
+                gaps = ev_gen.standard_exponential(_BLOCK).tolist()
+                kinds = ev_gen.random(_BLOCK).tolist()
+                ev_i = 0
+            te = t_last + gaps[ev_i] / rate
+            is_arrival = kinds[ev_i] * rate < arr_rate
+            ev_i += 1
         else:
-            te = next_arr
-            is_arrival = True
+            te = inf
         if te > horizon:
             te = horizon if horizon > t_last else t_last
             done = True
@@ -363,85 +320,38 @@ def simulate(
                 si += 1
         if done:
             break
+        if sel_i == _BLOCK:
+            sel_buf = sel_gen.random(_BLOCK).tolist()
+            sel_i = 0
+        u = sel_buf[sel_i]
+        sel_i += 1
         if is_arrival:
-            # Service duration is attached to the arrival index.
-            if svc_i == len(svc_buf):
-                svc_buf = svc_gen.exponential(svc_scale, _BLOCK).tolist()
-                svc_i = 0
-            dur = svc_buf[svc_i]
-            svc_i += 1
-            if sel_i >= len(sel_buf) - 1:
-                sel_buf = sel_gen.random(_BLOCK).tolist()
-                sel_i = 0
-            u1 = sel_buf[sel_i]
-            u2 = sel_buf[sel_i + 1]
-            sel_i += 2
-            target, delta = decide(state, u1)
+            target, delta = decide(state, u)
             cls, level = target
-            ci = cls - 1
             v = level - 1
-            levels = buckets[ci]
-            bucket = levels[v]
-            idx = int(u2 * len(bucket))
-            pool = bucket[idx]
-            last = bucket[-1]
-            bucket[idx] = last
-            pos[last] = idx
-            bucket.pop()
-            if v + 2 >= len(levels):
-                levels.append([])
-            dest = levels[v + 1]
-            pos[pool] = len(dest)
-            dest.append(pool)
-            occ[pool] = v + 1
-            s_tot += 1
-            cache = marg[ci]
+            push_task(cls, v)
+            cache = marg[cls - 1]
             if v >= len(cache):
                 family.marginal(cls, v)
             u_agg += cache[v]
             if tracks:
-                notify_push(ci, v)
+                notify_push(cls - 1, v)
                 if delta:
-                    state.total_tasks = s_tot
                     apply_learning(delta)
                     switches += 1
                     rank_history.append((te, policy.rank))
-            heappush(entries, (te + dur, task_id, pool))
-            task_id += 1
             arrivals += 1
-            if arr_i == len(arr_buf):
-                arr_buf = arr_gen.exponential(arr_scale, _BLOCK).tolist()
-                arr_i = 0
-            next_arr = te + arr_buf[arr_i]
-            arr_i += 1
         else:
-            _, _, pool = heappop(entries)
-            ci = pool_class[pool]
-            v = occ[pool]
-            levels = buckets[ci]
-            bucket = levels[v]
-            idx = pos[pool]
-            last = bucket[-1]
-            bucket[idx] = last
-            pos[last] = idx
-            bucket.pop()
-            dest = levels[v - 1]
-            pos[pool] = len(dest)
-            dest.append(pool)
-            occ[pool] = v - 1
-            if v - 1 < min_occ[ci]:
-                min_occ[ci] = v - 1
-            s_tot -= 1
-            u_agg -= marg[ci][v - 1]
+            cls, v = pick_task(u)
+            pop_task(cls, v)
+            u_agg -= marg[cls - 1][v - 1]
             if tracks:
-                policy.notify_pop(ci, v)
+                notify_pop(cls - 1, v)
         events += 1
         t_last = te
         if hook is not None:
-            state.total_tasks = s_tot
             hook("arrival" if is_arrival else "departure", te, state, policy)
 
-    state.total_tasks = s_tot
     if sample_times is not None:
         while si < len(sample_times) and sample_times[si] <= horizon:
             trajectory.append((sample_times[si], occupancy_to_q(state)))
@@ -490,10 +400,10 @@ def coupled_simulate(
     run: RunConfig,
     selection_slots: Sequence[int] | None = None,
 ) -> list[Metrics]:
-    """Run several policies on the same arrival epochs and service durations.
+    """Run several policies on the same event epochs and mass path.
 
-    Every policy replays identical arrival and service streams; selections come
-    from per-policy substreams (slot = position in the list unless overridden).
+    Every policy replays the identical event stream; selections come from
+    per-policy substreams (slot = position in the list unless overridden).
     Passing equal slots makes identical policies produce bitwise-equal metrics.
     """
     if selection_slots is None:

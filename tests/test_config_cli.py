@@ -94,6 +94,34 @@ def test_load_config_reports_position(tmp_path):
         load_config(str(path))
 
 
+def test_parse_rejects_non_finite_numbers(tmp_path):
+    cases = [
+        ({**BASE_DOC, "rho": math.nan}, "rho"),
+        ({**BASE_DOC, "mu": math.inf}, "mu"),
+        ({**BASE_DOC, "rho": 10**400}, "rho"),
+        ({**BASE_DOC, "run": {"horizon": math.inf}}, "run.horizon"),
+        ({**BASE_DOC, "run": {"horizon": 1.0, "warmup": math.nan}}, "run.warmup"),
+        ({**BASE_DOC, "sweep": {"rho": [9.75, -math.inf]}}, "sweep.rho[1]"),
+    ]
+    for utility in (
+        {"kind": "linear", "slope": math.inf},
+        {"kind": "log_quality", "r": math.inf},
+        {"kind": "capped_linear", "slope": math.nan, "cap": 2},
+        {"kind": "table", "values": [0.0, math.nan]},
+    ):
+        classes = [{"fraction": 0.5, "utility": utility}, BASE_DOC["classes"][1]]
+        cases.append(({**BASE_DOC, "classes": classes}, "classes[0].utility"))
+    for doc, where in cases:
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.path == where
+    # the JSON literals NaN and Infinity reach the same check from a file
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(BASE_DOC).replace('"rho": 9.75', '"rho": NaN'))
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(str(path))
+
+
 def test_run_init_alias_normalized():
     doc = {**BASE_DOC, "run": {"horizon": 1.0, "init": "optimal-rounded"}}
     assert parse_config(doc).run.init == "optimal"
@@ -188,6 +216,49 @@ def test_cli_simulate_rejects_unknown_policy(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
+    # an infinite horizon used to start a run that never returned
+    assert main(["simulate", "--config", write_config(tmp_path), "--T", "inf"]) == 2
+    assert "horizon" in capsys.readouterr().err
+    doc = {**BASE_DOC, "run": {"horizon": 1.0}}
+    argv = ["simulate", "--config", write_config(tmp_path, doc)]
+    assert main(argv + ["--warmup", "nan"]) == 2
+    assert main(argv + ["--rho", "nan"]) == 2
+
+
+def test_fan_out_clamps_workers(monkeypatch):
+    # a stand-in executor records the worker count and starts no process
+    from poolsim import cli
+
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "_run_cell", lambda cell: [cell])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._fan_out(["a", "b"], 10**6) == [["a"], ["b"]]
+    assert cli._fan_out(["a"], 2) == [["a"]]
+    assert seen == [3, 2]
+    # one worker or fewer runs in-process
+    assert cli._fan_out(["c"], 0) == [["c"]]
+    assert cli._fan_out(["c"], -4) == [["c"]]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._fan_out(["d"], 8) == [["d"]]
+    assert seen == [3, 2]
+
+
 def test_cli_table1_small(tmp_path, capsys):
     cfg = write_config(tmp_path)
     argv = [
@@ -236,6 +307,8 @@ def test_cli_suboptimal_report(tmp_path, capsys):
     first = capsys.readouterr().out
     doc = json.loads(first)
     assert doc["closed_form_fixed2"] == pytest.approx(1.0 - math.exp(-1.0))
+    # exact: the capped pool is busy half the time, the linear one holds 1/2
+    assert doc["jlmu_mean_formula"] == pytest.approx(0.5 + 0.05 * 0.5)
     assert doc["reps"] == 3
     assert set(doc) >= {"fixed2_mean", "jlmu_mean", "fixed2_se", "jlmu_se"}
     assert main(argv) == 0

@@ -124,6 +124,16 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.1, levels=10, horizon=1.0, record_every=0)
 
 
+def test_integrator_config_rejects_non_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            IntegratorConfig(dt=bad, levels=10, horizon=1.0)
+        with pytest.raises(ValueError):
+            IntegratorConfig(dt=0.1, levels=10, horizon=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(dt=0.1, levels=10, horizon=1.0, sigma_tol=bad)
+
+
 def test_integrator_defaults_cover_the_fill():
     system = two_class_system(8, 9.75)
     cfg = IntegratorConfig.for_system(system, horizon=5.0)

@@ -279,11 +279,12 @@ def test_occupancy_state_push_pop():
     assert state.total_tasks == 5
     assert state.min_occupied(1) == 0
     assert state.max_occupied(2) == 1
-    state.push_task(0)
+    state.push_task(1, 0)
     assert state.count(1, 1) == 1
     assert state.min_occupied(1) == 1
-    state.pop_task(1)
+    state.pop_task(1, 3)
     assert state.count(1, 2) == 1
+    assert state.class_tasks == [3, 2]
     hist = state.histogram(1)
     assert hist[1] == 1 and hist[2] == 1
     # all four pools now hold at least one task
@@ -296,11 +297,30 @@ def test_occupancy_state_push_pop():
 def test_occupancy_state_guards():
     state = OccupancyState.empty(2, (1.0,))
     with pytest.raises(ValueError):
-        state.pop_task(0)
+        state.pop_task(1, 0)
+    with pytest.raises(ValueError):
+        state.pop_task(1, 1)  # no pool holds a task
+    with pytest.raises(ValueError):
+        state.push_task(1, 1)  # no pool holds one task yet
     with pytest.raises(ValueError):
         OccupancyState.empty(3, TWO_CLASS_ALPHA)
     with pytest.raises(ValueError):
         OccupancyState(4, TWO_CLASS_ALPHA, [[0], [0, 0, 0]])
+
+
+def test_pick_task_weights_levels_by_tasks():
+    # class 1: pools at 1 and 3 tasks; class 2: both pools at 1 task
+    state = OccupancyState(4, TWO_CLASS_ALPHA, [[1, 3], [1, 1]])
+    picks = [state.pick_task(k / 6) for k in range(6)]
+    assert picks == [(1, 1), (1, 3), (1, 3), (1, 3), (2, 1), (2, 1)]
+    assert state.pick_task(1.0 - 2.0**-53) == (2, 1)
+
+
+def test_pick_pool_by_class_then_level():
+    state = OccupancyState(4, TWO_CLASS_ALPHA, [[2, 0], [5, 5]])
+    assert [state.pick_pool(k / 4) for k in range(4)] == [(1, 0), (1, 2), (2, 5), (2, 5)]
+    assert state.pick_pool(0.6, cls=1) == (1, 2)
+    assert state.pick_pool(1.0 - 2.0**-53, cls=2) == (2, 5)
 
 
 def test_from_counts_histogram_form():
@@ -335,10 +355,7 @@ def test_overall_utility_matches_occupancy_sum(rng):
         occs = [rng.integers(0, 25, size=s).tolist() for s in sizes]
         state = OccupancyState(8, THREE_CLASS_ALPHA, occs)
         q = occupancy_to_q(state)
-        direct = sum(
-            fam.value(state.pool_class[pool] + 1, v)
-            for pool, v in enumerate(state.occ)
-        )
+        direct = sum(fam.value(ci + 1, v) for ci, row in enumerate(occs) for v in row)
         assert 8 * overall_utility(fam, q) == pytest.approx(direct, abs=1e-9)
         assert state.aggregate_value(fam) == pytest.approx(direct, abs=1e-9)
 
@@ -368,6 +385,9 @@ def test_system_config_validation():
         SystemConfig.from_rho(n=4, alpha=TWO_CLASS_ALPHA, rho=1.0, mu=0.0, family=fam)
     with pytest.raises(ValueError):
         SystemConfig.from_rho(n=4, alpha=(1.0,), rho=1.0, mu=1.0, family=fam)
+    for lam, mu in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, lam=lam, mu=mu, family=fam)
     # zero load is allowed; it models a draining system
     cfg0 = SystemConfig.from_rho(n=4, alpha=TWO_CLASS_ALPHA, rho=0.0, mu=1.0, family=fam)
     assert cfg0.lam == 0.0

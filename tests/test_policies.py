@@ -66,12 +66,13 @@ def test_jlmu_piecewise_crossover():
     assert jlmu_target(fam, state) == Coordinate(3, 1)
 
 
-def brute_force_target(fam, state):
+def brute_force_target(fam, occs):
     best = None
-    for pool in range(state.n):
-        cand = Coordinate(state.pool_class[pool] + 1, state.occ[pool] + 1)
-        if best is None or fam.rank_precedes(best, cand):
-            best = cand
+    for ci, row in enumerate(occs):
+        for v in row:
+            cand = Coordinate(ci + 1, v + 1)
+            if best is None or fam.rank_precedes(best, cand):
+                best = cand
     return best
 
 
@@ -84,21 +85,26 @@ def test_jlmu_maximizes_over_all_pools(rng):
         for _ in range(60):
             occs = [rng.integers(0, 14, size=s).tolist() for s in sizes]
             state = OccupancyState(sum(sizes), alpha, occs)
-            assert jlmu_target(fam, state) == brute_force_target(fam, state)
+            assert jlmu_target(fam, state) == brute_force_target(fam, occs)
 
 
 def test_jlmu_trace_matches_jsq(rng):
     fam = UtilityFamily((LogQuality(50.0),))
     state = OccupancyState.empty(5, (1.0,))
+    occ = [0] * 5
     for _ in range(200):
-        if state.total_tasks and rng.uniform() < 0.4:
-            occupied = [p for p in range(5) if state.occ[p] > 0]
-            state.pop_task(int(rng.choice(occupied)))
+        if sum(occ) and rng.uniform() < 0.4:
+            pool = int(rng.choice([p for p in range(5) if occ[p] > 0]))
+            state.pop_task(1, occ[pool])
+            occ[pool] -= 1
         else:
             target = jlmu_target(fam, state)
-            assert target.level - 1 == min(state.occ)
-            pool = min(p for p in range(5) if state.occ[p] == target.level - 1)
-            state.push_task(pool)
+            assert target.level - 1 == min(occ)
+            pool = occ.index(min(occ))
+            state.push_task(1, occ[pool])
+            occ[pool] += 1
+        depth = max(occ) + 1
+        assert state.histogram(1)[:depth] == [occ.count(v) for v in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,7 @@ def test_learning_applied_after_dispatch():
     decision = policy.decide(state, 0.0)
     assert decision.learning_delta == -1
     assert policy.rank == 2  # unchanged until the simulator applies it
-    state.push_task(2)
+    state.push_task(2, 0)
     policy.notify_push(1, 0)
     policy.apply_learning(decision.learning_delta)
     assert policy.rank == 1

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from poolsim.model import OccupancyState, SystemConfig
+from poolsim.model import SystemConfig
 from poolsim.policies import Jlmu
 from poolsim.sim import (
     BoundViolation,
-    EventCalendar,
     Metrics,
     RunConfig,
     batch_means,
@@ -49,9 +48,18 @@ def test_run_config_validation():
         RunConfig(horizon=10.0, sample_times=(1.0, 1.0))
     with pytest.raises(ValueError):
         RunConfig(horizon=10.0, batches=-1)
-    assert RunConfig(horizon=1.0, init="optimal-rounded").starts_optimal
     assert RunConfig(horizon=1.0, init="optimal").starts_optimal
     assert not RunConfig(horizon=1.0).starts_optimal
+
+
+def test_run_config_rejects_non_finite_times():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RunConfig(horizon=bad)
+        with pytest.raises(ValueError):
+            RunConfig(horizon=10.0, warmup=bad)
+        with pytest.raises(ValueError):
+            RunConfig(horizon=10.0, sample_times=(1.0, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +102,6 @@ def test_init_state_spreads_classes_evenly():
         present = [v for v, c in enumerate(occupied) if c]
         assert max(present) - min(present) <= 1
     state.check_consistency()
-
-
-# ---------------------------------------------------------------------------
-# event calendar
-
-
-def test_event_calendar_orders_and_audits():
-    cal = EventCalendar()
-    cal.push(2.0, 1, 0)
-    cal.push(0.5, 2, 1)
-    cal.push(1.0, 3, 1)
-    assert cal.peek() == (0.5, 2, 1)
-    assert len(cal) == 3
-    state = OccupancyState(2, (1.0,), [[1, 2]])
-    cal.audit(state)
-    assert cal.pop() == (0.5, 2, 1)
-    with pytest.raises(AssertionError):
-        cal.audit(state)
 
 
 # ---------------------------------------------------------------------------
