@@ -9,6 +9,7 @@ from .model import (
     CappedLinear,
     Coordinate,
     Enumeration,
+    FluidSystem,
     Linear,
     LogQuality,
     OccupancyState,

@@ -57,13 +57,19 @@ class OptimalAssignment:
 
 
 def _boundary_walk(
-    family: UtilityFamily, alpha: tuple[float, ...], rho: float
-) -> tuple[Coordinate, int, list[int], float]:
+    family: UtilityFamily, alpha, rho: float
+) -> tuple[tuple[float, ...], Coordinate, int, list[int], float]:
     """Walk the ranking until the cumulative class mass first passes ``rho``.
 
-    Returns the boundary slot, its rank, the per-class count of fully filled
-    levels, and the mass accumulated strictly above the boundary.
+    Returns the checked class fractions, the boundary slot, its rank, the
+    per-class count of fully filled levels, and the mass accumulated strictly
+    above the boundary.
     """
+    alpha = _check_fractions(alpha)
+    if len(alpha) != family.m:
+        raise ValueError(f"got {len(alpha)} fractions for {family.m} classes")
+    if rho < 0:
+        raise ValueError(f"load must be >= 0, got {rho}")
     filled = [0] * len(alpha)
     cum = 0.0
     rank = 0
@@ -76,7 +82,7 @@ def _boundary_walk(
             )
         a = alpha[coord.cls - 1]
         if rho < cum + a:
-            return coord, rank, filled, cum
+            return alpha, coord, rank, filled, cum
         cum += a
         filled[coord.cls - 1] = coord.level
     raise AssertionError("unreachable: the ranking is infinite")
@@ -86,12 +92,7 @@ def sigma_star(
     family: UtilityFamily, alpha, rho: float
 ) -> tuple[Coordinate, int]:
     """Boundary slot of the greedy fill at load ``rho``, with its 1-based rank."""
-    alpha = _check_fractions(alpha)
-    if len(alpha) != family.m:
-        raise ValueError(f"got {len(alpha)} fractions for {family.m} classes")
-    if rho < 0:
-        raise ValueError(f"load must be >= 0, got {rho}")
-    coord, rank, _, _ = _boundary_walk(family, alpha, rho)
+    _, coord, rank, _, _ = _boundary_walk(family, alpha, rho)
     return coord, rank
 
 
@@ -101,12 +102,7 @@ def optimal_assignment(family: UtilityFamily, alpha, rho: float) -> OptimalAssig
     The residual ``rho`` minus the mass above the boundary is kept as the exact
     float difference; nothing is rounded to whole pools here.
     """
-    alpha = _check_fractions(alpha)
-    if len(alpha) != family.m:
-        raise ValueError(f"got {len(alpha)} fractions for {family.m} classes")
-    if rho < 0:
-        raise ValueError(f"load must be >= 0, got {rho}")
-    coord, rank, filled, cum = _boundary_walk(family, alpha, rho)
+    alpha, coord, rank, filled, cum = _boundary_walk(family, alpha, rho)
     residual = rho - cum
     depth = max(max(filled), coord.level)
     tail = np.zeros((len(alpha), depth + 1))

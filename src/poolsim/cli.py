@@ -36,7 +36,7 @@ import numpy as np
 from .assign import optimal_assignment
 from .config import ConfigError, ExperimentConfig, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
-from .model import LogQuality, SystemConfig, UtilityFamily
+from .model import FluidSystem, LogQuality, SystemConfig, UtilityFamily
 from .sim import Metrics, RunConfig, coupled_simulate, simulate
 
 __all__ = ["main"]
@@ -336,19 +336,11 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
 # fluid command
 
 
-def _fluid_system(cfg: ExperimentConfig, rho: float | None) -> SystemConfig:
-    """The mean-field model needs no pool count; pick the smallest valid one."""
-    if cfg.n is not None:
-        return cfg.system(rho=rho)
-    for n in range(1, 100001):
-        if all(abs(n * f - round(n * f)) < 1e-9 for f in cfg.fractions):
-            return cfg.system(n=n, rho=rho)
-    raise ConfigError("classes", "fractions have no small common denominator; set n")
-
-
 def cmd_fluid(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    system = _fluid_system(cfg, args.rho)
+    # The mean-field model needs no pool count; a configured n is ignored.
+    rho = cfg.offered_load(args.rho)
+    system = FluidSystem(alpha=cfg.fractions, lam=rho * cfg.mu, mu=cfg.mu, family=cfg.family)
     integ = IntegratorConfig.for_system(system, horizon=args.T)
     if args.dt is not None:
         integ = replace(integ, dt=args.dt)

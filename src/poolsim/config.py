@@ -32,12 +32,11 @@ from pathlib import Path
 from typing import Any
 
 from .model import SystemConfig, Utility, UtilityFamily, utility_from_dict
+from .policies import parse_policy
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
-
-_POLICY_PREFIXES = ("jlmu", "slta", "random", "fixed:")
 
 
 class ConfigError(ValueError):
@@ -172,20 +171,6 @@ class ExperimentConfig:
         return doc
 
 
-def _parse_policy_name(name: Any, where: str) -> str:
-    if not isinstance(name, str) or not any(
-        name == p or (p.endswith(":") and name.startswith(p)) for p in _POLICY_PREFIXES
-    ):
-        raise ConfigError(
-            where, f"unknown policy {name!r} (expected jlmu, slta, random, or fixed:<cls>)"
-        )
-    if name.startswith("fixed:"):
-        tail = name.split(":", 1)[1]
-        if not tail.isdigit() or int(tail) < 1:
-            raise ConfigError(where, f"bad class in {name!r}: need fixed:<positive int>")
-    return name
-
-
 def parse_config(doc: Any) -> ExperimentConfig:
     """Validate a decoded JSON document."""
     if not isinstance(doc, dict):
@@ -251,7 +236,11 @@ def parse_config(doc: Any) -> ExperimentConfig:
         if not isinstance(doc["policies"], list):
             raise ConfigError("policies", "must be a list of policy names")
         for k, name in enumerate(doc["policies"]):
-            policies.append(_parse_policy_name(name, f"policies[{k}]"))
+            try:
+                parse_policy(name)
+            except ValueError as exc:
+                raise ConfigError(f"policies[{k}]", str(exc)) from None
+            policies.append(name)
 
     beta = None
     if "beta" in doc:
@@ -277,10 +266,9 @@ def parse_config(doc: Any) -> ExperimentConfig:
                 raise ConfigError("run.warmup", "must be >= 0")
         if "init" in block:
             init = block["init"]
-            if init not in ("empty", "optimal", "optimal-rounded"):
+            if init not in ("empty", "optimal"):
                 raise ConfigError("run.init", f"must be 'empty' or 'optimal', got {init!r}")
-            # Config files may spell "optimal" as "optimal-rounded".
-            run.init = "optimal" if init == "optimal-rounded" else init
+            run.init = init
         if "batches" in block:
             run.batches = _integer(block["batches"], "run.batches")
             if run.batches < 0:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import optimal_assignment
-from .model import (
-    Coordinate,
-    Enumeration,
-    QVector,
-    SystemConfig,
-    UtilityFamily,
-)
+from .model import Coordinate, Enumeration, FluidSystem, QVector, UtilityFamily
 
 __all__ = [
     "IntegratorConfig",
@@ -73,7 +67,7 @@ class IntegratorConfig:
     @classmethod
     def for_system(
         cls,
-        system: SystemConfig,
+        system: FluidSystem,
         horizon: float,
         dt: float | None = None,
         levels: int | None = None,
@@ -111,7 +105,7 @@ class FluidPath:
 
     times: np.ndarray
     states: np.ndarray
-    system: SystemConfig
+    system: FluidSystem
     config: IntegratorConfig
     max_tail_mass: float = 0.0
 
@@ -140,85 +134,91 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
-def _active_slot(
-    family: UtilityFamily, padded: np.ndarray, tol: float
-) -> Coordinate:
-    """Best-ranked slot whose gap to the level above exceeds ``tol``."""
-    m, width = padded.shape
-    best: Coordinate | None = None
-    for ci in range(m):
-        row = padded[ci]
-        # Gap at slot (ci+1, j) is row[j-1] - row[j]; scan shallow levels first.
-        for j in range(1, width - 1):
-            if row[j - 1] - row[j] > tol:
-                cand = Coordinate(ci + 1, j)
-                if best is None or family.rank_precedes(best, cand):
-                    best = cand
-                break
-    if best is None:
+def _rank_table(family: UtilityFamily, levels: int) -> tuple[Enumeration, np.ndarray]:
+    """The family's ranking and the ranks of the slots ``(cls, 1..levels)``.
+
+    Entry ``[ci, j - 1]`` is the rank of slot ``(ci + 1, j)`` when it is among
+    the best ``m * levels`` slots, and ``m * levels + 1`` otherwise. An active
+    slot ranked past that prefix would leave some class more than ``levels``
+    deep, so the table ranks every slot the truncated dynamics can activate.
+    """
+    enum = Enumeration(family)
+    table = np.full((family.m, levels), family.m * levels + 1, dtype=np.int64)
+    for rank, (cls, level) in enumerate(enum.prefix(table.size), 1):
+        if level <= levels:
+            table[cls - 1, level - 1] = rank
+    return enum, table
+
+
+def _active_rank(table: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of the active slot of each padded profile in ``states``.
+
+    A slot is open when its gap to the level above exceeds ``tol``. Inside a
+    class the rank grows with the level, so the smallest rank among open slots
+    is the best-ranked first open slot of any class. Reads ``table.size + 1``
+    when that slot is ranked past the table.
+    """
+    closed = table.size + 2
+    ranks = np.where(states[..., :-2] - states[..., 1:-1] > tol, table, closed)
+    ranks = ranks.min(axis=(-2, -1))
+    if ranks.max() == closed:
         raise RuntimeError(
             "no active slot within the truncated profile; increase the depth"
         )
-    return best
+    return ranks
 
 
 def fluid_sigma(family: UtilityFamily, q: QVector, tol: float = SIGMA_TOL) -> Coordinate:
     """Active slot of a profile."""
-    return _active_slot(family, _pad(q, q.depth), tol)
+    enum, table = _rank_table(family, q.depth)
+    rank = int(_active_rank(table, _pad(q, q.depth), tol))
+    if rank > table.size:
+        raise RuntimeError("the active slot ranks below a class full to the profile depth")
+    return enum.slot(rank)
 
 
-def _fill_depths(
-    family: UtilityFamily, sigma: Coordinate, m: int, levels: int
-) -> list[int]:
-    """Per class, the number of levels ranked strictly above ``sigma``."""
-    out = []
-    for ci in range(m):
-        cls = ci + 1
-        if cls == sigma.cls:
-            out.append(sigma.level - 1)
-            continue
-        depth = 0
-        while depth < levels and family.rank_precedes(sigma, Coordinate(cls, depth + 1)):
-            depth += 1
+def _fill_at(
+    enum: Enumeration, rank: int, levels: int
+) -> tuple[Coordinate, list[int], np.ndarray]:
+    """The slot at ``rank``, the per-class depths filled by the slots ranked
+    above it, and the ``(m, levels)`` mask of those slots."""
+    depths = enum.class_counts_before(rank)
+    for cls, depth in enumerate(depths, 1):
         if depth >= levels:
             raise RuntimeError(
                 f"class {cls} saturates past the truncation depth {levels}"
             )
-        out.append(depth)
-    return out
+    mask = np.arange(1, levels + 1) <= np.asarray(depths)[:, None]
+    return enum.slot(rank), depths, mask
 
 
-def _rhs(
-    family: UtilityFamily,
+def _flows(
+    state: np.ndarray,
+    fill: tuple[Coordinate, list[int], np.ndarray],
     alpha: np.ndarray,
     lam: float,
-    mu: float,
-    padded: np.ndarray,
-    sigma: Coordinate,
-    depths: list[int],
+    mu_levels: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and inflow-rate arrays for a padded profile with known active slot."""
-    m, width = padded.shape
-    inflow = np.zeros_like(padded)
-    above = 0.0
-    for ci in range(m):
-        d = depths[ci]
-        if d:
-            js = np.arange(1, d + 1)
-            rates = mu * js * (alpha[ci] - padded[ci, 2 : d + 2])
-            inflow[ci, 1 : d + 1] = rates
-            above += float(rates.sum())
-    inflow[sigma.cls - 1, sigma.level] = lam - above
-    shifted = np.zeros_like(padded)
-    shifted[:, :-1] = padded[:, 1:]
-    js = np.arange(width)
-    drift = inflow - mu * js * (padded - shifted)
-    drift[:, 0] = 0.0
+    """Drift and inflow-rate arrays of a padded profile (last column zero).
+
+    Level ``j`` drains at ``mu * j`` times its excess over level ``j + 1``;
+    ``mu_levels[j]`` is ``mu * j``. A saturated slot ``(i, j)`` takes in what
+    the level below it drains, and the active slot takes the rest of ``lam``.
+    """
+    (cls, level), depths, mask = fill
+    rates = mu_levels[1:-1] * (alpha[:, None] - state[:, 2:])
+    inflow = np.zeros_like(state)
+    inflow[:, 1:-1] = np.where(mask, rates, 0.0)
+    # Class by class: one pairwise sum over the masked rows would round differently.
+    above = sum(float(rates[ci, :depth].sum()) for ci, depth in enumerate(depths))
+    inflow[cls - 1, level] = lam - above
+    drift = inflow.copy()
+    drift[:, 1:-1] -= mu_levels[1:-1] * (state[:, 1:-1] - state[:, 2:])
     return drift, inflow
 
 
 def fluid_rhs(
-    system: SystemConfig, q: QVector, sigma_tol: float = SIGMA_TOL
+    system: FluidSystem, q: QVector, sigma_tol: float = SIGMA_TOL
 ) -> tuple[np.ndarray, np.ndarray, Coordinate]:
     """Drift of a profile under the large-system dynamics.
 
@@ -227,16 +227,16 @@ def fluid_rhs(
     zero). Summing the drift over all levels gives ``lam - mu * mass`` exactly:
     inflows total ``lam`` by construction and the drain terms telescope.
     """
-    family = system.family
-    alpha = np.asarray(system.alpha)
-    padded = _pad(q, q.depth + 1)
-    sigma = _active_slot(family, padded, sigma_tol)
-    depths = _fill_depths(family, sigma, q.m, padded.shape[1] - 2)
-    drift, inflow = _rhs(family, alpha, system.lam, system.mu, padded, sigma, depths)
-    return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], sigma
+    levels = q.depth + 1
+    enum, table = _rank_table(system.family, levels)
+    padded = _pad(q, levels)
+    fill = _fill_at(enum, int(_active_rank(table, padded, sigma_tol)), levels)
+    mu_levels = system.mu * np.arange(levels + 2)
+    drift, inflow = _flows(padded, fill, np.asarray(system.alpha), system.lam, mu_levels)
+    return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
 
 
-def equilibrium_profile(system: SystemConfig) -> QVector:
+def equilibrium_profile(system: FluidSystem) -> QVector:
     """The stationary profile: the greedy fill at the offered load."""
     return optimal_assignment(system.family, system.alpha, system.rho).q_star
 
@@ -284,7 +284,7 @@ def _project_conserving(
 
 
 def integrate_fluid(
-    system: SystemConfig,
+    system: FluidSystem,
     q0: QVector | None,
     config: IntegratorConfig,
 ) -> FluidPath:
@@ -303,31 +303,25 @@ def integrate_fluid(
     """
     if q0 is None:
         q0 = QVector.zeros(system.alpha, 1)
-    family = system.family
     alpha = np.asarray(system.alpha, dtype=np.float64)
     lam = system.lam
-    mu = system.mu
     dt = config.dt
     levels = config.levels
-    m = len(alpha)
     steps = int(math.ceil(config.horizon / dt - 1e-9))
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
-    pour_order = [
-        c for c in family.enumerate_ranked(m * levels) if c.level <= levels
-    ]
-
-    depth_cache: dict[Coordinate, list[int]] = {}
+    enum, table = _rank_table(system.family, levels)
+    pour_order = [c for c in enum.prefix(table.size) if c.level <= levels]
+    mu_levels = system.mu * np.arange(levels + 2)
+    fills: dict[int, tuple] = {}
 
     def drift_at(state: np.ndarray) -> np.ndarray:
-        sigma = _active_slot(family, state, config.sigma_tol)
-        depths = depth_cache.get(sigma)
-        if depths is None:
-            depths = _fill_depths(family, sigma, m, levels)
-            depth_cache[sigma] = depths
-        d, _ = _rhs(family, alpha, lam, mu, state, sigma, depths)
-        return d
+        rank = int(_active_rank(table, state, config.sigma_tol))
+        fill = fills.get(rank)
+        if fill is None:
+            fill = fills[rank] = _fill_at(enum, rank, levels)
+        return _flows(state, fill, alpha, lam, mu_levels)[0]
 
     recorded = [q.copy()]
     rec_times = [0.0]
@@ -449,7 +443,6 @@ def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionRepo
     the gated integrand jumps there. Residuals shrink with the step size.
     """
     system = path.system
-    family = system.family
     alpha = np.asarray(system.alpha)
     lam = system.lam
     mu = system.mu
@@ -463,11 +456,8 @@ def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionRepo
     steps = len(times)
     levels = states.shape[2] - 2
 
-    enum = Enumeration(family)
-    tol = path.config.sigma_tol
-    ranks = np.empty(steps, dtype=np.int64)
-    for k in range(steps):
-        ranks[k] = enum.rank_of(_active_slot(family, states[k], tol))
+    enum, table = _rank_table(system.family, levels)
+    ranks = _active_rank(table, states, path.config.sigma_tol)
     depth = int(ranks.max()) - 1 + margin
     slots = []
     for r in range(1, depth + 1):

@@ -28,6 +28,7 @@ __all__ = [
     "Tabulated",
     "UtilityFamily",
     "Enumeration",
+    "FluidSystem",
     "SystemConfig",
     "QVector",
     "OccupancyState",
@@ -355,14 +356,14 @@ def _check_fractions(alpha: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemConfig:
-    """A finite system: n pools split by ``alpha``, arrivals at rate n*lam, services at rate mu.
+class FluidSystem:
+    """A system without a pool count: class fractions ``alpha``, arrivals at rate
+    lam per pool, services at rate mu, and the class utilities.
 
-    ``lam`` is the arrival rate per pool of capacity; the offered load per pool
-    is ``rho = lam / mu``. Every ``n * alpha[i]`` must be a whole number of pools.
+    This is all the large-system (fluid) model needs. ``lam`` is the arrival
+    rate per pool of capacity; the offered load per pool is ``rho = lam / mu``.
     """
 
-    n: int
     alpha: tuple[float, ...]
     lam: float
     mu: float
@@ -374,13 +375,34 @@ class SystemConfig:
             raise ValueError(
                 f"got {len(self.alpha)} class fractions but {self.family.m} utilities"
             )
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
         # lam == 0 is allowed: it models a draining system with no arrivals.
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+
+    @property
+    def m(self) -> int:
+        return len(self.alpha)
+
+    @property
+    def rho(self) -> float:
+        return self.lam / self.mu
+
+
+@dataclass(frozen=True, eq=False)
+class SystemConfig(FluidSystem):
+    """A finite system of n pools: arrivals at rate n*lam.
+
+    Every ``n * alpha[i]`` must be a whole number of pools.
+    """
+
+    n: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         for i, a in enumerate(self.alpha):
             pools = a * self.n
             if abs(pools - round(pools)) > ALPHA_INT_TOL:
@@ -398,14 +420,6 @@ class SystemConfig:
         family: UtilityFamily,
     ) -> "SystemConfig":
         return cls(n=n, alpha=tuple(alpha), lam=rho * mu, mu=mu, family=family)
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def rho(self) -> float:
-        return self.lam / self.mu
 
     @property
     def class_sizes(self) -> tuple[int, ...]:

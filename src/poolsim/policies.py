@@ -81,8 +81,8 @@ class Policy:
     def notify_pop(self, ci: int, prev_occ: int) -> None:  # pragma: no cover
         pass
 
-    def apply_learning(self, delta: int) -> None:  # pragma: no cover
-        pass
+    def apply_learning(self, state: OccupancyState, delta: int) -> None:  # pragma: no cover
+        """Move the learning rank by ``delta`` once the arrival is dispatched."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,6 @@ class Slta(Policy):
         self._prev: Coordinate | None = None
         self._quota = 0.0
         self._n = 0
-        self._pending: OccupancyState | None = None
 
     @property
     def beta(self) -> float:
@@ -240,7 +239,6 @@ class Slta(Policy):
         self._thr = self._enum.class_counts_before(r)
         self._green, self._yellow = token_counts(state, self._thr, self._boundary)
         self._total_green = sum(self._green)
-        self._pending = state
 
     def _check_goodness(self, state: OccupancyState) -> None:
         """The boundary must sit strictly above every saturated slot."""
@@ -274,17 +272,15 @@ class Slta(Policy):
         if ci == b.cls - 1 and prev_occ == b.level:
             self._yellow += 1
 
-    def apply_learning(self, delta: int) -> None:
+    def apply_learning(self, state: OccupancyState, delta: int) -> None:
         if delta == 0:
             return
-        state = self._pending
         self.rank += delta
         self._reload(state)
 
     # -- decisions ------------------------------------------------------------
 
     def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
-        self._pending = state
         delta = slta_learn(state, self)
         target = self._pick_target(state, u)
         return PolicyDecision(target, delta)
@@ -435,13 +431,11 @@ def parse_policy(spec: str, beta: float | None = None) -> Policy:
         return Slta(beta=beta)
     if spec == "random":
         return RandomDispatch()
-    if spec.startswith("fixed:"):
-        tail = spec.split(":", 1)[1]
-        try:
-            cls = int(tail)
-        except ValueError:
-            raise ValueError(f"bad fixed-class policy {spec!r}: class must be an integer")
-        return FixedClassDispatch(cls)
+    if isinstance(spec, str) and spec.startswith("fixed:"):
+        tail = spec[len("fixed:") :]
+        if not tail.isdecimal():
+            raise ValueError(f"bad class in {spec!r}: need fixed:<positive int>")
+        return FixedClassDispatch(int(tail))
     raise ValueError(
         f"unknown policy {spec!r} (known: jlmu, slta, random, fixed:<cls>)"
     )

@@ -337,7 +337,7 @@ def simulate(
             if tracks:
                 notify_push(cls - 1, v)
                 if delta:
-                    apply_learning(delta)
+                    apply_learning(state, delta)
                     switches += 1
                     rank_history.append((te, policy.rank))
             arrivals += 1

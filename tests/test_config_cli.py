@@ -68,6 +68,8 @@ def test_parse_error_paths():
         ({**BASE_DOC, "mu": 0.0}, "mu"),
         ({**BASE_DOC, "lambda": 1.0}, "exactly one"),
         ({**BASE_DOC, "policies": ["lru"]}, "policies[0]"),
+        ({**BASE_DOC, "policies": ["fixed:0"]}, "policies[0]"),
+        ({**BASE_DOC, "policies": ["jlmu", "fixed: 1"]}, "policies[1]"),
         ({**BASE_DOC, "run": {"horizon": -1.0}}, "run.horizon"),
         ({**BASE_DOC, "run": {"horizon": 1.0, "init": "warm"}}, "run.init"),
         ({**BASE_DOC, "surprise": 1}, "surprise"),
@@ -122,9 +124,11 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
         load_config(str(path))
 
 
-def test_run_init_alias_normalized():
+def test_run_init_alias_rejected():
     doc = {**BASE_DOC, "run": {"horizon": 1.0, "init": "optimal-rounded"}}
-    assert parse_config(doc).run.init == "optimal"
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == "run.init"
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +367,21 @@ def test_cli_fluid_qstar_stays_put(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert all(float(r["mass"]) == pytest.approx(9.75, abs=1e-6) for r in rows)
+
+
+def test_cli_fluid_needs_no_pool_count(tmp_path):
+    # 1/pi and 1 - 1/pi: no small pool count gives whole class sizes
+    doc = {k: v for k, v in BASE_DOC.items() if k != "n"}
+    doc["classes"] = [
+        {**doc["classes"][0], "fraction": 0.3183098861837907},
+        {**doc["classes"][1], "fraction": 0.6816901138162093},
+    ]
+    out = tmp_path / "fluid.csv"
+    argv = ["fluid", "--config", write_config(tmp_path, doc), "--T", "1.0", "--dt", "5e-3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert float(rows[-1]["t"]) == 1.0
+    assert float(rows[-1]["mass"]) == pytest.approx(9.75 * (1 - math.exp(-1.0)), abs=1e-3)
 
 
 def test_cli_fluid_truncation_failure_is_exit_3(tmp_path, capsys):

@@ -192,6 +192,13 @@ def test_oversized_step_is_rejected():
         integrate_fluid(system, deep, cfg)
 
 
+def test_truncation_depth_guard():
+    system = two_class_system(8, 9.75)
+    cfg = IntegratorConfig.for_system(system, horizon=5.0, levels=2)
+    with pytest.raises(RuntimeError, match="saturates past the truncation depth"):
+        integrate_fluid(system, None, cfg)
+
+
 def test_tight_truncation_warns():
     system = two_class_system(8, 9.75)
     cfg = IntegratorConfig(dt=2e-3, levels=13, horizon=6.0, record_every=100)

@@ -280,7 +280,7 @@ def test_learning_applied_after_dispatch():
     assert policy.rank == 2  # unchanged until the simulator applies it
     state.push_task(2, 0)
     policy.notify_push(1, 0)
-    policy.apply_learning(decision.learning_delta)
+    policy.apply_learning(state, decision.learning_delta)
     assert policy.rank == 1
     policy.verify_tokens(state)
 
@@ -341,7 +341,6 @@ def test_parse_policy():
     assert isinstance(slta, Slta)
     fixed = parse_policy("fixed:2")
     assert isinstance(fixed, FixedClassDispatch) and fixed.cls == 2
-    with pytest.raises(ValueError):
-        parse_policy("fixed:two")
-    with pytest.raises(ValueError):
-        parse_policy("lru")
+    for bad in ("fixed:two", "fixed: 1", "fixed:+1", "fixed:0", "lru"):
+        with pytest.raises(ValueError):
+            parse_policy(bad)

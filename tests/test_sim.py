@@ -153,8 +153,9 @@ def test_coupled_identical_policies_identical_metrics():
 
 
 def test_coupled_policies_share_the_mass_path():
-    # arrival epochs and service durations are attached to arrival indices,
-    # so every policy sees the same total-mass path and the same bound
+    # event times and the arrival-or-departure draws come from one event
+    # stream shared by all policies, so every policy sees the same total-mass
+    # path and the same bound
     config = two_class_system(20, 6.0)
     run = RunConfig(horizon=60.0, seed=9, init="optimal")
     out = coupled_simulate(config, ["jlmu", "slta", "random"], run)
