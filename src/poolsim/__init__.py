@@ -8,7 +8,6 @@ and integrates the matching large-system dynamics.
 from .model import (
     CappedLinear,
     Coordinate,
-    Enumeration,
     FluidSystem,
     Linear,
     LogQuality,
@@ -40,8 +39,6 @@ from .policies import (
     jlmu_target,
     parse_policy,
     random_target,
-    slta_learn,
-    slta_target,
     slta_thresholds,
     token_counts,
 )

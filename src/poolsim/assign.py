@@ -10,6 +10,7 @@ at that policy's realized average mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ class OptimalAssignment:
         return self.q_star.get(*self.sigma_star)
 
 
+def _too_deep(rho: float) -> RuntimeError:
+    return RuntimeError(
+        f"load {rho} needs more than {MAX_ENUMERATION} ranked slots; "
+        "refusing to walk further"
+    )
+
+
 def _boundary_walk(
     family: UtilityFamily, alpha, rho: float
 ) -> tuple[tuple[float, ...], Coordinate, int, list[int], float]:
@@ -63,29 +71,36 @@ def _boundary_walk(
 
     Returns the checked class fractions, the boundary slot, its rank, the
     per-class count of fully filled levels, and the mass accumulated strictly
-    above the boundary.
+    above the boundary. The mass is a running sum in rank order, recomputed per
+    call because it depends on ``alpha``; only the ranking itself is cached.
     """
     alpha = _check_fractions(alpha)
     if len(alpha) != family.m:
         raise ValueError(f"got {len(alpha)} fractions for {family.m} classes")
+    if not math.isfinite(rho):
+        raise ValueError(f"load must be finite, got {rho}")
     if rho < 0:
         raise ValueError(f"load must be >= 0, got {rho}")
-    filled = [0] * len(alpha)
-    cum = 0.0
-    rank = 0
-    for coord in family.ranked():
-        rank += 1
-        if rank > MAX_ENUMERATION:
-            raise RuntimeError(
-                f"load {rho} needs more than {MAX_ENUMERATION} ranked slots; "
-                "refusing to walk further"
-            )
-        a = alpha[coord.cls - 1]
-        if rho < cum + a:
-            return alpha, coord, rank, filled, cum
-        cum += a
-        filled[coord.cls - 1] = coord.level
-    raise AssertionError("unreachable: the ranking is infinite")
+    widest = max(alpha)
+    if rho >= MAX_ENUMERATION * widest:
+        raise _too_deep(rho)
+    weights = np.asarray(alpha)
+    # Every slot carries at most the widest class fraction, so no shorter
+    # prefix carries more than rho; double the count until one does.
+    count = min(int(rho / widest) + 1, MAX_ENUMERATION)
+    while True:
+        slots = family.enumerate_ranked(count)
+        # A sequential running sum (cumsum does not pair terms), so each entry
+        # is the float the slot-by-slot walk accumulates.
+        mass = np.cumsum(weights[[c.cls - 1 for c in slots]])
+        rank = int(np.searchsorted(mass, rho, side="right")) + 1
+        if rank <= count:
+            break
+        if count == MAX_ENUMERATION:
+            raise _too_deep(rho)
+        count = min(2 * count, MAX_ENUMERATION)
+    cum = float(mass[rank - 2]) if rank > 1 else 0.0
+    return alpha, slots[rank - 1], rank, family.class_counts_before(rank), cum
 
 
 def sigma_star(

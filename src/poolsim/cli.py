@@ -37,6 +37,7 @@ from .assign import optimal_assignment
 from .config import ConfigError, ExperimentConfig, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
 from .model import FluidSystem, LogQuality, SystemConfig, UtilityFamily
+from .policies import parse_policy
 from .sim import Metrics, RunConfig, coupled_simulate, simulate
 
 __all__ = ["main"]
@@ -152,17 +153,11 @@ def _run_cell(payload: dict) -> list[list]:
     """Worker: one (system, seed, replication) cell, all policies coupled."""
     system: SystemConfig = payload["system"]
     run: RunConfig = payload["run"]
-    policies = [_policy_for(name, payload["beta"]) for name in payload["policies"]]
+    policies = [parse_policy(name, beta=payload["beta"]) for name in payload["policies"]]
     rows = []
     for m in coupled_simulate(system, policies, run):
         rows.append(_metric_row(m))
     return rows
-
-
-def _policy_for(name: str, beta: float | None):
-    from .policies import parse_policy
-
-    return parse_policy(name, beta=beta)
 
 
 def _fan_out(cells: list[dict], threads: int) -> list[list[list]]:

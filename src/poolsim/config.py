@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .model import SystemConfig, Utility, UtilityFamily, utility_from_dict
+from .model import (
+    SystemConfig,
+    Utility,
+    UtilityFamily,
+    _check_fractions,
+    utility_from_dict,
+)
 from .policies import parse_policy
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
@@ -207,8 +213,10 @@ def parse_config(doc: Any) -> ExperimentConfig:
         extra = set(entry) - {"fraction", "utility"}
         if extra:
             raise ConfigError(where, f"unexpected fields: {sorted(extra)}")
-    if abs(sum(fractions) - 1.0) > 1e-12:
-        raise ConfigError("classes", f"fractions must sum to 1, got {sum(fractions)!r}")
+    try:
+        _check_fractions(fractions)
+    except ValueError as exc:
+        raise ConfigError("classes", str(exc)) from None
 
     mu = _number(_req(doc, "mu", ""), "mu")
     if not mu > 0:

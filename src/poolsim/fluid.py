@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import optimal_assignment
-from .model import Coordinate, Enumeration, FluidSystem, QVector, UtilityFamily
+from .model import Coordinate, FluidSystem, QVector, UtilityFamily
 
 __all__ = [
     "IntegratorConfig",
@@ -134,20 +134,19 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
-def _rank_table(family: UtilityFamily, levels: int) -> tuple[Enumeration, np.ndarray]:
-    """The family's ranking and the ranks of the slots ``(cls, 1..levels)``.
+def _rank_table(family: UtilityFamily, levels: int) -> np.ndarray:
+    """Ranks of the slots ``(cls, 1..levels)`` in the family's ranking.
 
     Entry ``[ci, j - 1]`` is the rank of slot ``(ci + 1, j)`` when it is among
     the best ``m * levels`` slots, and ``m * levels + 1`` otherwise. An active
     slot ranked past that prefix would leave some class more than ``levels``
     deep, so the table ranks every slot the truncated dynamics can activate.
     """
-    enum = Enumeration(family)
     table = np.full((family.m, levels), family.m * levels + 1, dtype=np.int64)
-    for rank, (cls, level) in enumerate(enum.prefix(table.size), 1):
+    for rank, (cls, level) in enumerate(family.enumerate_ranked(table.size), 1):
         if level <= levels:
             table[cls - 1, level - 1] = rank
-    return enum, table
+    return table
 
 
 def _active_rank(table: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
@@ -170,26 +169,26 @@ def _active_rank(table: np.ndarray, states: np.ndarray, tol: float) -> np.ndarra
 
 def fluid_sigma(family: UtilityFamily, q: QVector, tol: float = SIGMA_TOL) -> Coordinate:
     """Active slot of a profile."""
-    enum, table = _rank_table(family, q.depth)
+    table = _rank_table(family, q.depth)
     rank = int(_active_rank(table, _pad(q, q.depth), tol))
     if rank > table.size:
         raise RuntimeError("the active slot ranks below a class full to the profile depth")
-    return enum.slot(rank)
+    return family.slot(rank)
 
 
 def _fill_at(
-    enum: Enumeration, rank: int, levels: int
+    family: UtilityFamily, rank: int, levels: int
 ) -> tuple[Coordinate, list[int], np.ndarray]:
     """The slot at ``rank``, the per-class depths filled by the slots ranked
     above it, and the ``(m, levels)`` mask of those slots."""
-    depths = enum.class_counts_before(rank)
+    depths = family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
         if depth >= levels:
             raise RuntimeError(
                 f"class {cls} saturates past the truncation depth {levels}"
             )
     mask = np.arange(1, levels + 1) <= np.asarray(depths)[:, None]
-    return enum.slot(rank), depths, mask
+    return family.slot(rank), depths, mask
 
 
 def _flows(
@@ -228,9 +227,10 @@ def fluid_rhs(
     inflows total ``lam`` by construction and the drain terms telescope.
     """
     levels = q.depth + 1
-    enum, table = _rank_table(system.family, levels)
+    family = system.family
     padded = _pad(q, levels)
-    fill = _fill_at(enum, int(_active_rank(table, padded, sigma_tol)), levels)
+    rank = int(_active_rank(_rank_table(family, levels), padded, sigma_tol))
+    fill = _fill_at(family, rank, levels)
     mu_levels = system.mu * np.arange(levels + 2)
     drift, inflow = _flows(padded, fill, np.asarray(system.alpha), system.lam, mu_levels)
     return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
@@ -311,8 +311,9 @@ def integrate_fluid(
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
-    enum, table = _rank_table(system.family, levels)
-    pour_order = [c for c in enum.prefix(table.size) if c.level <= levels]
+    family = system.family
+    table = _rank_table(family, levels)
+    pour_order = [c for c in family.enumerate_ranked(table.size) if c.level <= levels]
     mu_levels = system.mu * np.arange(levels + 2)
     fills: dict[int, tuple] = {}
 
@@ -320,7 +321,7 @@ def integrate_fluid(
         rank = int(_active_rank(table, state, config.sigma_tol))
         fill = fills.get(rank)
         if fill is None:
-            fill = fills[rank] = _fill_at(enum, rank, levels)
+            fill = fills[rank] = _fill_at(family, rank, levels)
         return _flows(state, fill, alpha, lam, mu_levels)[0]
 
     recorded = [q.copy()]
@@ -456,12 +457,12 @@ def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionRepo
     steps = len(times)
     levels = states.shape[2] - 2
 
-    enum, table = _rank_table(system.family, levels)
-    ranks = _active_rank(table, states, path.config.sigma_tol)
+    family = system.family
+    ranks = _active_rank(_rank_table(family, levels), states, path.config.sigma_tol)
     depth = int(ranks.max()) - 1 + margin
     slots = []
     for r in range(1, depth + 1):
-        slot = enum.slot(r)
+        slot = family.slot(r)
         if slot.level > levels:
             break
         slots.append(slot)

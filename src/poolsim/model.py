@@ -11,11 +11,10 @@ assignment and the dispatch policies.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "CappedLinear",
     "Tabulated",
     "UtilityFamily",
-    "Enumeration",
     "FluidSystem",
     "SystemConfig",
     "QVector",
@@ -214,8 +212,10 @@ def utility_from_dict(spec: dict) -> Utility:
 class UtilityFamily:
     """The per-class utilities of a system plus the slot ranking they induce.
 
-    Marginals are cached per class. Rank comparisons use exact float equality
-    to detect ties.
+    The family owns the one ranked slot list of the system: a cached prefix,
+    extended on demand, that every layer reads. Ranks are 1-based:
+    ``slot(1)`` is the best slot overall. Marginals are cached per class.
+    Rank comparisons use exact float equality to detect ties.
     """
 
     def __init__(self, utilities: Sequence[Utility]):
@@ -223,6 +223,9 @@ class UtilityFamily:
             raise ValueError("need at least one class utility")
         self.utilities: tuple[Utility, ...] = tuple(utilities)
         self._marg: list[list[float]] = [[] for _ in self.utilities]
+        self._slots: list[Coordinate] = []
+        # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
+        self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
 
     @property
     def m(self) -> int:
@@ -260,22 +263,35 @@ class UtilityFamily:
         # Tie: the dictionary-smaller slot ranks higher.
         return (a.cls, a.level) > (b.cls, b.level)
 
-    def ranked(self) -> Iterator[Coordinate]:
-        """Slots from best to worst, lazily merged across classes.
+    def _extend(self, count: int) -> None:
+        """Grow the cached ranking to at least ``count`` slots.
 
-        Within one class the rank strictly decreases with the level (the
-        marginal is non-increasing and the dictionary rule breaks exact ties
-        toward the shallower slot), so an m-way merge over per-class streams
-        enumerates the full order.
+        Each class contributes its levels in order, so the next slot overall is
+        the best of the m next-level candidates. Scanning classes in ascending
+        order and keeping the first of equal marginals breaks ties toward the
+        dictionary-smaller slot.
         """
-        streams = [self._ranked_in_class(cls) for cls in range(1, self.m + 1)]
-        for _, cls, level in heapq.merge(*streams):
-            yield Coordinate(cls, level)
+        if count > MAX_ENUMERATION:
+            raise RuntimeError(f"ranked walk exceeded {MAX_ENUMERATION} slots")
+        slots = self._slots
+        level_ranks = self._level_ranks
+        while len(slots) < count:
+            best_ci = 0
+            best_d = -math.inf
+            for ci, ranks in enumerate(level_ranks):
+                d = self.marginal(ci + 1, len(ranks))
+                if d > best_d:
+                    best_ci, best_d = ci, d
+            ranks = level_ranks[best_ci]
+            slots.append(Coordinate(best_ci + 1, len(ranks) + 1))
+            ranks.append(len(slots))
 
-    def _ranked_in_class(self, cls: int) -> Iterator[tuple[float, int, int]]:
-        # Ascending sort keys of one class's slots: best (highest marginal) first.
-        for level in itertools.count(1):
-            yield (-self.marginal(cls, level - 1), cls, level)
+    def slot(self, rank: int) -> Coordinate:
+        """The slot at 1-based ``rank``."""
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        self._extend(rank)
+        return self._slots[rank - 1]
 
     def enumerate_ranked(self, count: int) -> list[Coordinate]:
         """The best ``count`` slots in rank order."""
@@ -283,55 +299,16 @@ class UtilityFamily:
             raise ValueError("count must be >= 0")
         if count > MAX_ENUMERATION:
             raise ValueError(f"refusing to enumerate more than {MAX_ENUMERATION} slots")
-        return list(itertools.islice(self.ranked(), count))
-
-    def value_at_zero(self, cls: int) -> float:
-        return self.utilities[cls - 1].value(0)
-
-
-class Enumeration:
-    """Cached, extensible view of the ranked slot list of one family.
-
-    Ranks are 1-based: ``slot(1)`` is the best slot overall.
-    """
-
-    def __init__(self, family: UtilityFamily):
-        self.family = family
-        self._gen = family.ranked()
-        self._slots: list[Coordinate] = []
-        self._rank_of: dict[Coordinate, int] = {}
-
-    def _extend_to(self, count: int) -> None:
-        if count > MAX_ENUMERATION:
-            raise RuntimeError(f"ranked walk exceeded {MAX_ENUMERATION} slots")
-        while len(self._slots) < count:
-            coord = next(self._gen)
-            self._slots.append(coord)
-            self._rank_of[coord] = len(self._slots)
-
-    def slot(self, rank: int) -> Coordinate:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        self._extend_to(rank)
-        return self._slots[rank - 1]
-
-    def rank_of(self, coord: Coordinate) -> int:
-        """1-based position of a slot in the ranking."""
-        while coord not in self._rank_of:
-            self._extend_to(len(self._slots) + 1)
-        return self._rank_of[coord]
-
-    def prefix(self, count: int) -> list[Coordinate]:
-        self._extend_to(count)
+        self._extend(count)
         return self._slots[:count]
 
     def class_counts_before(self, rank: int) -> list[int]:
         """Per-class slot counts among ranks 1..rank-1 (how deep each class goes)."""
-        self._extend_to(rank - 1)
-        counts = [0] * self.family.m
-        for coord in self._slots[: rank - 1]:
-            counts[coord.cls - 1] += 1
-        return counts
+        self._extend(rank - 1)
+        return [bisect_left(ranks, rank) for ranks in self._level_ranks]
+
+    def value_at_zero(self, cls: int) -> float:
+        return self.utilities[cls - 1].value(0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import (
-    Coordinate,
-    Enumeration,
-    OccupancyState,
-    SystemConfig,
-    UtilityFamily,
-)
+from .model import Coordinate, OccupancyState, SystemConfig, UtilityFamily
 
 __all__ = [
     "PolicyDecision",
@@ -32,8 +26,6 @@ __all__ = [
     "jlmu_target",
     "slta_thresholds",
     "token_counts",
-    "slta_target",
-    "slta_learn",
     "random_target",
     "fixed_class_target",
 ]
@@ -148,7 +140,7 @@ def slta_thresholds(family: UtilityFamily, rank: int) -> list[int]:
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    return Enumeration(family).class_counts_before(rank)
+    return family.class_counts_before(rank)
 
 
 def token_counts(
@@ -192,7 +184,7 @@ class Slta(Policy):
         # beta defaults to n ** -0.45, resolved when the run size is known.
         self._beta_override = beta
         self.rank = 1
-        self._enum: Enumeration | None = None
+        self._family: UtilityFamily | None = None
         self._thr: list[int] = []
         self._green: list[int] = []
         self._total_green = 0
@@ -215,7 +207,7 @@ class Slta(Policy):
         return list(self._thr)
 
     def bind(self, state, config, initial_rank=None):
-        self._enum = Enumeration(config.family)
+        self._family = config.family
         self._n = state.n
         beta = (
             self._beta_override
@@ -234,9 +226,10 @@ class Slta(Policy):
     def _reload(self, state: OccupancyState) -> None:
         """Recompute thresholds, boundary and token counts from scratch."""
         r = self.rank
-        self._boundary = self._enum.slot(r)
-        self._prev = self._enum.slot(r - 1) if r > 1 else None
-        self._thr = self._enum.class_counts_before(r)
+        family = self._family
+        self._boundary = family.slot(r)
+        self._prev = family.slot(r - 1) if r > 1 else None
+        self._thr = family.class_counts_before(r)
         self._green, self._yellow = token_counts(state, self._thr, self._boundary)
         self._total_green = sum(self._green)
 
@@ -281,11 +274,27 @@ class Slta(Policy):
     # -- decisions ------------------------------------------------------------
 
     def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
-        delta = slta_learn(state, self)
-        target = self._pick_target(state, u)
-        return PolicyDecision(target, delta)
+        delta = self.learning_delta()
+        return PolicyDecision(self.target(state, u), delta)
 
-    def _pick_target(self, state: OccupancyState, u: float) -> Coordinate:
+    def learning_delta(self) -> int:
+        """Rank adjustment decided at an arrival, from the pre-arrival counters.
+
+        Down when green pools are plentiful (at least ``n * beta``, compared as
+        reals) and the previous boundary class still has one; up when every
+        slot above the boundary is saturated and at most one yellow pool
+        remains. The two conditions are mutually exclusive. The adjustment is
+        applied only after the arrival is dispatched.
+        """
+        if self.rank > 1:
+            if self._total_green >= self._quota and self._green[self._prev.cls - 1] > 0:
+                return -1
+        if self._total_green == 0 and self._yellow <= 1:
+            return 1
+        return 0
+
+    def target(self, state: OccupancyState, u: float) -> Coordinate:
+        """The slot this policy fills given one uniform draw."""
         counts = state.counts
         thr = self._thr
         b = self._boundary
@@ -351,29 +360,6 @@ class Slta(Policy):
         except ValueError:
             return False
         return True
-
-
-def slta_learn(state: OccupancyState, slta: Slta) -> int:
-    """Rank adjustment decided at an arrival, from the pre-arrival state.
-
-    Down when green pools are plentiful (at least ``n * beta``, compared as
-    reals) and the previous boundary class still has one; up when every slot
-    above the boundary is saturated and at most one yellow pool remains. The
-    two conditions are mutually exclusive. The adjustment is applied only
-    after the arrival is dispatched.
-    """
-    if slta.rank > 1:
-        prev_ci = slta._prev.cls - 1
-        if slta._total_green >= slta._quota and slta._green[prev_ci] > 0:
-            return -1
-    if slta._total_green == 0 and slta._yellow <= 1:
-        return 1
-    return 0
-
-
-def slta_target(state: OccupancyState, slta: Slta, u: float) -> Coordinate:
-    """The slot the learning policy fills given one uniform draw."""
-    return slta._pick_target(state, u)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 from .assign import optimal_assignment, upper_bound
 from .model import (
     MAX_ENUMERATION,
-    Enumeration,
     OccupancyState,
     QVector,
     SystemConfig,
@@ -183,9 +182,8 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
 
 def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
     """Rank of the best slot not yet filled by every pool of its class."""
-    enum = Enumeration(config.family)
     for rank in range(1, MAX_ENUMERATION + 1):
-        cls, level = enum.slot(rank)
+        cls, level = config.family.slot(rank)
         if state.tail_count(cls, level) < state.class_sizes[cls - 1]:
             return rank
     raise RuntimeError("no open slot within the enumerable range")
@@ -233,7 +231,7 @@ def simulate(
     pick_task = state.pick_task
     marg = family._marg
     for cls in range(1, state.m + 1):
-        family.marginal(cls, max(state.max_occupied(cls), 0) + 1)
+        family.marginal(cls, state.max_occupied(cls) + 1)
 
     decide = policy.decide
     tracks = policy.tracks_tokens

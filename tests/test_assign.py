@@ -9,8 +9,10 @@ from poolsim.assign import (
     upper_bound,
     validate_feasible,
 )
+from poolsim.fluid import fluid_rhs
 from poolsim.model import (
     Coordinate,
+    FluidSystem,
     LogQuality,
     QVector,
     Tabulated,
@@ -62,6 +64,13 @@ def test_sigma_star_rejects_bad_inputs():
         sigma_star(fam, TWO_CLASS_ALPHA, -1.0)
     with pytest.raises(ValueError):
         sigma_star(fam, (0.25, 0.25, 0.5), 1.0)
+    # non-finite loads fail before any walk; a load no 10^6 slots can carry
+    # is refused up front instead of growing the cached ranking
+    for load in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sigma_star(fam, TWO_CLASS_ALPHA, load)
+    with pytest.raises(RuntimeError, match="refusing"):
+        sigma_star(fam, TWO_CLASS_ALPHA, 1e300)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +133,41 @@ def test_assignment_matches_enumeration_prefix():
             if v >= THREE_CLASS_ALPHA[cls - 1] - 1e-12
         }
         assert filled == {(c.cls, c.level) for c in prefix}
+
+
+def reference_walk(fam, alpha, rho):
+    """Slot-by-slot greedy walk: the boundary slot, its rank and the residual."""
+    cum = 0.0
+    rank = 1
+    while True:
+        coord = fam.slot(rank)
+        a = alpha[coord.cls - 1]
+        if rho < cum + a:
+            return coord, rank, rho - cum
+        cum += a
+        rank += 1
+
+
+def test_shared_ranking_matches_fresh_family():
+    # one family serves many loads and fraction vectors; its cached ranking
+    # must never carry anything that depends on alpha (the cumulative mass).
+    # Both vectors have the same widest fraction, so a load walks the same
+    # number of slots under either.
+    fam = piecewise_family()
+    loads = [k / 4.0 for k in range(80)]
+    interleaved = [x for pair in zip(loads[::3], loads[::-3]) for x in pair]
+    system = FluidSystem(alpha=THREE_CLASS_ALPHA, lam=8.0, mu=1.0, family=fam)
+    reference = piecewise_family()
+    for order in (loads[::-1], loads, interleaved):
+        for rho in order:
+            for alpha in (THREE_CLASS_ALPHA, (0.25, 0.25, 0.5)):
+                got = optimal_assignment(fam, alpha, rho)
+                want = optimal_assignment(piecewise_family(), alpha, rho)
+                walked = reference_walk(reference, alpha, rho)
+                assert (got.sigma_star, got.sigma_index, got.residual) == walked
+                assert got.bound == want.bound
+                assert np.array_equal(got.q_star.tail, want.q_star.tail)
+        fluid_rhs(system, optimal_assignment(fam, THREE_CLASS_ALPHA, 30.0).q_star)
 
 
 def test_residual_zero_iff_prefix_sum():

@@ -59,10 +59,15 @@ def test_parse_error_paths():
         {"fraction": 0.5, "utility": {"kind": "linear", "slope": 1.0}},
         {"fraction": 0.6, "utility": {"kind": "linear", "slope": 1.0}},
     ]
+    empty_class = [
+        {"fraction": 1.0, "utility": {"kind": "linear", "slope": 1.0}},
+        {"fraction": 0.0, "utility": {"kind": "linear", "slope": 1.0}},
+    ]
     cases = [
         ({}, "schema"),
         ({**BASE_DOC, "schema": 2}, "schema"),
         ({**BASE_DOC, "classes": skewed}, "sum to 1"),
+        ({**BASE_DOC, "classes": empty_class}, "classes[1].fraction"),
         ({**BASE_DOC, "classes": []}, "classes"),
         ({**BASE_DOC, "classes": bad_classes}, "classes[0].utility"),
         ({**BASE_DOC, "mu": 0.0}, "mu"),
@@ -152,6 +157,18 @@ def test_cli_bound_rho_override(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["bound"] == pytest.approx(10.0 * math.log(2.5), abs=1e-12)
+
+
+def test_cli_bound_rejects_unreachable_loads(tmp_path, capsys):
+    # non-finite loads are config errors; a load beyond what 10^6 ranked
+    # slots can carry is refused without walking them
+    cfg = write_config(tmp_path)
+    for command in ("bound", "assign"):
+        for load in ("nan", "inf"):
+            assert main([command, "--config", cfg, "--rho", load]) == 2
+            assert "finite" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--rho", "1e300"]) == 3
+        assert "refusing" in capsys.readouterr().err
 
 
 def test_cli_assign(tmp_path, capsys):

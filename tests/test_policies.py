@@ -16,8 +16,6 @@ from poolsim.policies import (
     jlmu_target,
     parse_policy,
     random_target,
-    slta_learn,
-    slta_target,
     slta_thresholds,
     token_counts,
 )
@@ -124,15 +122,12 @@ def test_thresholds_at_boundary_ranks():
 
 def test_thresholds_monotone_and_consistent():
     fam = piecewise_family()
-    from poolsim.model import Enumeration
-
-    enum = Enumeration(fam)
     prev = [0, 0, 0]
     for r in range(1, 40):
         thr = slta_thresholds(fam, r)
         assert all(a <= b for a, b in zip(prev, thr))
         assert sum(thr) == r - 1
-        boundary = enum.slot(r)
+        boundary = fam.slot(r)
         assert thr[boundary.cls - 1] == boundary.level - 1
         prev = thr
 
@@ -189,8 +184,8 @@ def test_slta_no_tokens_uniform_over_pools():
     policy._green = [0]
     policy._total_green = 0
     policy._yellow = 0
-    assert slta_target(state, policy, 0.1) == Coordinate(1, 6)
-    assert slta_target(state, policy, 0.99) == Coordinate(1, 6)
+    assert policy.target(state, 0.1) == Coordinate(1, 6)
+    assert policy.target(state, 0.99) == Coordinate(1, 6)
 
 
 def test_slta_single_class_saturated_below_boundary():
@@ -233,7 +228,7 @@ def test_slta_routing_stays_at_or_above_boundary(rng):
 
 def test_learn_stays_put_on_empty_start():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 1)
-    assert slta_learn(state, policy) == 0
+    assert policy.learning_delta() == 0
 
 
 def test_learn_decrements_at_exact_quota():
@@ -243,14 +238,14 @@ def test_learn_decrements_at_exact_quota():
     assert policy.thresholds == [0, 1]
     green, _ = policy.recount(state)
     assert sum(green) == 2  # equals n * beta exactly
-    assert slta_learn(state, policy) == -1
+    assert policy.learning_delta() == -1
 
 
 def test_learn_increments_when_one_yellow_left():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [1, 2]], 3)
     green, yellow = policy.recount(state)
     assert sum(green) == 0 and yellow == 1
-    assert slta_learn(state, policy) == 1
+    assert policy.learning_delta() == 1
 
 
 def test_learn_never_fires_both_ways(rng):
@@ -265,7 +260,7 @@ def test_learn_never_fires_both_ways(rng):
             policy.bind(state, cfg, initial_rank=int(rng.integers(1, 8)))
         except ValueError:
             continue
-        delta = slta_learn(state, policy)
+        delta = policy.learning_delta()
         assert delta in (-1, 0, 1)
         seen.add(delta)
     assert seen == {-1, 0, 1}
