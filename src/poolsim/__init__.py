@@ -36,7 +36,6 @@ from .policies import (
     RandomDispatch,
     Slta,
     fixed_class_target,
-    jlmu_target,
     parse_policy,
     random_target,
     slta_thresholds,

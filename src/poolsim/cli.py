@@ -336,11 +336,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     # The mean-field model needs no pool count; a configured n is ignored.
     rho = cfg.offered_load(args.rho)
     system = FluidSystem(alpha=cfg.fractions, lam=rho * cfg.mu, mu=cfg.mu, family=cfg.family)
-    integ = IntegratorConfig.for_system(system, horizon=args.T)
-    if args.dt is not None:
-        integ = replace(integ, dt=args.dt)
-    if args.levels is not None:
-        integ = replace(integ, levels=args.levels)
+    integ = IntegratorConfig.for_system(system, horizon=args.T, dt=args.dt, levels=args.levels)
     record = args.record_every if args.record_every is not None else max(
         1, int(round(integ.horizon / integ.dt / 400))
     )

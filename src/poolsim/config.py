@@ -33,7 +33,6 @@ from typing import Any
 
 from .model import (
     SystemConfig,
-    Utility,
     UtilityFamily,
     _check_fractions,
     utility_from_dict,
@@ -96,10 +95,14 @@ class SweepOptions:
 
 @dataclass
 class ExperimentConfig:
-    """Validated contents of a config file."""
+    """Validated contents of a config file.
+
+    ``family`` is built once, so every system the config builds shares one
+    slot ranking and marginal cache.
+    """
 
     fractions: tuple[float, ...]
-    utilities: tuple[Utility, ...]
+    family: UtilityFamily
     mu: float
     rho: float | None
     lam: float | None
@@ -109,10 +112,6 @@ class ExperimentConfig:
     run: RunOptions
     sweep: SweepOptions
     out: str | None
-
-    @property
-    def family(self) -> UtilityFamily:
-        return UtilityFamily(self.utilities)
 
     def offered_load(self, rho: float | None = None) -> float:
         if rho is not None:
@@ -133,48 +132,6 @@ class ExperimentConfig:
             mu=self.mu,
             family=self.family,
         )
-
-    def to_dict(self) -> dict:
-        """Canonical JSON form; parsing it back yields an equal config."""
-        doc: dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "mu": self.mu,
-            "classes": [
-                {"fraction": f, "utility": {"kind": u.kind, **u.params()}}
-                for f, u in zip(self.fractions, self.utilities)
-            ],
-        }
-        if self.rho is not None:
-            doc["rho"] = self.rho
-        else:
-            doc["lambda"] = self.lam
-        if self.n is not None:
-            doc["n"] = self.n
-        if self.policies:
-            doc["policies"] = list(self.policies)
-        if self.beta is not None:
-            doc["beta"] = self.beta
-        doc["run"] = {
-            "horizon": self.run.horizon,
-            "init": self.run.init,
-            "batches": self.run.batches,
-        }
-        if self.run.warmup is not None:
-            doc["run"]["warmup"] = self.run.warmup
-        sweep: dict[str, Any] = {}
-        if self.sweep.n_values:
-            sweep["n"] = list(self.sweep.n_values)
-        if self.sweep.rho_values:
-            sweep["rho"] = list(self.sweep.rho_values)
-        if self.sweep.seeds:
-            sweep["seeds"] = list(self.sweep.seeds)
-        if self.sweep.replications != 1:
-            sweep["replications"] = self.sweep.replications
-        if sweep:
-            doc["sweep"] = sweep
-        if self.out is not None:
-            doc["out"] = self.out
-        return doc
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
@@ -317,7 +274,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         fractions=tuple(fractions),
-        utilities=tuple(utilities),
+        family=UtilityFamily(utilities),
         mu=mu,
         rho=rho,
         lam=lam,

@@ -41,6 +41,9 @@ __all__ = [
 SIGMA_TOL = 1e-9
 TRUNCATION_WARN = 1e-8
 
+#: Hard cap on the steps one integration may take, so no horizon can make it hang.
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -63,6 +66,20 @@ class IntegratorConfig:
             raise ValueError("sigma_tol must be finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        # ceil(x) > MAX_STEPS exactly when x > MAX_STEPS; x may overflow to inf.
+        if self._step_ratio() > MAX_STEPS:
+            raise ValueError(
+                f"horizon {self.horizon} at dt {self.dt} needs more than {MAX_STEPS} "
+                "steps; refusing to integrate"
+            )
+
+    def _step_ratio(self) -> float:
+        return self.horizon / self.dt - 1e-9
+
+    @property
+    def steps(self) -> int:
+        """Number of steps to cover the horizon."""
+        return int(math.ceil(self._step_ratio()))
 
     @classmethod
     def for_system(
@@ -307,7 +324,7 @@ def integrate_fluid(
     lam = system.lam
     dt = config.dt
     levels = config.levels
-    steps = int(math.ceil(config.horizon / dt - 1e-9))
+    steps = config.steps
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15

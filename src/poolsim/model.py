@@ -332,6 +332,19 @@ def _check_fractions(alpha: Sequence[float]) -> tuple[float, ...]:
     return alpha
 
 
+def _class_sizes(n: int, alpha: tuple[float, ...]) -> tuple[int, ...]:
+    """Pools per class of an ``n``-pool system; each ``n * alpha[i]`` must be whole."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    sizes = []
+    for i, a in enumerate(alpha):
+        pools = a * n
+        if abs(pools - round(pools)) > ALPHA_INT_TOL:
+            raise ValueError(f"n * alpha must be integral: class {i + 1} would get {pools} pools")
+        sizes.append(int(round(pools)))
+    return tuple(sizes)
+
+
 @dataclass(frozen=True, eq=False)
 class FluidSystem:
     """A system without a pool count: class fractions ``alpha``, arrivals at rate
@@ -378,14 +391,7 @@ class SystemConfig(FluidSystem):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        for i, a in enumerate(self.alpha):
-            pools = a * self.n
-            if abs(pools - round(pools)) > ALPHA_INT_TOL:
-                raise ValueError(
-                    f"n * alpha must be integral: class {i + 1} would get {pools} pools"
-                )
+        _class_sizes(self.n, self.alpha)
 
     @classmethod
     def from_rho(
@@ -400,7 +406,7 @@ class SystemConfig(FluidSystem):
 
     @property
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(int(round(a * self.n)) for a in self.alpha)
+        return _class_sizes(self.n, self.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -498,61 +504,41 @@ class OccupancyState:
         "_min_occ",
     )
 
-    def __init__(
-        self,
-        n: int,
-        alpha: Sequence[float],
-        occupancies: Sequence[Sequence[int]],
-    ):
-        """Build from one list of pool occupancies per class."""
-        self.alpha = _check_fractions(alpha)
-        self.n = int(n)
-        sizes = []
-        for a in self.alpha:
-            pools = a * self.n
-            if abs(pools - round(pools)) > ALPHA_INT_TOL:
-                raise ValueError(f"n * alpha must be integral, got {pools}")
-            sizes.append(int(round(pools)))
-        self.class_sizes = sizes
-        if len(occupancies) != len(sizes):
-            raise ValueError("need one occupancy list per class")
-        self.counts: list[list[int]] = []
-        self.class_tasks: list[int] = []
-        for ci, (size, occs) in enumerate(zip(sizes, occupancies)):
-            if len(occs) != size:
-                raise ValueError(
-                    f"class {ci + 1} needs {size} pool occupancies, got {len(occs)}"
-                )
-            if any(v < 0 for v in occs):
-                raise ValueError("occupancies must be >= 0")
-            counts = [0] * (max(occs, default=0) + 2)
-            for v in occs:
-                counts[v] += 1
-            self.counts.append(counts)
-            self.class_tasks.append(sum(occs))
-        self.total_tasks = sum(self.class_tasks)
-        self._min_occ = [min(occs, default=0) for occs in occupancies]
+    def __init__(self, alpha: Sequence[float], counts: Sequence[Sequence[int]]):
+        """Build from per-class counts: ``counts[ci][v]`` class-``ci+1`` pools hold ``v`` tasks.
 
-    # -- constructors -------------------------------------------------------
+        The pool count ``n`` and the class sizes follow from the counts, and
+        every class size must equal ``n * alpha`` for its class.
+        """
+        self.alpha = _check_fractions(alpha)
+        if len(counts) != len(self.alpha):
+            raise ValueError(
+                f"need one count list per class: got {len(counts)} for {len(self.alpha)} classes"
+            )
+        self.counts: list[list[int]] = []
+        for per_level in counts:
+            row = [int(c) for c in per_level]
+            if any(c < 0 for c in row):
+                raise ValueError("pool counts must be >= 0")
+            while row and not row[-1]:
+                row.pop()
+            row.append(0)
+            self.counts.append(row)
+        self.n = sum(map(sum, self.counts))
+        self.class_sizes = _class_sizes(self.n, self.alpha)
+        for ci, (size, row) in enumerate(zip(self.class_sizes, self.counts)):
+            if sum(row) != size:
+                raise ValueError(
+                    f"class {ci + 1} has {sum(row)} pools but n * alpha gives it {size}"
+                )
+        self.class_tasks = [sum(v * c for v, c in enumerate(row)) for row in self.counts]
+        self.total_tasks = sum(self.class_tasks)
+        # Every class has a pool, so each row has a first non-empty level.
+        self._min_occ = [next(v for v, c in enumerate(row) if c) for row in self.counts]
 
     @classmethod
     def empty(cls, n: int, alpha: Sequence[float]) -> "OccupancyState":
-        alpha = _check_fractions(alpha)
-        sizes = [int(round(a * n)) for a in alpha]
-        return cls(n, alpha, [[0] * s for s in sizes])
-
-    @classmethod
-    def from_counts(
-        cls, n: int, alpha: Sequence[float], counts: Sequence[Sequence[int]]
-    ) -> "OccupancyState":
-        """Build from per-class occupancy histograms (count of pools per level)."""
-        occupancies = []
-        for per_level in counts:
-            occs: list[int] = []
-            for v, c in enumerate(per_level):
-                occs.extend([v] * c)
-            occupancies.append(occs)
-        return cls(n, alpha, occupancies)
+        return cls(alpha, [[size, 0] for size in _class_sizes(n, _check_fractions(alpha))])
 
     # -- read access ---------------------------------------------------------
 
@@ -570,9 +556,6 @@ class OccupancyState:
     def tail_count(self, cls: int, level: int) -> int:
         """Number of class-``cls`` pools holding at least ``level`` tasks."""
         return sum(self.counts[cls - 1][level:])
-
-    def frac_at_least(self, cls: int, level: int) -> float:
-        return self.tail_count(cls, level) / self.n
 
     def min_occupied(self, cls: int) -> int:
         """Smallest occupancy among class-``cls`` pools (advances a lazy pointer)."""
@@ -669,9 +652,6 @@ class OccupancyState:
         self.total_tasks -= 1
 
     # -- conversions and checks ----------------------------------------------
-
-    def histogram(self, cls: int) -> list[int]:
-        return list(self.counts[cls - 1])
 
     def aggregate_value(self, family: UtilityFamily) -> float:
         """Sum of per-pool utilities across the whole system (not normalized)."""

@@ -23,7 +23,6 @@ __all__ = [
     "RandomDispatch",
     "FixedClassDispatch",
     "parse_policy",
-    "jlmu_target",
     "slta_thresholds",
     "token_counts",
     "random_target",
@@ -118,13 +117,6 @@ class Jlmu(Policy):
                 best_cls = cls
                 best_level = v + 1
         return PolicyDecision(Coordinate(best_cls, best_level), 0)
-
-
-def jlmu_target(family: UtilityFamily, state: OccupancyState) -> Coordinate:
-    """The slot greedy dispatch fills in this state."""
-    policy = Jlmu()
-    policy._family = family
-    return policy.decide(state, 0.0).target
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +336,8 @@ class Slta(Policy):
 
     # -- diagnostics -----------------------------------------------------------
 
-    def recount(self, state: OccupancyState) -> tuple[list[int], int]:
-        """Scratch token census with the current thresholds and boundary."""
-        return token_counts(state, self._thr, self._boundary)
-
     def verify_tokens(self, state: OccupancyState) -> None:
-        green, yellow = self.recount(state)
+        green, yellow = token_counts(state, self._thr, self._boundary)
         assert green == self._green, f"green counters drifted: {self._green} vs {green}"
         assert yellow == self._yellow, f"yellow counter drifted: {self._yellow} vs {yellow}"
         assert self._total_green == sum(green)

@@ -170,12 +170,11 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
     order = sorted(range(config.m), key=lambda ci: (-rem[ci], ci))
     for ci in order[:short]:
         base[ci] += 1
-    occupancies = []
-    for ci, tasks in enumerate(base):
-        size = config.class_sizes[ci]
+    counts = []
+    for size, tasks in zip(config.class_sizes, base):
         low, extra = divmod(tasks, size)
-        occupancies.append([low + 1] * extra + [low] * (size - extra))
-    state = OccupancyState(n, config.alpha, occupancies)
+        counts.append([0] * low + [size - extra, extra])
+    state = OccupancyState(config.alpha, counts)
     rank = _first_open_rank(config, state)
     return state, rank
 

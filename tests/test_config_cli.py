@@ -31,14 +31,14 @@ def write_config(tmp_path, doc=None, name="cfg.json"):
 # config parsing
 
 
-def test_parse_round_trip():
+def test_parse_builds_systems_on_one_family():
     cfg = parse_config(BASE_DOC)
-    again = parse_config(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
     assert cfg.offered_load() == pytest.approx(9.75)
     assert cfg.family.m == 2
     system = cfg.system()
     assert system.n == 8 and system.lam == pytest.approx(9.75)
+    # every system shares the config's one slot ranking and marginal cache
+    assert cfg.system(n=8).family is cfg.system(n=16, rho=10.0).family is cfg.family
 
 
 def test_parse_lambda_instead_of_rho():
@@ -415,6 +415,11 @@ def test_cli_fluid_truncation_failure_is_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_cli_fluid_refuses_a_horizon_beyond_the_step_cap(tmp_path, capsys):
+    assert main(["fluid", "--config", write_config(tmp_path), "--T", "1e9"]) == 2
+    assert "refusing to integrate" in capsys.readouterr().err
 
 
 def test_cli_requires_a_config(capsys):

@@ -25,6 +25,7 @@ from conftest import (
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     piecewise_family,
+    pool_state,
     two_class_family,
 )
 
@@ -258,7 +259,7 @@ def test_qvector_rejects_mismatched_base():
 
 def test_point_mass_tail():
     # 4 pools of one class, all holding 2 tasks
-    state = OccupancyState(4, (1.0,), [[2, 2, 2, 2]])
+    state = pool_state((1.0,), [[2, 2, 2, 2]])
     q = occupancy_to_q(state)
     assert q.get(1, 1) == 1.0
     assert q.get(1, 2) == 1.0
@@ -269,13 +270,13 @@ def test_occupancy_to_q_preserves_mass(rng):
     sizes = (4, 2, 2)
     for _ in range(25):
         occs = [rng.integers(0, 9, size=s).tolist() for s in sizes]
-        state = OccupancyState(8, THREE_CLASS_ALPHA, occs)
+        state = pool_state(THREE_CLASS_ALPHA, occs)
         q = occupancy_to_q(state)
         assert 8 * q.mass() == pytest.approx(state.total_tasks, abs=1e-9)
 
 
 def test_occupancy_state_push_pop():
-    state = OccupancyState(4, TWO_CLASS_ALPHA, [[0, 3], [1, 1]])
+    state = pool_state(TWO_CLASS_ALPHA, [[0, 3], [1, 1]])
     assert state.total_tasks == 5
     assert state.min_occupied(1) == 0
     assert state.max_occupied(2) == 1
@@ -285,11 +286,11 @@ def test_occupancy_state_push_pop():
     state.pop_task(1, 3)
     assert state.count(1, 2) == 1
     assert state.class_tasks == [3, 2]
-    hist = state.histogram(1)
+    hist = state.counts[0]
     assert hist[1] == 1 and hist[2] == 1
     # all four pools now hold at least one task
-    assert state.frac_at_least(1, 1) == pytest.approx(0.5)
-    assert state.frac_at_least(2, 1) == pytest.approx(0.5)
+    assert state.tail_count(1, 1) / state.n == pytest.approx(0.5)
+    assert state.tail_count(2, 1) / state.n == pytest.approx(0.5)
     assert state.tail_count(1, 2) == 1
     state.check_consistency()
 
@@ -305,27 +306,42 @@ def test_occupancy_state_guards():
     with pytest.raises(ValueError):
         OccupancyState.empty(3, TWO_CLASS_ALPHA)
     with pytest.raises(ValueError):
-        OccupancyState(4, TWO_CLASS_ALPHA, [[0], [0, 0, 0]])
+        pool_state(TWO_CLASS_ALPHA, [[0], [0, 0, 0]])
+    # the counts constructor: a negative count, class sizes that disagree
+    # with alpha, the wrong number of classes
+    with pytest.raises(ValueError, match=">= 0"):
+        OccupancyState(TWO_CLASS_ALPHA, [[3, -1], [2]])
+    with pytest.raises(ValueError, match="n \\* alpha gives it 2"):
+        OccupancyState(TWO_CLASS_ALPHA, [[1], [3]])
+    with pytest.raises(ValueError, match="integral"):
+        OccupancyState(TWO_CLASS_ALPHA, [[1], [2]])
+    with pytest.raises(ValueError, match="n must be"):
+        OccupancyState((1.0,), [[0, 0]])
+    with pytest.raises(ValueError, match="one count list per class"):
+        OccupancyState(TWO_CLASS_ALPHA, [[2]])
+    with pytest.raises(ValueError, match="one count list per class"):
+        OccupancyState(TWO_CLASS_ALPHA, [[2], [2], [0]])
 
 
 def test_pick_task_weights_levels_by_tasks():
     # class 1: pools at 1 and 3 tasks; class 2: both pools at 1 task
-    state = OccupancyState(4, TWO_CLASS_ALPHA, [[1, 3], [1, 1]])
+    state = pool_state(TWO_CLASS_ALPHA, [[1, 3], [1, 1]])
     picks = [state.pick_task(k / 6) for k in range(6)]
     assert picks == [(1, 1), (1, 3), (1, 3), (1, 3), (2, 1), (2, 1)]
     assert state.pick_task(1.0 - 2.0**-53) == (2, 1)
 
 
 def test_pick_pool_by_class_then_level():
-    state = OccupancyState(4, TWO_CLASS_ALPHA, [[2, 0], [5, 5]])
+    state = pool_state(TWO_CLASS_ALPHA, [[2, 0], [5, 5]])
     assert [state.pick_pool(k / 4) for k in range(4)] == [(1, 0), (1, 2), (2, 5), (2, 5)]
     assert state.pick_pool(0.6, cls=1) == (1, 2)
     assert state.pick_pool(1.0 - 2.0**-53, cls=2) == (2, 5)
 
 
-def test_from_counts_histogram_form():
+def test_counts_constructor_histogram_form():
     # histogram [0, 2, 1] means: none empty, two pools at 1, one at 2
-    state = OccupancyState.from_counts(4, (0.75, 0.25), [[0, 2, 1], [1]])
+    state = OccupancyState((0.75, 0.25), [[0, 2, 1], [1]])
+    assert state.n == 4
     assert state.total_tasks == 4
     assert state.count(1, 1) == 2
     assert state.count(2, 0) == 1
@@ -353,7 +369,7 @@ def test_overall_utility_matches_occupancy_sum(rng):
     sizes = (4, 2, 2)
     for _ in range(20):
         occs = [rng.integers(0, 25, size=s).tolist() for s in sizes]
-        state = OccupancyState(8, THREE_CLASS_ALPHA, occs)
+        state = pool_state(THREE_CLASS_ALPHA, occs)
         q = occupancy_to_q(state)
         direct = sum(fam.value(ci + 1, v) for ci, row in enumerate(occs) for v in row)
         assert 8 * overall_utility(fam, q) == pytest.approx(direct, abs=1e-9)

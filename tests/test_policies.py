@@ -13,7 +13,6 @@ from poolsim.policies import (
     RandomDispatch,
     Slta,
     fixed_class_target,
-    jlmu_target,
     parse_policy,
     random_target,
     slta_thresholds,
@@ -25,6 +24,7 @@ from conftest import (
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     piecewise_family,
+    pool_state,
     two_class_family,
     two_class_system,
 )
@@ -32,12 +32,24 @@ from conftest import (
 
 def bound_slta(family, alpha, occupancies, rank, beta=None):
     """Slta attached to a concrete state at the given learning rank."""
-    n = sum(len(occ) for occ in occupancies)
-    state = OccupancyState(n, alpha, occupancies)
-    cfg = SystemConfig(n=n, alpha=alpha, mu=1.0, lam=1.0, family=family)
+    state = pool_state(alpha, occupancies)
+    cfg = SystemConfig(n=state.n, alpha=alpha, mu=1.0, lam=1.0, family=family)
     policy = Slta(beta=beta)
     policy.bind(state, cfg, initial_rank=rank)
     return state, policy
+
+
+def bound_jlmu(family, state):
+    """Jlmu attached to a concrete state."""
+    cfg = SystemConfig(n=state.n, alpha=state.alpha, mu=1.0, lam=1.0, family=family)
+    policy = Jlmu()
+    policy.bind(state, cfg)
+    return policy
+
+
+def jlmu_pick(family, state):
+    """The slot greedy dispatch fills in this state."""
+    return bound_jlmu(family, state).decide(state, 0.0).target
 
 
 # ---------------------------------------------------------------------------
@@ -47,21 +59,21 @@ def bound_slta(family, alpha, occupancies, rank, beta=None):
 def test_jlmu_empty_two_class():
     fam = two_class_family()
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
-    assert jlmu_target(fam, state) == Coordinate(2, 1)
+    assert jlmu_pick(fam, state) == Coordinate(2, 1)
 
 
 def test_jlmu_is_jsq_with_one_class():
     fam = UtilityFamily((LogQuality(9.0),))
-    state = OccupancyState(3, (1.0,), [[0, 0, 3]])
-    assert jlmu_target(fam, state) == Coordinate(1, 1)
+    state = pool_state((1.0,), [[0, 0, 3]])
+    assert jlmu_pick(fam, state) == Coordinate(1, 1)
 
 
 def test_jlmu_piecewise_crossover():
     # class-2 pools at 5 tasks push the next marginal to 1.45, below the
     # capped class at 1.5
     fam = piecewise_family()
-    state = OccupancyState(8, THREE_CLASS_ALPHA, [[0] * 4, [5, 5], [0, 0]])
-    assert jlmu_target(fam, state) == Coordinate(3, 1)
+    state = pool_state(THREE_CLASS_ALPHA, [[0] * 4, [5, 5], [0, 0]])
+    assert jlmu_pick(fam, state) == Coordinate(3, 1)
 
 
 def brute_force_target(fam, occs):
@@ -82,13 +94,14 @@ def test_jlmu_maximizes_over_all_pools(rng):
     for fam, alpha, sizes in cases:
         for _ in range(60):
             occs = [rng.integers(0, 14, size=s).tolist() for s in sizes]
-            state = OccupancyState(sum(sizes), alpha, occs)
-            assert jlmu_target(fam, state) == brute_force_target(fam, occs)
+            state = pool_state(alpha, occs)
+            assert jlmu_pick(fam, state) == brute_force_target(fam, occs)
 
 
 def test_jlmu_trace_matches_jsq(rng):
     fam = UtilityFamily((LogQuality(50.0),))
     state = OccupancyState.empty(5, (1.0,))
+    policy = bound_jlmu(fam, state)
     occ = [0] * 5
     for _ in range(200):
         if sum(occ) and rng.uniform() < 0.4:
@@ -96,13 +109,13 @@ def test_jlmu_trace_matches_jsq(rng):
             state.pop_task(1, occ[pool])
             occ[pool] -= 1
         else:
-            target = jlmu_target(fam, state)
+            target = policy.decide(state, 0.0).target
             assert target.level - 1 == min(occ)
             pool = occ.index(min(occ))
             state.push_task(1, occ[pool])
             occ[pool] += 1
         depth = max(occ) + 1
-        assert state.histogram(1)[:depth] == [occ.count(v) for v in range(depth)]
+        assert state.counts[0][:depth] == [occ.count(v) for v in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +147,7 @@ def test_thresholds_monotone_and_consistent():
 
 def test_token_counts_worked_example():
     # N(1,0)=1, N(1,2)=1, N(2,0)=2 with thresholds (2,1), boundary (2,2)
-    state = OccupancyState(4, TWO_CLASS_ALPHA, [[0, 2], [0, 0]])
+    state = pool_state(TWO_CLASS_ALPHA, [[0, 2], [0, 0]])
     green, yellow = token_counts(state, [2, 1], Coordinate(2, 2))
     assert green == [1, 2]
     assert yellow == 2
@@ -176,7 +189,7 @@ def test_slta_yellow_only_targets_boundary():
 
 def test_slta_no_tokens_uniform_over_pools():
     fam = UtilityFamily((LogQuality(9.0),))
-    state = OccupancyState(3, (1.0,), [[5, 5, 5]])
+    state = pool_state((1.0,), [[5, 5, 5]])
     policy = Slta()
     policy._thr = [0]
     policy._boundary = Coordinate(1, 1)
@@ -208,14 +221,14 @@ def test_slta_routing_stays_at_or_above_boundary(rng):
     fam = two_class_family()
     for _ in range(40):
         occs = [rng.integers(0, 3, size=2).tolist(), rng.integers(0, 3, size=2).tolist()]
-        state = OccupancyState(4, TWO_CLASS_ALPHA, occs)
+        state = pool_state(TWO_CLASS_ALPHA, occs)
         policy = Slta()
         cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, lam=1.0, family=fam)
         try:
             policy.bind(state, cfg, initial_rank=3)
         except ValueError:
             continue  # state not good at this rank
-        green, yellow = policy.recount(state)
+        green, yellow = token_counts(state, policy.thresholds, policy.boundary)
         if sum(green) + yellow == 0:
             continue
         target = policy.decide(state, rng.uniform()).target
@@ -236,14 +249,14 @@ def test_learn_decrements_at_exact_quota():
     # rank 2: boundary (1,1), previous boundary (2,1), thresholds (0,1)
     state, policy = bound_slta(fam, TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 2, beta=0.5)
     assert policy.thresholds == [0, 1]
-    green, _ = policy.recount(state)
+    green, _ = token_counts(state, policy.thresholds, policy.boundary)
     assert sum(green) == 2  # equals n * beta exactly
     assert policy.learning_delta() == -1
 
 
 def test_learn_increments_when_one_yellow_left():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [1, 2]], 3)
-    green, yellow = policy.recount(state)
+    green, yellow = token_counts(state, policy.thresholds, policy.boundary)
     assert sum(green) == 0 and yellow == 1
     assert policy.learning_delta() == 1
 
@@ -254,7 +267,7 @@ def test_learn_never_fires_both_ways(rng):
     seen = set()
     for _ in range(120):
         occs = [rng.integers(0, 4, size=2).tolist(), rng.integers(0, 4, size=2).tolist()]
-        state = OccupancyState(4, TWO_CLASS_ALPHA, occs)
+        state = pool_state(TWO_CLASS_ALPHA, occs)
         policy = Slta(beta=0.5)
         try:
             policy.bind(state, cfg, initial_rank=int(rng.integers(1, 8)))
@@ -302,9 +315,9 @@ def test_goodness_and_tokens_preserved_in_simulation():
 
 
 def test_random_target_examples():
-    single = OccupancyState(1, (1.0,), [[2]])
+    single = pool_state((1.0,), [[2]])
     assert random_target(single, 0.99) == Coordinate(1, 3)
-    state = OccupancyState(2, (1.0,), [[0, 4]])
+    state = pool_state((1.0,), [[0, 4]])
     assert random_target(state, 0.3) == Coordinate(1, 1)
     assert random_target(state, 0.8) == Coordinate(1, 5)
 
@@ -312,7 +325,7 @@ def test_random_target_examples():
 def test_fixed_class_target_examples():
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     assert fixed_class_target(state, 2, 0.1) == Coordinate(2, 1)
-    state = OccupancyState(4, TWO_CLASS_ALPHA, [[0, 0], [3, 7]])
+    state = pool_state(TWO_CLASS_ALPHA, [[0, 0], [3, 7]])
     assert fixed_class_target(state, 2, 0.3) == Coordinate(2, 4)
     assert fixed_class_target(state, 2, 0.9) == Coordinate(2, 8)
 

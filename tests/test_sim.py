@@ -98,8 +98,8 @@ def test_init_state_spreads_classes_evenly():
     state, _ = init_state(config, "optimal")
     assert state.total_tasks == round(50 * 9.75)
     for cls in (1, 2):
-        occupied = state.histogram(cls)
-        present = [v for v, c in enumerate(occupied) if c]
+        present = [v for v, c in enumerate(state.counts[cls - 1]) if c]
+        assert len(present) <= 2
         assert max(present) - min(present) <= 1
     state.check_consistency()
 
@@ -265,7 +265,7 @@ def test_conservation_and_consistency_every_event():
 
     def audit(kind, t, state, policy):
         for cls in (1, 2):
-            assert sum(state.histogram(cls)) == sizes[cls - 1]
+            assert sum(state.counts[cls - 1]) == sizes[cls - 1]
         totals.append(state.total_tasks)
         if len(totals) % 50 == 0:
             state.check_consistency()
