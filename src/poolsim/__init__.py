@@ -32,12 +32,9 @@ from .policies import (
     FixedClassDispatch,
     Jlmu,
     Policy,
-    PolicyDecision,
     RandomDispatch,
     Slta,
-    fixed_class_target,
     parse_policy,
-    random_target,
     slta_thresholds,
     token_counts,
 )

@@ -214,15 +214,19 @@ class UtilityFamily:
 
     The family owns the one ranked slot list of the system: a cached prefix,
     extended on demand, that every layer reads. Ranks are 1-based:
-    ``slot(1)`` is the best slot overall. Marginals are cached per class.
-    Rank comparisons use exact float equality to detect ties.
+    ``slot(1)`` is the best slot overall. Rank comparisons use exact float
+    equality to detect ties.
+
+    ``marginals[ci][v]`` is the marginal utility of a class-``ci+1`` pool going
+    from ``v`` to ``v + 1`` tasks, cached per class: :meth:`marginal` extends
+    the list on demand, so read past its end only after calling it.
     """
 
     def __init__(self, utilities: Sequence[Utility]):
         if not utilities:
             raise ValueError("need at least one class utility")
         self.utilities: tuple[Utility, ...] = tuple(utilities)
-        self._marg: list[list[float]] = [[] for _ in self.utilities]
+        self.marginals: list[list[float]] = [[] for _ in self.utilities]
         self._slots: list[Coordinate] = []
         # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
@@ -238,7 +242,7 @@ class UtilityFamily:
         """Utility gained by a class-``cls`` pool going from ``occ`` to ``occ + 1`` tasks."""
         if occ < 0:
             raise ValueError(f"occupancy must be >= 0, got {occ}")
-        cache = self._marg[cls - 1]
+        cache = self.marginals[cls - 1]
         if occ >= len(cache):
             u = self.utilities[cls - 1]
             lo = u.value(len(cache))
@@ -252,7 +256,7 @@ class UtilityFamily:
         """Marginals for occupancies 0..occ-1 of one class (a direct list view)."""
         if occ > 0:
             self.marginal(cls, occ - 1)
-        return self._marg[cls - 1][:occ]
+        return self.marginals[cls - 1][:occ]
 
     def rank_precedes(self, a: Coordinate, b: Coordinate) -> bool:
         """True when slot ``a`` ranks strictly below slot ``b``."""

@@ -1,9 +1,9 @@
 """Dispatch policies over occupancy states.
 
-Every policy sees only the occupancy counts: it returns the slot
-``(cls, level)`` an arriving task should fill, meaning "some pool of that class
-currently holding level-1 tasks". Pools sharing a slot are exchangeable, so the
-slot alone fixes the next state.
+Every policy sees only the occupancy counts: it returns the cell ``(cls, occ)``
+an arriving task should join, meaning "some class-``cls`` pool currently holding
+``occ`` tasks", plus a learning step. Pools sharing a cell are exchangeable, so
+the cell alone fixes the next state.
 
 Policies are configured by string: ``jlmu``, ``slta``, ``random``, or
 ``fixed:<cls>``.
@@ -11,12 +11,9 @@ Policies are configured by string: ``jlmu``, ``slta``, ``random``, or
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .model import Coordinate, OccupancyState, SystemConfig, UtilityFamily
 
 __all__ = [
-    "PolicyDecision",
     "Policy",
     "Jlmu",
     "Slta",
@@ -25,19 +22,9 @@ __all__ = [
     "parse_policy",
     "slta_thresholds",
     "token_counts",
-    "random_target",
-    "fixed_class_target",
 ]
 
 DEFAULT_LEARNING_EXPONENT = 0.45
-
-
-class PolicyDecision(NamedTuple):
-    """Outcome of one arrival decision: the slot to fill and, for the learning
-    policy, the rank adjustment in {-1, 0, +1} to apply after dispatch."""
-
-    target: Coordinate
-    learning_delta: int
 
 
 class Policy:
@@ -63,7 +50,14 @@ class Policy:
     ) -> None:
         """Attach to a fresh run. Called once before any decision."""
 
-    def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
+    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
+        """Where an arriving task goes: ``(cls, occ, delta)``.
+
+        The task joins a class-``cls`` pool holding ``occ`` tasks (the cell
+        :meth:`OccupancyState.push_task` takes). ``delta`` in {-1, 0, +1} is the
+        learning-rank step the simulator applies after dispatch; it is 0 for
+        policies that do not learn.
+        """
         raise NotImplementedError
 
     def notify_push(self, ci: int, prev_occ: int) -> None:  # pragma: no cover
@@ -97,13 +91,13 @@ class Jlmu(Policy):
     def bind(self, state, config, initial_rank=None):
         self._family = config.family
 
-    def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
+    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
         family = self._family
-        marg = family._marg
+        marg = family.marginals
         min_occupied = state.min_occupied
         best_d = -float("inf")
         best_cls = 0
-        best_level = 0
+        best_v = 0
         # Classes are scanned in ascending order, so keeping the first of
         # equal marginals breaks ties toward the dictionary-smaller slot.
         for cls in range(1, len(marg) + 1):
@@ -115,8 +109,8 @@ class Jlmu(Policy):
             if d > best_d:
                 best_d = d
                 best_cls = cls
-                best_level = v + 1
-        return PolicyDecision(Coordinate(best_cls, best_level), 0)
+                best_v = v
+        return best_cls, best_v, 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,8 @@ class Slta(Policy):
         self._total_green = 0
         self._yellow = 0
         self._boundary = Coordinate(0, 0)
-        self._prev: Coordinate | None = None
+        # Class index of the previous boundary slot; -1 at rank 1.
+        self._prev_ci = -1
         self._quota = 0.0
         self._n = 0
 
@@ -220,7 +215,7 @@ class Slta(Policy):
         r = self.rank
         family = self._family
         self._boundary = family.slot(r)
-        self._prev = family.slot(r - 1) if r > 1 else None
+        self._prev_ci = family.slot(r - 1).cls - 1 if r > 1 else -1
         self._thr = family.class_counts_before(r)
         self._green, self._yellow = token_counts(state, self._thr, self._boundary)
         self._total_green = sum(self._green)
@@ -265,9 +260,40 @@ class Slta(Policy):
 
     # -- decisions ------------------------------------------------------------
 
-    def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
+    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
         delta = self.learning_delta()
-        return PolicyDecision(self.target(state, u), delta)
+        total_green = self._total_green
+        if total_green:
+            # Uniform over green pools outside the previous boundary class, or
+            # over that class's green pools when no other class has one. The
+            # draw becomes an index k into those pools, as in pick_pool.
+            skip = self._prev_ci
+            prev_green = self._green[skip] if skip >= 0 else 0
+            pool = total_green - prev_green
+            if not pool:
+                pool = prev_green
+                skip = -1
+            k = int(u * pool)
+            if k == pool:  # u * pool can round up to pool
+                k -= 1
+            counts = state.counts
+            for ci, depth in enumerate(self._thr):
+                if ci == skip:
+                    continue
+                levels = counts[ci]
+                # A list may end below the threshold; levels past it are empty.
+                for v in range(min(depth, len(levels))):
+                    k -= levels[v]
+                    if k < 0:
+                        return ci + 1, v, delta
+            raise AssertionError("no green pool found despite positive green count")
+        # No green tokens: aim at the boundary slot while it has room.
+        b = self._boundary
+        if state.count(b.cls, b.level - 1) > 0:
+            return b.cls, b.level - 1, delta
+        # Nothing to aim at: uniform over all pools.
+        cls, occ = state.pick_pool(u)
+        return cls, occ, delta
 
     def learning_delta(self) -> int:
         """Rank adjustment decided at an arrival, from the pre-arrival counters.
@@ -279,60 +305,11 @@ class Slta(Policy):
         applied only after the arrival is dispatched.
         """
         if self.rank > 1:
-            if self._total_green >= self._quota and self._green[self._prev.cls - 1] > 0:
+            if self._total_green >= self._quota and self._green[self._prev_ci] > 0:
                 return -1
         if self._total_green == 0 and self._yellow <= 1:
             return 1
         return 0
-
-    def target(self, state: OccupancyState, u: float) -> Coordinate:
-        """The slot this policy fills given one uniform draw."""
-        counts = state.counts
-        thr = self._thr
-        b = self._boundary
-        prev_ci = self._prev.cls - 1 if self._prev is not None else -1
-        total_green = self._total_green
-        if total_green > 0:
-            prev_green = self._green[prev_ci] if prev_ci >= 0 else 0
-            other = total_green - prev_green
-            if other > 0:
-                # Uniform over green pools outside the previous boundary class.
-                x = u * other
-                acc = 0
-                for ci in range(len(thr)):
-                    if ci == prev_ci:
-                        continue
-                    levels = counts[ci]
-                    for v in range(thr[ci]):
-                        acc += levels[v]
-                        if x < acc:
-                            return Coordinate(ci + 1, v + 1)
-                # Float roundoff can push x to the boundary; take the last slot.
-                return self._last_green(state, skip=prev_ci)
-            # Only the previous boundary class has green pools.
-            x = u * prev_green
-            acc = 0
-            levels = counts[prev_ci]
-            for v in range(thr[prev_ci]):
-                acc += levels[v]
-                if x < acc:
-                    return Coordinate(prev_ci + 1, v + 1)
-            return self._last_green(state, only=prev_ci)
-        # No green tokens: aim at the boundary slot while it has room.
-        if state.count(b.cls, b.level - 1) > 0:
-            return b
-        # Nothing to aim at: uniform over all pools.
-        return random_target(state, u)
-
-    def _last_green(self, state: OccupancyState, skip: int = -1, only: int = -1):
-        for ci in range(len(self._thr) - 1, -1, -1):
-            if ci == skip or (only >= 0 and ci != only):
-                continue
-            levels = state.counts[ci]
-            for v in range(self._thr[ci] - 1, -1, -1):
-                if levels[v]:
-                    return Coordinate(ci + 1, v + 1)
-        raise AssertionError("no green pool found despite positive green count")
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -360,14 +337,9 @@ class RandomDispatch(Policy):
 
     name = "random"
 
-    def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
-        return PolicyDecision(random_target(state, u), 0)
-
-
-def random_target(state: OccupancyState, u: float) -> Coordinate:
-    """Slot of a uniformly chosen pool."""
-    cls, occ = state.pick_pool(u)
-    return Coordinate(cls, occ + 1)
+    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
+        cls, occ = state.pick_pool(u)
+        return cls, occ, 0
 
 
 class FixedClassDispatch(Policy):
@@ -387,14 +359,9 @@ class FixedClassDispatch(Policy):
             )
         self.name = f"fixed:{self.cls}"
 
-    def decide(self, state: OccupancyState, u: float) -> PolicyDecision:
-        return PolicyDecision(fixed_class_target(state, self.cls, u), 0)
-
-
-def fixed_class_target(state: OccupancyState, cls: int, u: float) -> Coordinate:
-    """Slot of a uniformly chosen pool within one class."""
-    _, occ = state.pick_pool(u, cls)
-    return Coordinate(cls, occ + 1)
+    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
+        cls, occ = state.pick_pool(u, self.cls)
+        return cls, occ, 0
 
 
 def parse_policy(spec: str, beta: float | None = None) -> Policy:

@@ -228,7 +228,7 @@ def simulate(
     push_task = state.push_task
     pop_task = state.pop_task
     pick_task = state.pick_task
-    marg = family._marg
+    marg = family.marginals
     for cls in range(1, state.m + 1):
         family.marginal(cls, state.max_occupied(cls) + 1)
 
@@ -323,9 +323,7 @@ def simulate(
         u = sel_buf[sel_i]
         sel_i += 1
         if is_arrival:
-            target, delta = decide(state, u)
-            cls, level = target
-            v = level - 1
+            cls, v, delta = decide(state, u)
             push_task(cls, v)
             cache = marg[cls - 1]
             if v >= len(cache):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from poolsim.model import (
@@ -12,9 +14,7 @@ from poolsim.policies import (
     Jlmu,
     RandomDispatch,
     Slta,
-    fixed_class_target,
     parse_policy,
-    random_target,
     slta_thresholds,
     token_counts,
 )
@@ -25,9 +25,16 @@ from conftest import (
     TWO_CLASS_ALPHA,
     piecewise_family,
     pool_state,
+    shared_resource_family,
     two_class_family,
     two_class_system,
 )
+
+
+def slot_of(decision):
+    """The slot ``(cls, occ + 1)`` of a decision's cell ``(cls, occ, delta)``."""
+    cls, occ, _ = decision
+    return Coordinate(cls, occ + 1)
 
 
 def bound_slta(family, alpha, occupancies, rank, beta=None):
@@ -49,7 +56,7 @@ def bound_jlmu(family, state):
 
 def jlmu_pick(family, state):
     """The slot greedy dispatch fills in this state."""
-    return bound_jlmu(family, state).decide(state, 0.0).target
+    return slot_of(bound_jlmu(family, state).decide(state, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,7 @@ def test_jlmu_trace_matches_jsq(rng):
             state.pop_task(1, occ[pool])
             occ[pool] -= 1
         else:
-            target = policy.decide(state, 0.0).target
+            target = slot_of(policy.decide(state, 0.0))
             assert target.level - 1 == min(occ)
             pool = occ.index(min(occ))
             state.push_task(1, occ[pool])
@@ -173,18 +180,18 @@ def test_token_counts_empty_and_rank_one():
 def test_slta_prefers_green_outside_previous_class():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[0, 1], [0, 1]], 3)
     for u in (0.0, 0.3, 0.9):
-        assert policy.decide(state, u).target == Coordinate(2, 1)
+        assert slot_of(policy.decide(state, u)) == Coordinate(2, 1)
 
 
 def test_slta_falls_back_to_previous_class_green():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[0, 1], [1, 1]], 3)
     for u in (0.0, 0.5):
-        assert policy.decide(state, u).target == Coordinate(1, 1)
+        assert slot_of(policy.decide(state, u)) == Coordinate(1, 1)
 
 
 def test_slta_yellow_only_targets_boundary():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [1, 1]], 3)
-    assert policy.decide(state, 0.7).target == Coordinate(2, 2)
+    assert slot_of(policy.decide(state, 0.7)) == Coordinate(2, 2)
 
 
 def test_slta_no_tokens_uniform_over_pools():
@@ -193,12 +200,12 @@ def test_slta_no_tokens_uniform_over_pools():
     policy = Slta()
     policy._thr = [0]
     policy._boundary = Coordinate(1, 1)
-    policy._prev = None
+    policy._prev_ci = -1
     policy._green = [0]
     policy._total_green = 0
     policy._yellow = 0
-    assert policy.target(state, 0.1) == Coordinate(1, 6)
-    assert policy.target(state, 0.99) == Coordinate(1, 6)
+    assert slot_of(policy.decide(state, 0.1)) == Coordinate(1, 6)
+    assert slot_of(policy.decide(state, 0.99)) == Coordinate(1, 6)
 
 
 def test_slta_single_class_saturated_below_boundary():
@@ -207,14 +214,14 @@ def test_slta_single_class_saturated_below_boundary():
     fam = UtilityFamily((LogQuality(9.0),))
     state, policy = bound_slta(fam, (1.0,), [[5, 5, 5]], 6)
     for u in (0.0, 0.42, 0.9999):
-        assert policy.decide(state, u).target == Coordinate(1, 6)
+        assert slot_of(policy.decide(state, u)) == Coordinate(1, 6)
 
 
 def test_slta_green_draw_is_proportional():
     # two green pools in class 2 at levels 0; draws split between them evenly
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [0, 0]], 3)
-    assert policy.decide(state, 0.2).target == Coordinate(2, 1)
-    assert policy.decide(state, 0.8).target == Coordinate(2, 1)
+    assert slot_of(policy.decide(state, 0.2)) == Coordinate(2, 1)
+    assert slot_of(policy.decide(state, 0.8)) == Coordinate(2, 1)
 
 
 def test_slta_routing_stays_at_or_above_boundary(rng):
@@ -231,8 +238,51 @@ def test_slta_routing_stays_at_or_above_boundary(rng):
         green, yellow = token_counts(state, policy.thresholds, policy.boundary)
         if sum(green) + yellow == 0:
             continue
-        target = policy.decide(state, rng.uniform()).target
+        target = slot_of(policy.decide(state, rng.uniform()))
         assert not fam.rank_precedes(target, policy.boundary)
+
+
+def test_slta_green_draw_is_exactly_uniform():
+    # rank 15 of the three-class family: thresholds (2, 5, 7), boundary (1, 3)
+    # and previous boundary (2, 5), so class-2 greens are drawn only when
+    # classes 1 and 3 have none
+    fam = shared_resource_family()
+    cases = [
+        # five greens in class 1 and three in class 3; class 2's are held back
+        (
+            [[0, 0, 1, 1, 1, 2, 2, 3], [2, 4, 5, 6], [3, 6, 6, 8]],
+            [(1, 0), (1, 0), (1, 1), (1, 1), (1, 1), (3, 3), (3, 6), (3, 6)],
+        ),
+        # only the previous boundary class still holds greens
+        (
+            [[2, 2, 2, 2, 3, 3, 3, 3], [0, 2, 2, 4], [7, 7, 8, 9]],
+            [(2, 0), (2, 2), (2, 2), (2, 4)],
+        ),
+    ]
+    for occs, cells in cases:
+        state, policy = bound_slta(fam, THREE_CLASS_ALPHA, occs, 15)
+        assert policy.thresholds == [2, 5, 7]
+        assert policy.boundary == Coordinate(1, 3)
+        # the midpoint of each of the equal bins picks each green pool once
+        pool = len(cells)
+        drawn = sorted(policy.decide(state, (i + 0.5) / pool)[:2] for i in range(pool))
+        assert drawn == cells
+        # the top draw, and a draw of exactly 1 that the clamp catches, land
+        # on the last green cell
+        for u in (math.nextafter(1.0, 0.0), 1.0):
+            assert policy.decide(state, u)[:2] == cells[-1]
+
+
+def test_slta_green_walk_passes_classes_below_their_threshold():
+    # rank 23: thresholds (4, 7, 11), previous boundary (3, 11). Every pool is
+    # empty, so class 1's count list ends below its threshold and the walk
+    # must step past it to reach class 2.
+    fam = shared_resource_family()
+    state, policy = bound_slta(fam, THREE_CLASS_ALPHA, [[0] * 8, [0] * 4, [0] * 4], 23)
+    assert policy.thresholds == [4, 7, 11]
+    assert len(state.counts[0]) < 4
+    drawn = sorted(policy.decide(state, (i + 0.5) / 12)[:2] for i in range(12))
+    assert drawn == [(1, 0)] * 8 + [(2, 0)] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +333,12 @@ def test_learning_applied_after_dispatch():
     # the decrement decided pre-arrival must not change where the task goes
     fam = two_class_family()
     state, policy = bound_slta(fam, TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 2, beta=0.5)
-    decision = policy.decide(state, 0.0)
-    assert decision.learning_delta == -1
+    cls, occ, delta = policy.decide(state, 0.0)
+    assert (cls, occ, delta) == (2, 0, -1)
     assert policy.rank == 2  # unchanged until the simulator applies it
-    state.push_task(2, 0)
-    policy.notify_push(1, 0)
-    policy.apply_learning(state, decision.learning_delta)
+    state.push_task(cls, occ)
+    policy.notify_push(cls - 1, occ)
+    policy.apply_learning(state, delta)
     assert policy.rank == 1
     policy.verify_tokens(state)
 
@@ -314,20 +364,22 @@ def test_goodness_and_tokens_preserved_in_simulation():
 # baselines
 
 
-def test_random_target_examples():
+def test_random_dispatch_examples():
+    policy = RandomDispatch()
     single = pool_state((1.0,), [[2]])
-    assert random_target(single, 0.99) == Coordinate(1, 3)
+    assert slot_of(policy.decide(single, 0.99)) == Coordinate(1, 3)
     state = pool_state((1.0,), [[0, 4]])
-    assert random_target(state, 0.3) == Coordinate(1, 1)
-    assert random_target(state, 0.8) == Coordinate(1, 5)
+    assert slot_of(policy.decide(state, 0.3)) == Coordinate(1, 1)
+    assert slot_of(policy.decide(state, 0.8)) == Coordinate(1, 5)
 
 
-def test_fixed_class_target_examples():
+def test_fixed_class_dispatch_examples():
+    policy = FixedClassDispatch(2)
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
-    assert fixed_class_target(state, 2, 0.1) == Coordinate(2, 1)
+    assert slot_of(policy.decide(state, 0.1)) == Coordinate(2, 1)
     state = pool_state(TWO_CLASS_ALPHA, [[0, 0], [3, 7]])
-    assert fixed_class_target(state, 2, 0.3) == Coordinate(2, 4)
-    assert fixed_class_target(state, 2, 0.9) == Coordinate(2, 8)
+    assert slot_of(policy.decide(state, 0.3)) == Coordinate(2, 4)
+    assert slot_of(policy.decide(state, 0.9)) == Coordinate(2, 8)
 
 
 def test_fixed_class_validation():

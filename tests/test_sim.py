@@ -138,6 +138,25 @@ def test_simulate_is_deterministic():
     assert a.rank_history == b.rank_history
 
 
+PINNED_PATHS = {
+    # policy: (avg_u, avg_s, events, switches, r_final)
+    "jlmu": (9.138293292155682, 9.957277184165495, 15262, 0, None),
+    "slta": (9.138048361317637, 9.957277184165495, 15262, 144, 19),
+    "random": (8.403624068949847, 9.957277184165495, 15262, 0, None),
+    "fixed:1": (-0.22804455608084287, 9.957277184165495, 15262, 0, None),
+}
+
+
+def test_fixed_seed_sample_paths_are_pinned():
+    # exact values: a refactor of the event loop or of a policy must leave
+    # every sample path bit-for-bit where it was
+    config = two_class_system(40, 9.75)
+    run = RunConfig(horizon=20.0, seed=3, init="empty")
+    for policy, expected in PINNED_PATHS.items():
+        m = simulate(config, policy, run)
+        assert (m.avg_u, m.avg_s, m.events, m.switches, m.r_final) == expected, policy
+
+
 def test_seed_changes_the_path():
     config = two_class_system(10, 4.0)
     a = simulate(config, "jlmu", RunConfig(horizon=40.0, seed=1))
