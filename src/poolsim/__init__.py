@@ -24,7 +24,6 @@ from .model import (
 from .assign import (
     OptimalAssignment,
     optimal_assignment,
-    sigma_star,
     upper_bound,
     validate_feasible,
 )
@@ -35,7 +34,6 @@ from .policies import (
     RandomDispatch,
     Slta,
     parse_policy,
-    slta_thresholds,
     token_counts,
 )
 from .sim import (

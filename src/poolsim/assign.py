@@ -26,7 +26,6 @@ from .model import (
 
 __all__ = [
     "OptimalAssignment",
-    "sigma_star",
     "optimal_assignment",
     "upper_bound",
     "validate_feasible",
@@ -103,14 +102,6 @@ def _boundary_walk(
     return alpha, slots[rank - 1], rank, family.class_counts_before(rank), cum
 
 
-def sigma_star(
-    family: UtilityFamily, alpha, rho: float
-) -> tuple[Coordinate, int]:
-    """Boundary slot of the greedy fill at load ``rho``, with its 1-based rank."""
-    _, coord, rank, _, _ = _boundary_walk(family, alpha, rho)
-    return coord, rank
-
-
 def optimal_assignment(family: UtilityFamily, alpha, rho: float) -> OptimalAssignment:
     """The maximizing tail profile at load ``rho`` and its utility.
 
@@ -144,37 +135,35 @@ def upper_bound(family: UtilityFamily, alpha, load: float) -> float:
     return optimal_assignment(family, alpha, load).bound
 
 
-def validate_feasible(
-    q: QVector, alpha, rho: float, tol: float = FEASIBILITY_TOL
-) -> None:
+def validate_feasible(q: QVector, alpha, rho: float) -> None:
     """Raise ValueError unless ``q`` is a feasible profile of total mass ``rho``.
 
     Checks bounds 0 <= q(i, j) <= alpha[i], monotonicity along levels, and the
-    total mass, each to within ``tol``.
+    total mass, each to within ``FEASIBILITY_TOL``.
     """
     alpha = _check_fractions(alpha)
     if q.m != len(alpha):
         raise ValueError(f"profile has {q.m} classes, fractions have {len(alpha)}")
-    if not np.allclose(q.alpha, alpha, rtol=0, atol=tol):
+    if not np.allclose(q.alpha, alpha, rtol=0, atol=FEASIBILITY_TOL):
         raise ValueError("profile class fractions disagree with alpha")
     tail = q.tail
     for ci, a in enumerate(alpha):
         row = tail[ci]
         low = row.min()
-        if low < -tol:
+        if low < -FEASIBILITY_TOL:
             j = int(row.argmin())
             raise ValueError(f"q({ci + 1},{j}) = {low} is below 0")
         high = row.max()
-        if high > a + tol:
+        if high > a + FEASIBILITY_TOL:
             j = int(row.argmax())
             raise ValueError(f"q({ci + 1},{j}) = {high} exceeds alpha = {a}")
         steps = row[1:] - row[:-1]
-        if steps.size and steps.max() > tol:
+        if steps.size and steps.max() > FEASIBILITY_TOL:
             j = int(steps.argmax()) + 1
             raise ValueError(
                 f"q({ci + 1},{j}) = {row[j]} exceeds q({ci + 1},{j - 1}) = {row[j - 1]}: "
                 "tail profiles must be non-increasing"
             )
     mass = q.mass()
-    if abs(mass - rho) > tol:
+    if abs(mass - rho) > FEASIBILITY_TOL:
         raise ValueError(f"total mass {mass} differs from required load {rho}")

@@ -5,10 +5,16 @@ Subcommands::
     poolsim bound --config cfg.json [--rho R]        greedy ceiling summary
     poolsim assign --config cfg.json [--rho R]       full target profile
     poolsim rank --config cfg.json [--count K]       best-first slot listing
-    poolsim simulate --config cfg.json --policy slta --T 180 --reps 20
+    poolsim simulate --config cfg.json [--seed S] [--threads W]
+                     [--policy slta] [--T 180] [--reps 20]
     poolsim fluid --config cfg.json --init empty --T 20 --dt 1e-3
-    poolsim table1 --scale 50 100 200 --reps 20      canned scaling matrix
-    poolsim suboptimal --a 1 --eps 0.05 --rho 1      two-pool counterexample
+    poolsim table1 [--seed S] [--threads W] --scale 50 100 200 --reps 20
+    poolsim suboptimal [--seed S] --a 1 --eps 0.05 --rho 1
+
+Every subcommand takes ``--out``. Each takes only the shared flags it reads:
+``table1`` runs its built-in two-class benchmark and ``suboptimal`` its
+two-pool counterexample, so neither takes ``--config``, and only the commands
+that simulate take ``--seed``. A flag a command does not read exits with 2.
 
 Exit codes: 0 on success, 2 for configuration or parameter problems, 3 when a
 runtime invariant breaks (a run landing above its utility ceiling, or the
@@ -31,14 +37,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .assign import optimal_assignment
 from .config import ConfigError, ExperimentConfig, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
 from .model import FluidSystem, LogQuality, SystemConfig, UtilityFamily
 from .policies import parse_policy
-from .sim import Metrics, RunConfig, coupled_simulate, simulate
+from .sim import Metrics, RunConfig, batch_means, coupled_simulate
 
 __all__ = ["main"]
 
@@ -80,7 +84,7 @@ def _json_text(obj: Any) -> str:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    if not getattr(args, "config", None):
+    if not args.config:
         raise ConfigError("", "this command needs --config")
     return load_config(args.config)
 
@@ -195,7 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 for rep in range(reps):
                     run = RunConfig(
                         horizon=horizon, warmup=warmup, seed=seed,
-                        replication=rep, init=init, batches=cfg.run.batches,
+                        replication=rep, init=init,
                     )
                     cells.append({
                         "system": system, "run": run,
@@ -304,12 +308,8 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
         if agg["jlmu"] < agg["fixed:2"]:
             wins += 1
 
-    def mean_se(vals: list[float]) -> tuple[float, float]:
-        arr = np.asarray(vals)
-        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-    jl_mean, jl_se = mean_se(sums["jlmu"])
-    fx_mean, fx_se = mean_se(sums["fixed:2"])
+    jl_mean, jl_se = batch_means(sums["jlmu"])
+    fx_mean, fx_se = batch_means(sums["fixed:2"])
     report = {
         "a": a, "eps": eps, "rho": rho, "horizon": args.T,
         "reps": args.reps,
@@ -354,12 +354,10 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     for k, t in enumerate(path.times):
         q = path.profile(k)
         mass = float(q.mass())
-        emitted = False
-        for c, l, v in q.to_pairs():
-            if v > 1e-12:
-                rows.append([float(t), c, l, float(v), mass])
-                emitted = True
-        if not emitted:
+        pairs = q.to_pairs(1e-12)
+        for c, l, v in pairs:
+            rows.append([float(t), c, l, v, mass])
+        if not pairs:
             rows.append([float(t), 0, 0, 0.0, mass])
     _write_text(_csv(rows, ("t", "cls", "level", "q", "mass")), args.out or cfg.out)
 
@@ -386,28 +384,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="poolsim",
         description="Task assignment across heterogeneous pools: bounds, policies, fluid model.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config (JSON)")
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replication fan-out")
+    # One small parent per shared flag, so each command takes only what it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="experiment config (JSON)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (default: stdout)")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker processes for replication fan-out")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", parents=[common], help="ceiling value and boundary slot")
+    p = sub.add_parser("bound", parents=[config, out], help="ceiling value and boundary slot")
     p.add_argument("--rho", type=float, default=None, help="override the config load")
     p.set_defaults(handler=cmd_bound)
 
-    p = sub.add_parser("assign", parents=[common], help="full greedy-fill profile")
+    p = sub.add_parser("assign", parents=[config, out], help="full greedy-fill profile")
     p.add_argument("--rho", type=float, default=None)
     p.set_defaults(handler=cmd_assign)
 
-    p = sub.add_parser("rank", parents=[common], help="best-first slot enumeration")
+    p = sub.add_parser("rank", parents=[config, out], help="best-first slot enumeration")
     p.add_argument("--count", "-k", type=int, default=20, help="slots to print")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("simulate", parents=[common], help="finite-system runs, CSV metrics")
+    p = sub.add_parser("simulate", parents=[config, seed, out, threads],
+                       help="finite-system runs, CSV metrics")
     p.add_argument("--policy", action="append",
                    help="jlmu | slta | random | fixed:<cls>; repeat to couple several")
     p.add_argument("--T", type=float, default=None, help="run horizon")
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("empty", "optimal"), default=None)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("fluid", parents=[common], help="integrate the mean-field model")
+    p = sub.add_parser("fluid", parents=[config, out], help="integrate the mean-field model")
     p.add_argument("--init", choices=("empty", "qstar"), default="empty")
     p.add_argument("--T", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None)
@@ -429,14 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rebuild the path from its reflected free process and report residuals")
     p.set_defaults(handler=cmd_fluid)
 
-    p = sub.add_parser("table1", parents=[common], help="canned scaling matrix (two-class benchmark)")
+    p = sub.add_parser("table1", parents=[seed, out, threads],
+                       help="canned scaling matrix (two-class benchmark)")
     p.add_argument("--scale", type=int, nargs="+", default=None, help="pool counts")
     p.add_argument("--rho", type=float, nargs="+", default=None)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--T", type=float, default=TABLE1_HORIZON)
     p.set_defaults(handler=cmd_table1)
 
-    p = sub.add_parser("suboptimal", parents=[common], help="two-pool greedy counterexample")
+    p = sub.add_parser("suboptimal", parents=[seed, out], help="two-pool greedy counterexample")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--rho", type=float, default=1.0)

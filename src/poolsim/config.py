@@ -82,7 +82,6 @@ class RunOptions:
     horizon: float = 100.0
     warmup: float | None = None
     init: str = "empty"
-    batches: int = 0
 
 
 @dataclass
@@ -218,7 +217,7 @@ def parse_config(doc: Any) -> ExperimentConfig:
         block = doc["run"]
         if not isinstance(block, dict):
             raise ConfigError("run", "must be an object")
-        extra = set(block) - {"horizon", "warmup", "init", "batches"}
+        extra = set(block) - {"horizon", "warmup", "init"}
         if extra:
             raise ConfigError("run", f"unexpected fields: {sorted(extra)}")
         if "horizon" in block:
@@ -234,10 +233,6 @@ def parse_config(doc: Any) -> ExperimentConfig:
             if init not in ("empty", "optimal"):
                 raise ConfigError("run.init", f"must be 'empty' or 'optimal', got {init!r}")
             run.init = init
-        if "batches" in block:
-            run.batches = _integer(block["batches"], "run.batches")
-            if run.batches < 0:
-                raise ConfigError("run.batches", "must be >= 0")
 
     sweep = SweepOptions()
     if "sweep" in doc:

@@ -41,18 +41,20 @@ __all__ = [
 SIGMA_TOL = 1e-9
 TRUNCATION_WARN = 1e-8
 
+#: Ranks past the deepest active rank that the reflection check also covers.
+REFLECTION_MARGIN = 2
+
 #: Hard cap on the steps one integration may take, so no horizon can make it hang.
 MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integrator settings: step size, truncation depth, horizon, gap tolerance."""
+    """Integrator settings: step size, truncation depth, horizon, recording stride."""
 
     dt: float
     levels: int
     horizon: float
-    sigma_tol: float = SIGMA_TOL
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -62,8 +64,6 @@ class IntegratorConfig:
             raise ValueError("need at least two levels of truncation")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and > 0")
-        if not math.isfinite(self.sigma_tol):
-            raise ValueError("sigma_tol must be finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         # ceil(x) > MAX_STEPS exactly when x > MAX_STEPS; x may overflow to inf.
@@ -88,7 +88,6 @@ class IntegratorConfig:
         horizon: float,
         dt: float | None = None,
         levels: int | None = None,
-        sigma_tol: float = SIGMA_TOL,
         record_every: int = 1,
     ) -> "IntegratorConfig":
         """Defaults: dt = 1e-3 / mu; depth = active-slot level + 10, and at
@@ -103,13 +102,7 @@ class IntegratorConfig:
                 boundary.level + 10,
                 math.ceil(2.0 * system.rho / min(system.alpha)),
             )
-        return cls(
-            dt=dt,
-            levels=levels,
-            horizon=horizon,
-            sigma_tol=sigma_tol,
-            record_every=record_every,
-        )
+        return cls(dt=dt, levels=levels, horizon=horizon, record_every=record_every)
 
 
 @dataclass(eq=False)
@@ -166,16 +159,16 @@ def _rank_table(family: UtilityFamily, levels: int) -> np.ndarray:
     return table
 
 
-def _active_rank(table: np.ndarray, states: np.ndarray, tol: float) -> np.ndarray:
+def _active_rank(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rank of the active slot of each padded profile in ``states``.
 
-    A slot is open when its gap to the level above exceeds ``tol``. Inside a
-    class the rank grows with the level, so the smallest rank among open slots
-    is the best-ranked first open slot of any class. Reads ``table.size + 1``
-    when that slot is ranked past the table.
+    A slot is open when its gap to the level above exceeds ``SIGMA_TOL``.
+    Inside a class the rank grows with the level, so the smallest rank among
+    open slots is the best-ranked first open slot of any class. Reads
+    ``table.size + 1`` when that slot is ranked past the table.
     """
     closed = table.size + 2
-    ranks = np.where(states[..., :-2] - states[..., 1:-1] > tol, table, closed)
+    ranks = np.where(states[..., :-2] - states[..., 1:-1] > SIGMA_TOL, table, closed)
     ranks = ranks.min(axis=(-2, -1))
     if ranks.max() == closed:
         raise RuntimeError(
@@ -184,10 +177,10 @@ def _active_rank(table: np.ndarray, states: np.ndarray, tol: float) -> np.ndarra
     return ranks
 
 
-def fluid_sigma(family: UtilityFamily, q: QVector, tol: float = SIGMA_TOL) -> Coordinate:
+def fluid_sigma(family: UtilityFamily, q: QVector) -> Coordinate:
     """Active slot of a profile."""
     table = _rank_table(family, q.depth)
-    rank = int(_active_rank(table, _pad(q, q.depth), tol))
+    rank = int(_active_rank(table, _pad(q, q.depth)))
     if rank > table.size:
         raise RuntimeError("the active slot ranks below a class full to the profile depth")
     return family.slot(rank)
@@ -233,9 +226,7 @@ def _flows(
     return drift, inflow
 
 
-def fluid_rhs(
-    system: FluidSystem, q: QVector, sigma_tol: float = SIGMA_TOL
-) -> tuple[np.ndarray, np.ndarray, Coordinate]:
+def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, Coordinate]:
     """Drift of a profile under the large-system dynamics.
 
     Returns ``(dq, inflow, active)`` where both arrays are indexed like
@@ -246,7 +237,7 @@ def fluid_rhs(
     levels = q.depth + 1
     family = system.family
     padded = _pad(q, levels)
-    rank = int(_active_rank(_rank_table(family, levels), padded, sigma_tol))
+    rank = int(_active_rank(_rank_table(family, levels), padded))
     fill = _fill_at(family, rank, levels)
     mu_levels = system.mu * np.arange(levels + 2)
     drift, inflow = _flows(padded, fill, np.asarray(system.alpha), system.lam, mu_levels)
@@ -335,7 +326,7 @@ def integrate_fluid(
     fills: dict[int, tuple] = {}
 
     def drift_at(state: np.ndarray) -> np.ndarray:
-        rank = int(_active_rank(table, state, config.sigma_tol))
+        rank = int(_active_rank(table, state))
         fill = fills.get(rank)
         if fill is None:
             fill = fills[rank] = _fill_at(family, rank, levels)
@@ -445,15 +436,15 @@ class ReflectionReport:
         )
 
 
-def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionReport:
+def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     """Check the chained-reflection form of the dynamics on a trajectory.
 
     For each ranked slot k up to the deepest rank the trajectory activates
-    (plus ``margin``), accumulate the inflow that passes slot k while the
-    active slot sits below it, reconstruct the slot's free process from the
-    previous slot's overflow minus its own drain, and compare: the overflow
-    must be the upper-barrier push of the free process at the class fraction,
-    and the slot occupancy must be the reflected path.
+    (plus ``REFLECTION_MARGIN``), accumulate the inflow that passes slot k
+    while the active slot sits below it, reconstruct the slot's free process
+    from the previous slot's overflow minus its own drain, and compare: the
+    overflow must be the push of :func:`skorokhod_reflect` applied to the free
+    process at the class fraction, and the slot occupancy the reflected path.
 
     Integrals use the trapezoid rule; the step in which the active slot moves
     past k contributes only the estimated fraction of the step after the slot
@@ -475,8 +466,8 @@ def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionRepo
     levels = states.shape[2] - 2
 
     family = system.family
-    ranks = _active_rank(_rank_table(family, levels), states, path.config.sigma_tol)
-    depth = int(ranks.max()) - 1 + margin
+    ranks = _active_rank(_rank_table(family, levels), states)
+    depth = int(ranks.max()) - 1 + REFLECTION_MARGIN
     slots = []
     for r in range(1, depth + 1):
         slot = family.slot(r)
@@ -530,11 +521,9 @@ def verify_reflection_system(path: FluidPath, margin: int = 2) -> ReflectionRepo
             ([0.0], np.cumsum((0.5 * dt) * (d[:-1] + d[1:])))
         )
         free = states[0, cls - 1, level] + w_prev - drained
-        push = np.maximum.accumulate(np.maximum(free - alpha[cls - 1], 0.0))
-        flow_res[idx] = float(np.abs(w - push).max())
-        state_res[idx] = float(
-            np.abs(states[:, cls - 1, level] - (free - push)).max()
-        )
+        push, reflected = skorokhod_reflect(SampledPath(times, free), alpha[cls - 1])
+        flow_res[idx] = float(np.abs(w - push.values).max())
+        state_res[idx] = float(np.abs(states[:, cls - 1, level] - reflected.values).max())
         w_prev = w
     return ReflectionReport(
         slots=slots,

@@ -20,7 +20,6 @@ __all__ = [
     "RandomDispatch",
     "FixedClassDispatch",
     "parse_policy",
-    "slta_thresholds",
     "token_counts",
 ]
 
@@ -116,17 +115,6 @@ class Jlmu(Policy):
 # ---------------------------------------------------------------------------
 # Threshold learning dispatch
 # ---------------------------------------------------------------------------
-
-
-def slta_thresholds(family: UtilityFamily, rank: int) -> list[int]:
-    """Per-class fill depths at learning rank ``rank``.
-
-    Class ``i`` may fill levels 1..depth[i]; these are exactly the class-``i``
-    slots ranked above slot ``rank``, so depth[i] counts those slots.
-    """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    return family.class_counts_before(rank)
 
 
 def token_counts(

@@ -180,10 +180,15 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
 
 
 def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
-    """Rank of the best slot not yet filled by every pool of its class."""
+    """Rank of the best slot not yet filled by every pool of its class.
+
+    Some class-``cls`` pool holds fewer than ``level`` tasks exactly when the
+    class's emptiest pool does.
+    """
+    lowest = [state.min_occupied(cls) for cls in range(1, state.m + 1)]
     for rank in range(1, MAX_ENUMERATION + 1):
         cls, level = config.family.slot(rank)
-        if state.tail_count(cls, level) < state.class_sizes[cls - 1]:
+        if level > lowest[cls - 1]:
             return rank
     raise RuntimeError("no open slot within the enumerable range")
 
@@ -390,25 +395,17 @@ def simulate(
 
 
 def coupled_simulate(
-    config: SystemConfig,
-    policies: Sequence[Policy | str],
-    run: RunConfig,
-    selection_slots: Sequence[int] | None = None,
+    config: SystemConfig, policies: Sequence[Policy | str], run: RunConfig
 ) -> list[Metrics]:
     """Run several policies on the same event epochs and mass path.
 
-    Every policy replays the identical event stream; selections come from
-    per-policy substreams (slot = position in the list unless overridden).
-    Passing equal slots makes identical policies produce bitwise-equal metrics.
+    Every policy replays the identical event stream; selections come from a
+    per-policy substream whose slot is the policy's position in the list.
     """
-    if selection_slots is None:
-        selection_slots = list(range(len(policies)))
-    if len(selection_slots) != len(policies):
-        raise ValueError("need one selection slot per policy")
-    out = []
-    for policy, slot in zip(policies, selection_slots):
-        out.append(simulate(config, policy, replace(run, selection_slot=slot)))
-    return out
+    return [
+        simulate(config, policy, replace(run, selection_slot=slot))
+        for slot, policy in enumerate(policies)
+    ]
 
 
 def batch_means(values: Iterable[float]) -> tuple[float, float]:

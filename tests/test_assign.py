@@ -5,7 +5,6 @@ import pytest
 
 from poolsim.assign import (
     optimal_assignment,
-    sigma_star,
     upper_bound,
     validate_feasible,
 )
@@ -37,23 +36,28 @@ BOUND_AT_975 = 7.0 * math.log(2.5) + 2.75 * math.log(30.0 / 11.0)
 # boundary slot
 
 
+def boundary(family, alpha, rho):
+    opt = optimal_assignment(family, alpha, rho)
+    return opt.sigma_star, opt.sigma_index
+
+
 def test_sigma_star_two_class_integral_load():
     fam = two_class_family()
-    coord, rank = sigma_star(fam, TWO_CLASS_ALPHA, 10.0)
+    coord, rank = boundary(fam, TWO_CLASS_ALPHA, 10.0)
     assert coord == Coordinate(2, 13)
     assert rank == 21
 
 
 def test_sigma_star_two_class_fractional_load():
     fam = two_class_family()
-    coord, rank = sigma_star(fam, TWO_CLASS_ALPHA, 9.75)
+    coord, rank = boundary(fam, TWO_CLASS_ALPHA, 9.75)
     assert coord == Coordinate(2, 12)
     assert rank == 20
 
 
 def test_sigma_star_zero_load_is_top_slot():
     fam = two_class_family()
-    coord, rank = sigma_star(fam, TWO_CLASS_ALPHA, 0.0)
+    coord, rank = boundary(fam, TWO_CLASS_ALPHA, 0.0)
     assert coord == Coordinate(2, 1)
     assert rank == 1
 
@@ -61,16 +65,16 @@ def test_sigma_star_zero_load_is_top_slot():
 def test_sigma_star_rejects_bad_inputs():
     fam = two_class_family()
     with pytest.raises(ValueError):
-        sigma_star(fam, TWO_CLASS_ALPHA, -1.0)
+        boundary(fam, TWO_CLASS_ALPHA, -1.0)
     with pytest.raises(ValueError):
-        sigma_star(fam, (0.25, 0.25, 0.5), 1.0)
+        boundary(fam, (0.25, 0.25, 0.5), 1.0)
     # non-finite loads fail before any walk; a load no 10^6 slots can carry
     # is refused up front instead of growing the cached ranking
     for load in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            sigma_star(fam, TWO_CLASS_ALPHA, load)
+            boundary(fam, TWO_CLASS_ALPHA, load)
     with pytest.raises(RuntimeError, match="refusing"):
-        sigma_star(fam, TWO_CLASS_ALPHA, 1e300)
+        boundary(fam, TWO_CLASS_ALPHA, 1e300)
 
 
 # ---------------------------------------------------------------------------

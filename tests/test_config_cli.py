@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from poolsim.cli import main
+from poolsim.cli import build_parser, main
 from poolsim.config import ConfigError, load_config, parse_config
 
 BASE_DOC = {
@@ -127,6 +127,14 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
     path.write_text(json.dumps(BASE_DOC).replace('"rho": 9.75', '"rho": NaN'))
     with pytest.raises(ConfigError, match="finite"):
         load_config(str(path))
+
+
+def test_run_batches_is_not_a_config_field():
+    doc = {**BASE_DOC, "run": {"horizon": 4.0, "batches": 5}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == "run"
+    assert "['batches']" in str(err.value)
 
 
 def test_run_init_alias_rejected():
@@ -280,12 +288,9 @@ def test_fan_out_clamps_workers(monkeypatch):
     assert seen == [3, 2]
 
 
-def test_cli_table1_small(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+def test_cli_table1_small(capsys):
     argv = [
         "table1",
-        "--config",
-        cfg,
         "--scale",
         "8",
         "--rho",
@@ -425,3 +430,34 @@ def test_cli_fluid_refuses_a_horizon_beyond_the_step_cap(tmp_path, capsys):
 def test_cli_requires_a_config(capsys):
     assert main(["bound"]) == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in ("bound", "assign", "rank", "fluid")
+        for flag in ("--seed", "--threads")
+    ]
+    + [("table1", "--config"), ("suboptimal", "--config"), ("suboptimal", "--threads")],
+)
+def test_cli_refuses_flags_the_command_does_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_shared_flags_parse_where_they_are_read():
+    parser = build_parser()
+    args = parser.parse_args(["table1", "--seed", "3", "--threads", "2", "--out", "t.csv"])
+    assert (args.seed, args.threads, args.out) == (3, 2, "t.csv")
+    args = parser.parse_args(
+        ["simulate", "--config", "c.json", "--seed", "4", "--threads", "2", "--out", "s.csv"]
+    )
+    assert (args.config, args.seed, args.threads, args.out) == ("c.json", 4, 2, "s.csv")
+    args = parser.parse_args(["suboptimal", "--seed", "5", "--out", "r.json"])
+    assert (args.seed, args.out) == (5, "r.json")
+    for command in ("bound", "assign", "rank", "fluid"):
+        args = parser.parse_args([command, "--config", "c.json", "--out", "o"])
+        assert (args.config, args.out) == ("c.json", "o")

@@ -131,8 +131,6 @@ def test_integrator_config_rejects_non_finite():
             IntegratorConfig(dt=bad, levels=10, horizon=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, levels=10, horizon=bad)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, levels=10, horizon=1.0, sigma_tol=bad)
     # more steps than MAX_STEPS would run for hours; at the cap is allowed
     assert IntegratorConfig(dt=1e-3, levels=10, horizon=1e3).steps == MAX_STEPS
     for dt, horizon in ((1e-3, 1e9), (1e-3, 1000.002), (5e-324, 1.0)):

@@ -15,7 +15,6 @@ from poolsim.policies import (
     RandomDispatch,
     Slta,
     parse_policy,
-    slta_thresholds,
     token_counts,
 )
 from poolsim.sim import RunConfig, simulate
@@ -130,21 +129,21 @@ def test_jlmu_trace_matches_jsq(rng):
 
 
 def test_thresholds_rank_one_is_zero():
-    assert slta_thresholds(two_class_family(), 1) == [0, 0]
-    assert slta_thresholds(piecewise_family(), 1) == [0, 0, 0]
+    assert two_class_family().class_counts_before(1) == [0, 0]
+    assert piecewise_family().class_counts_before(1) == [0, 0, 0]
 
 
 def test_thresholds_at_boundary_ranks():
     fam = two_class_family()
-    assert slta_thresholds(fam, 20) == [8, 11]
-    assert slta_thresholds(fam, 21) == [8, 12]
+    assert fam.class_counts_before(20) == [8, 11]
+    assert fam.class_counts_before(21) == [8, 12]
 
 
 def test_thresholds_monotone_and_consistent():
     fam = piecewise_family()
     prev = [0, 0, 0]
     for r in range(1, 40):
-        thr = slta_thresholds(fam, r)
+        thr = fam.class_counts_before(r)
         assert all(a <= b for a, b in zip(prev, thr))
         assert sum(thr) == r - 1
         boundary = fam.slot(r)

@@ -167,7 +167,7 @@ def test_seed_changes_the_path():
 def test_coupled_identical_policies_identical_metrics():
     config = two_class_system(10, 4.0)
     run = RunConfig(horizon=30.0, seed=5)
-    a, b = coupled_simulate(config, ["jlmu", "jlmu"], run, selection_slots=[0, 0])
+    a, b = simulate(config, "jlmu", run), simulate(config, "jlmu", run)
     assert fields(a) == fields(b)
 
 
