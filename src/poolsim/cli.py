@@ -187,6 +187,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rho_values = args.rho or cfg.sweep.rho_values or [cfg.offered_load()]
     seeds = [args.seed] if args.seed is not None else (cfg.sweep.seeds or [0])
     reps = args.reps if args.reps is not None else cfg.sweep.replications
+    if reps < 1:
+        raise ConfigError("reps", f"must be >= 1, got {reps}")
     horizon = args.T if args.T is not None else cfg.run.horizon
     warmup = args.warmup if args.warmup is not None else cfg.run.warmup
     init = args.init if args.init is not None else cfg.run.init
@@ -379,6 +381,17 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 # parser plumbing
 
 
+def _worker_count(text: str) -> int:
+    """``--threads`` value: a whole number of worker processes, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poolsim",
@@ -392,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path (default: stdout)")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
+    threads.add_argument("--threads", type=_worker_count, default=1,
                          help="worker processes for replication fan-out")
 
     sub = parser.add_subparsers(dest="command", required=True)

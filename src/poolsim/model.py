@@ -496,6 +496,16 @@ class OccupancyState:
     total. Pools of one class are exchangeable and service is exponential, so
     these counts are a complete Markov state. Each count list ends at least one
     level past its deepest pool, so a push never indexes past the end.
+
+    ``min_occ[ci]`` is a level below which every class-``ci+1`` count is 0: the
+    lowest occupied level or less. A pop lowers it to the level it fills, and
+    :meth:`min_occupied` advances it lazily; readers that walk levels upward
+    may start there. ``push_task``, ``pop_task`` and ``pick_task`` are the
+    checked reference moves. :func:`poolsim.sim.simulate` applies the same
+    moves in place and keeps the task total in a local, so while it runs
+    ``total_tasks`` is current only when a hook is called, when a snapshot is
+    taken and after the run returns; policies read ``counts``,
+    ``class_tasks`` and ``min_occ``.
     """
 
     __slots__ = (
@@ -505,7 +515,7 @@ class OccupancyState:
         "counts",
         "class_tasks",
         "total_tasks",
-        "_min_occ",
+        "min_occ",
     )
 
     def __init__(self, alpha: Sequence[float], counts: Sequence[Sequence[int]]):
@@ -538,7 +548,7 @@ class OccupancyState:
         self.class_tasks = [sum(v * c for v, c in enumerate(row)) for row in self.counts]
         self.total_tasks = sum(self.class_tasks)
         # Every class has a pool, so each row has a first non-empty level.
-        self._min_occ = [next(v for v, c in enumerate(row) if c) for row in self.counts]
+        self.min_occ = [next(v for v, c in enumerate(row) if c) for row in self.counts]
 
     @classmethod
     def empty(cls, n: int, alpha: Sequence[float]) -> "OccupancyState":
@@ -562,13 +572,13 @@ class OccupancyState:
         return sum(self.counts[cls - 1][level:])
 
     def min_occupied(self, cls: int) -> int:
-        """Smallest occupancy among class-``cls`` pools (advances a lazy pointer)."""
+        """Smallest occupancy among class-``cls`` pools (advances ``min_occ`` to it)."""
         ci = cls - 1
         counts = self.counts[ci]
-        v = self._min_occ[ci]
+        v = self.min_occ[ci]
         while not counts[v]:
             v += 1
-        self._min_occ[ci] = v
+        self.min_occ[ci] = v
         return v
 
     def max_occupied(self, cls: int) -> int:
@@ -598,7 +608,7 @@ class OccupancyState:
             if k == self.class_sizes[ci]:
                 k -= 1
         counts = self.counts[ci]
-        v = self._min_occ[ci]  # may sit below the minimum; empty levels add nothing
+        v = self.min_occ[ci]  # may sit below the minimum; empty levels add nothing
         k -= counts[v]
         while k >= 0:
             v += 1
@@ -620,7 +630,7 @@ class OccupancyState:
             k -= tasks[ci]
             ci += 1
         counts = self.counts[ci]
-        v = self._min_occ[ci]
+        v = self.min_occ[ci]
         k -= v * counts[v]
         while k >= 0:
             v += 1
@@ -650,8 +660,8 @@ class OccupancyState:
             raise ValueError(f"class {cls} has no pool holding {occ} tasks to remove")
         counts[occ] -= 1
         counts[occ - 1] += 1
-        if occ - 1 < self._min_occ[ci]:
-            self._min_occ[ci] = occ - 1
+        if occ - 1 < self.min_occ[ci]:
+            self.min_occ[ci] = occ - 1
         self.class_tasks[ci] -= 1
         self.total_tasks -= 1
 
@@ -672,7 +682,7 @@ class OccupancyState:
             assert min(counts) >= 0, "negative pool count"
             assert counts[-1] == 0, "count list does not end past the deepest pool"
             assert sum(counts) == self.class_sizes[ci], "counts disagree with class size"
-            assert not any(counts[: self._min_occ[ci]]), "min-level pointer overshoots"
+            assert not any(counts[: self.min_occ[ci]]), "min-level pointer overshoots"
             tasks = sum(v * c for v, c in enumerate(counts))
             assert tasks == self.class_tasks[ci], "cached class task total is stale"
         assert sum(self.class_tasks) == self.total_tasks, "cached task total is stale"

@@ -11,6 +11,8 @@ Policies are configured by string: ``jlmu``, ``slta``, ``random``, or
 
 from __future__ import annotations
 
+import math
+
 from .model import Coordinate, OccupancyState, SystemConfig, UtilityFamily
 
 __all__ = [
@@ -89,27 +91,31 @@ class Jlmu(Policy):
 
     def bind(self, state, config, initial_rank=None):
         self._family = config.family
+        # decide reads the marginal at each class's lowest occupied level;
+        # cache it now and again wherever that level rises
+        for cls in range(1, state.m + 1):
+            config.family.marginal(cls, state.min_occupied(cls))
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
-        family = self._family
-        marg = family.marginals
-        min_occupied = state.min_occupied
-        best_d = -float("inf")
-        best_cls = 0
+        counts = state.counts
+        low = state.min_occ
+        best_d = -math.inf
+        best_ci = 0
         best_v = 0
         # Classes are scanned in ascending order, so keeping the first of
         # equal marginals breaks ties toward the dictionary-smaller slot.
-        for cls in range(1, len(marg) + 1):
-            v = min_occupied(cls)
-            cache = marg[cls - 1]
-            if v >= len(cache):
-                family.marginal(cls, v)
+        for ci, cache in enumerate(self._family.marginals):
+            v = low[ci]
+            if not counts[ci][v]:
+                v = state.min_occupied(ci + 1)
+                if v >= len(cache):
+                    self._family.marginal(ci + 1, v)
             d = cache[v]
             if d > best_d:
                 best_d = d
-                best_cls = cls
+                best_ci = ci
                 best_v = v
-        return best_cls, best_v, 0
+        return best_ci + 1, best_v, 0
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +271,14 @@ class Slta(Policy):
             if k == pool:  # u * pool can round up to pool
                 k -= 1
             counts = state.counts
+            low = state.min_occ
             for ci, depth in enumerate(self._thr):
                 if ci == skip:
                     continue
                 levels = counts[ci]
-                # A list may end below the threshold; levels past it are empty.
-                for v in range(min(depth, len(levels))):
+                # Levels below the min pointer are empty, and a list may end
+                # below the threshold; the walk skips both.
+                for v in range(low[ci], min(depth, len(levels))):
                     k -= levels[v]
                     if k < 0:
                         return ci + 1, v, delta

@@ -16,6 +16,10 @@ policy. The selection stream, keyed additionally by a per-policy slot, gives
 one draw per event: on an arrival the policy's decision draw, on a departure
 the departing cell (a class by its task total, then a level ``j`` by weight
 ``j * N(i, j)``). Paired policy comparisons are low-variance for that reason.
+
+Both streams are drawn in blocks of ``_BLOCK`` events, generated together and
+consumed in lockstep: event ``i`` of a run takes the ``i``-th gap, the
+``i``-th arrival-or-departure draw and the ``i``-th selection draw.
 """
 
 from __future__ import annotations
@@ -202,8 +206,9 @@ def simulate(
     """Run one policy over one sample path and return its metrics.
 
     ``hook(kind, t, state, policy)`` is called after every processed event with
-    kind "arrival" or "departure"; it is for tests and debugging only and slows
-    the run down considerably.
+    kind "arrival" or "departure" and the state fully current, its task total
+    included; it is for tests and debugging only and slows the run down
+    considerably.
 
     Raises :class:`BoundViolation` if the realized average utility lands above
     the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``.
@@ -229,11 +234,16 @@ def simulate(
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
     arr_rate = n * lam
 
-    # Local bindings for the event loop.
-    push_task = state.push_task
-    pop_task = state.pop_task
-    pick_task = state.pick_task
+    # Local bindings for the event loop. Task moves are applied in place, as
+    # OccupancyState.push_task / pick_task / pop_task apply them, with the task
+    # total kept in s_tot and written back to the state wherever it is seen.
+    counts = state.counts
+    class_tasks = state.class_tasks
+    low = state.min_occ
+    s_tot = state.total_tasks
     marg = family.marginals
+    # Each marginal cache reaches as deep as its count list; a push that
+    # appends a level grows both.
     for cls in range(1, state.m + 1):
         family.marginal(cls, state.max_occupied(cls) + 1)
 
@@ -246,12 +256,6 @@ def simulate(
     u_agg = state.aggregate_value(family)
 
     inf = float("inf")
-    gaps: list[float] = []
-    kinds: list[float] = []
-    ev_i = _BLOCK
-    sel_buf: list[float] = []
-    sel_i = _BLOCK
-
     acc_u = 0.0
     comp_u = 0.0
     acc_s = 0.0
@@ -264,10 +268,11 @@ def simulate(
     if policy.rank is not None:
         rank_history.append((0.0, policy.rank))
 
-    sample_times = run.sample_times
+    sample_times = run.sample_times or ()
     si = 0
+    next_sample = sample_times[0] if sample_times else inf
     trajectory: list[tuple[float, QVector]] | None = None
-    if sample_times is not None:
+    if run.sample_times is not None:
         trajectory = []
 
     batches = run.batches
@@ -275,87 +280,105 @@ def simulate(
         batch_acc = [0.0] * batches
         batch_width = (horizon - warmup) / batches
 
-    while True:
-        s_tot = state.total_tasks
-        rate = arr_rate + mu * s_tot
-        if rate > 0:
-            if ev_i == _BLOCK:
-                gaps = ev_gen.standard_exponential(_BLOCK).tolist()
-                kinds = ev_gen.random(_BLOCK).tolist()
-                ev_i = 0
-            te = t_last + gaps[ev_i] / rate
-            is_arrival = kinds[ev_i] * rate < arr_rate
-            ev_i += 1
-        else:
-            te = inf
-        if te > horizon:
-            te = horizon if horizon > t_last else t_last
-            done = True
-        else:
-            done = False
-        # Time integral of the piecewise-constant utility and mass.
-        if te > warmup and te > t_last:
-            lo = t_last if t_last > warmup else warmup
-            w = te - lo
-            y = u_agg * w - comp_u
-            tt = acc_u + y
-            comp_u = (tt - acc_u) - y
-            acc_u = tt
-            y = s_tot * w - comp_s
-            tt = acc_s + y
-            comp_s = (tt - acc_s) - y
-            acc_s = tt
-            if batches:
-                b = int((lo - warmup) / batch_width)
-                rest = w
-                edge = warmup + (b + 1) * batch_width
-                while edge < te and b < batches - 1:
-                    batch_acc[b] += (edge - lo) * s_tot
-                    rest -= edge - lo
-                    lo = edge
-                    b += 1
-                    edge += batch_width
-                batch_acc[b if b < batches else batches - 1] += rest * s_tot
-        if sample_times is not None:
-            while si < len(sample_times) and sample_times[si] < te:
-                trajectory.append((sample_times[si], occupancy_to_q(state)))
-                si += 1
-        if done:
-            break
-        if sel_i == _BLOCK:
-            sel_buf = sel_gen.random(_BLOCK).tolist()
-            sel_i = 0
-        u = sel_buf[sel_i]
-        sel_i += 1
-        if is_arrival:
-            cls, v, delta = decide(state, u)
-            push_task(cls, v)
-            cache = marg[cls - 1]
-            if v >= len(cache):
-                family.marginal(cls, v)
-            u_agg += cache[v]
-            if tracks:
-                notify_push(cls - 1, v)
-                if delta:
-                    apply_learning(state, delta)
-                    switches += 1
-                    rank_history.append((te, policy.rank))
-            arrivals += 1
-        else:
-            cls, v = pick_task(u)
-            pop_task(cls, v)
-            u_agg -= marg[cls - 1][v - 1]
-            if tracks:
-                notify_pop(cls - 1, v)
-        events += 1
-        t_last = te
-        if hook is not None:
-            hook("arrival" if is_arrival else "departure", te, state, policy)
+    done = False
+    while not done:
+        # Both streams give one draw per processed event, so their blocks
+        # stay in lockstep; the final event's selection draw goes unused.
+        gaps = ev_gen.standard_exponential(_BLOCK).tolist()
+        kinds = ev_gen.random(_BLOCK).tolist()
+        sels = sel_gen.random(_BLOCK).tolist()
+        for gap, kind, u in zip(gaps, kinds, sels):
+            rate = arr_rate + mu * s_tot
+            te = t_last + gap / rate if rate > 0 else inf
+            if te > horizon:
+                te = horizon if horizon > t_last else t_last
+                done = True
+            # Time integral of the piecewise-constant utility and mass.
+            if te > warmup and te > t_last:
+                lo = t_last if t_last > warmup else warmup
+                w = te - lo
+                y = u_agg * w - comp_u
+                tt = acc_u + y
+                comp_u = (tt - acc_u) - y
+                acc_u = tt
+                y = s_tot * w - comp_s
+                tt = acc_s + y
+                comp_s = (tt - acc_s) - y
+                acc_s = tt
+                if batches:
+                    b = int((lo - warmup) / batch_width)
+                    rest = w
+                    edge = warmup + (b + 1) * batch_width
+                    while edge < te and b < batches - 1:
+                        batch_acc[b] += (edge - lo) * s_tot
+                        rest -= edge - lo
+                        lo = edge
+                        b += 1
+                        edge += batch_width
+                    batch_acc[b if b < batches else batches - 1] += rest * s_tot
+            if next_sample < te:
+                state.total_tasks = s_tot
+                while si < len(sample_times) and sample_times[si] < te:
+                    trajectory.append((sample_times[si], occupancy_to_q(state)))
+                    si += 1
+                next_sample = sample_times[si] if si < len(sample_times) else inf
+            if done:
+                break
+            is_arrival = kind * rate < arr_rate
+            if is_arrival:
+                cls, v, delta = decide(state, u)
+                ci = cls - 1
+                row = counts[ci]
+                row[v] -= 1
+                if v + 2 == len(row):
+                    row.append(0)
+                    family.marginal(cls, v + 2)
+                row[v + 1] += 1
+                class_tasks[ci] += 1
+                s_tot += 1
+                u_agg += marg[ci][v]
+                if tracks:
+                    notify_push(ci, v)
+                    if delta:
+                        apply_learning(state, delta)
+                        switches += 1
+                        rank_history.append((te, policy.rank))
+                arrivals += 1
+            else:
+                # The departing task: a class by its task total, then a level
+                # j by weight j * N(i, j).
+                k = int(u * s_tot)
+                if k == s_tot:
+                    k -= 1
+                ci = 0
+                while k >= class_tasks[ci]:
+                    k -= class_tasks[ci]
+                    ci += 1
+                row = counts[ci]
+                v = low[ci]
+                k -= v * row[v]
+                while k >= 0:
+                    v += 1
+                    k -= v * row[v]
+                row[v] -= 1
+                row[v - 1] += 1
+                if v - 1 < low[ci]:
+                    low[ci] = v - 1
+                class_tasks[ci] -= 1
+                s_tot -= 1
+                u_agg -= marg[ci][v - 1]
+                if tracks:
+                    notify_pop(ci, v)
+            events += 1
+            t_last = te
+            if hook is not None:
+                state.total_tasks = s_tot
+                hook("arrival" if is_arrival else "departure", te, state, policy)
 
-    if sample_times is not None:
-        while si < len(sample_times) and sample_times[si] <= horizon:
-            trajectory.append((sample_times[si], occupancy_to_q(state)))
-            si += 1
+    state.total_tasks = s_tot
+    while si < len(sample_times) and sample_times[si] <= horizon:
+        trajectory.append((sample_times[si], occupancy_to_q(state)))
+        si += 1
     span = horizon - warmup
     avg_u = acc_u / (n * span)
     avg_s = acc_s / (n * span)

@@ -255,6 +255,29 @@ def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
     assert main(argv + ["--rho", "nan"]) == 2
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_cli_simulate_rejects_reps_below_one(tmp_path, capsys, reps):
+    # these used to exit 0 with only the CSV header written
+    out = tmp_path / "metrics.csv"
+    argv = ["simulate", "--config", write_config(tmp_path), "--T", "1.0", "--reps", reps]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "reps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize(
+    "argv",
+    [["table1", "--scale", "4", "--reps", "1", "--T", "1"], ["simulate", "--config", "c.json"]],
+)
+def test_cli_rejects_threads_below_one(argv, threads, capsys):
+    # refused while parsing, before any config is read or any run starts
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--threads", threads])
+    assert info.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+
+
 def test_fan_out_clamps_workers(monkeypatch):
     # a stand-in executor records the worker count and starts no process
     from poolsim import cli

@@ -246,20 +246,32 @@ def test_slta_green_draw_is_exactly_uniform():
     # and previous boundary (2, 5), so class-2 greens are drawn only when
     # classes 1 and 3 have none
     fam = shared_resource_family()
+    # five greens in class 1 and three in class 3; class 2's are held back
+    spread = (
+        [[0, 0, 1, 1, 1, 2, 2, 3], [2, 4, 5, 6], [3, 6, 6, 8]],
+        [(1, 0), (1, 0), (1, 1), (1, 1), (1, 1), (3, 3), (3, 6), (3, 6)],
+    )
     cases = [
-        # five greens in class 1 and three in class 3; class 2's are held back
-        (
-            [[0, 0, 1, 1, 1, 2, 2, 3], [2, 4, 5, 6], [3, 6, 6, 8]],
-            [(1, 0), (1, 0), (1, 1), (1, 1), (1, 1), (3, 3), (3, 6), (3, 6)],
-        ),
+        (*spread, False),
         # only the previous boundary class still holds greens
         (
             [[2, 2, 2, 2, 3, 3, 3, 3], [0, 2, 2, 4], [7, 7, 8, 9]],
             [(2, 0), (2, 2), (2, 2), (2, 4)],
+            False,
         ),
+        # the first state again, with the min pointers of classes 2 and 3
+        # left one level below their lowest pools by a pop and a push
+        (*spread, True),
     ]
-    for occs, cells in cases:
+    for occs, cells, lagging in cases:
         state, policy = bound_slta(fam, THREE_CLASS_ALPHA, occs, 15)
+        if lagging:
+            for cls in (2, 3):
+                low = min(occs[cls - 1])
+                state.pop_task(cls, low)
+                state.push_task(cls, low - 1)
+                assert state.min_occ[cls - 1] == low - 1
+            policy.verify_tokens(state)
         assert policy.thresholds == [2, 5, 7]
         assert policy.boundary == Coordinate(1, 3)
         # the midpoint of each of the equal bins picks each green pool once

@@ -1,13 +1,15 @@
+import hashlib
 import math
 
 import pytest
 
 from poolsim.model import SystemConfig
-from poolsim.policies import Jlmu
+from poolsim.policies import Jlmu, parse_policy
 from poolsim.sim import (
     BoundViolation,
     Metrics,
     RunConfig,
+    _stream,
     batch_means,
     coupled_simulate,
     init_state,
@@ -155,6 +157,89 @@ def test_fixed_seed_sample_paths_are_pinned():
     for policy, expected in PINNED_PATHS.items():
         m = simulate(config, policy, run)
         assert (m.avg_u, m.avg_s, m.events, m.switches, m.r_final) == expected, policy
+
+
+BLOCK_CROSSING_PATHS = {
+    # policy: (avg_u, avg_s, events, switches, r_final, s_batches, snapshot digest)
+    "jlmu": (
+        9.153488844873134, 9.840384139212881, 62204, 0, None,
+        [9.92009631984687, 9.813366589001268, 9.99828069626624, 9.629792951737148],
+        "9b2d687368fddef5",
+    ),
+    "slta": (
+        9.153206188475425, 9.840384139212881, 62204, 535, 20,
+        [9.92009631984687, 9.813366589001268, 9.99828069626624, 9.629792951737148],
+        "f73104615f9ac206",
+    ),
+}
+
+
+def snapshot_digest(trajectory) -> str:
+    digest = hashlib.sha256()
+    for t, q in trajectory:
+        digest.update(repr((t, q.tail.tolist())).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_sample_paths_across_stream_blocks_are_pinned():
+    # 62204 events span four of the 16384-event stream blocks, so a refill
+    # that skips or repeats draws, or event and selection draws that fall out
+    # of lockstep, moves these values; warmup, batches and snapshots are all on
+    config = two_class_system(40, 9.75)
+    grid = (15.0, 40.0, 65.0, 79.5)
+    run = RunConfig(
+        horizon=80.0, warmup=10.0, seed=3, init="empty", batches=4, sample_times=grid
+    )
+    for policy, expected in BLOCK_CROSSING_PATHS.items():
+        m = simulate(config, policy, run)
+        assert [t for t, _ in m.trajectory] == list(grid)
+        got = (
+            m.avg_u, m.avg_s, m.events, m.switches, m.r_final,
+            m.s_batches, snapshot_digest(m.trajectory),
+        )
+        assert got == expected, policy
+
+
+@pytest.mark.parametrize("init", ["empty", "optimal"])
+@pytest.mark.parametrize("name", ["jlmu", "random", "fixed:1", "slta"])
+def test_kernel_moves_match_the_reference_moves(name, init):
+    # Replays every event on a mirror state through the checked reference
+    # moves (pick_task/pop_task, or decide plus push_task) and a mirror
+    # policy, with the selection draws regenerated from the run's stream;
+    # after each event the kernel's state must equal the mirror's.
+    config = two_class_system(20, 9.75)
+    run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
+    mirror, rank = init_state(config, init)
+    reference = parse_policy(name)
+    reference.bind(mirror, config, initial_rank=rank)
+    draws = _stream(run.seed, run.replication, 1, run.selection_slot)  # selection stream
+    seen = []
+
+    def replay(kind, t, state, policy):
+        u = draws.random()
+        if kind == "arrival":
+            cls, occ, delta = reference.decide(mirror, u)
+            mirror.push_task(cls, occ)
+            if reference.tracks_tokens:
+                reference.notify_push(cls - 1, occ)
+                reference.apply_learning(mirror, delta)
+        else:
+            cls, occ = mirror.pick_task(u)
+            mirror.pop_task(cls, occ)
+            if reference.tracks_tokens:
+                reference.notify_pop(cls - 1, occ)
+        assert state.counts == mirror.counts, (kind, t)
+        assert state.class_tasks == mirror.class_tasks, (kind, t)
+        assert state.total_tasks == mirror.total_tasks, (kind, t)
+        assert policy.rank == reference.rank, (kind, t)
+        state.check_consistency()
+        if policy.tracks_tokens:
+            policy.verify_tokens(state)
+        seen.append(kind)
+
+    metrics = simulate(config, name, run, hook=replay)
+    assert len(seen) == metrics.events > 1 << 14
+    assert seen.count("arrival") == metrics.arrivals
 
 
 def test_seed_changes_the_path():
