@@ -68,8 +68,11 @@ def _fmt(value: Any) -> str:
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _csv(rows: Sequence[Sequence[Any]], header: Sequence[str]) -> str:
@@ -153,23 +156,22 @@ def _metric_row(m: Metrics) -> list:
     ]
 
 
-def _run_cell(payload: dict) -> list[list]:
+#: One run cell: a system, a run, the policy names to couple, and SLTA's beta.
+Cell = tuple[SystemConfig, RunConfig, Sequence[str], float | None]
+
+
+def _run_cell(cell: Cell) -> list[Metrics]:
     """Worker: one (system, seed, replication) cell, all policies coupled."""
-    system: SystemConfig = payload["system"]
-    run: RunConfig = payload["run"]
-    policies = [parse_policy(name, beta=payload["beta"]) for name in payload["policies"]]
-    rows = []
-    for m in coupled_simulate(system, policies, run):
-        rows.append(_metric_row(m))
-    return rows
+    system, run, names, beta = cell
+    return coupled_simulate(system, [parse_policy(name, beta=beta) for name in names], run)
 
 
-def _fan_out(cells: list[dict], threads: int) -> list[list[list]]:
+def _fan_out(cells: list[Cell], threads: int) -> list[list[Metrics]]:
     """Run cells in order; with threads > 1 fan out but keep input order.
 
-    The worker count is clamped to [1, cpu count].
+    The worker count is capped at the cpu count.
     """
-    workers = max(1, min(threads, os.cpu_count() or 1))
+    workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
         return [_run_cell(c) for c in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -203,11 +205,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                         horizon=horizon, warmup=warmup, seed=seed,
                         replication=rep, init=init,
                     )
-                    cells.append({
-                        "system": system, "run": run,
-                        "policies": policies, "beta": cfg.beta,
-                    })
-    rows = [row for cell_rows in _fan_out(cells, args.threads) for row in cell_rows]
+                    cells.append((system, run, policies, cfg.beta))
+    rows = [_metric_row(m) for runs in _fan_out(cells, args.threads) for m in runs]
     _write_text(_csv(rows, METRIC_COLUMNS), args.out or cfg.out)
     return 0
 
@@ -224,6 +223,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.reps < 1:
         raise ConfigError("reps", f"must be >= 1, got {args.reps}")
+    keys = []
     cells = []
     for n in scale:
         for rho in rhos:
@@ -232,28 +232,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 run = RunConfig(
                     horizon=args.T, seed=seed, replication=rep, init="optimal",
                 )
-                cells.append({
-                    "system": system, "run": run,
-                    "policies": ["jlmu", "slta"], "beta": None,
-                })
-    results = _fan_out(cells, args.threads)
-
-    # cell -> per-rep (bound at realized mass, jlmu mean, slta mean)
-    per_rep: dict[tuple[int, float, int], dict[str, float]] = {}
-    for cell, rows in zip(cells, results):
-        n = cell["system"].n
-        rho = cell["system"].rho
-        rep = cell["run"].replication
-        entry: dict[str, float] = {}
-        for row in rows:
-            record = dict(zip(METRIC_COLUMNS, row))
-            if record["empirical_bound"] < record["avg_u"] - 1e-9:
-                raise RuntimeError(
-                    f"run above its ceiling: {record['policy']} n={n} rho={rho}"
-                )
-            entry[record["policy"]] = record["avg_u"]
-            entry["u_star"] = record["empirical_bound"]
-        per_rep[(n, rho, rep)] = entry
+                keys.append((n, rho, rep))
+                cells.append((system, run, ("jlmu", "slta"), None))
+    # (n, rho, rep) -> (ceiling at the realized mass, jlmu, slta); simulate
+    # has already refused any run above its ceiling.
+    per_rep = {
+        key: (slta.empirical_bound, jlmu.avg_u, slta.avg_u)
+        for key, (jlmu, slta) in zip(keys, _fan_out(cells, args.threads))
+    }
 
     header = ["n", "rep"]
     for rho in rhos:
@@ -264,13 +250,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         for rep in range(args.reps):
             row: list = [n, rep]
             for rho in rhos:
-                e = per_rep[(n, float(rho), rep)]
-                row += [e["u_star"], e["jlmu"], e["slta"]]
+                row += per_rep[(n, rho, rep)]
             rows_out.append(row)
         mean_row: list = [n, "mean"]
         for rho in rhos:
-            for key in ("u_star", "jlmu", "slta"):
-                vals = [per_rep[(n, float(rho), r)][key] for r in range(args.reps)]
+            for k in range(3):
+                vals = [per_rep[(n, rho, r)][k] for r in range(args.reps)]
                 mean_row.append(sum(vals) / len(vals))
         rows_out.append(mean_row)
 

@@ -26,7 +26,6 @@ parser's line and column.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -35,6 +34,8 @@ from .model import (
     SystemConfig,
     UtilityFamily,
     _check_fractions,
+    _json_integer,
+    _json_number,
     utility_from_dict,
 )
 from .policies import parse_policy
@@ -59,22 +60,17 @@ def _req(obj: dict, key: str, where: str) -> Any:
 
 
 def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
-    # JSON lets NaN, Infinity and 1e400 through.
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(where, f"expected a finite number, got {value!r}")
-    return number
+        return _json_number(value)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 def _integer(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
-    return value
+    try:
+        return _json_integer(value)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 @dataclass
@@ -288,7 +284,10 @@ def parse_config(doc: Any) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a config file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config {path}: {exc.strerror or exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -144,21 +144,6 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
-def _rank_table(family: UtilityFamily, levels: int) -> np.ndarray:
-    """Ranks of the slots ``(cls, 1..levels)`` in the family's ranking.
-
-    Entry ``[ci, j - 1]`` is the rank of slot ``(ci + 1, j)`` when it is among
-    the best ``m * levels`` slots, and ``m * levels + 1`` otherwise. An active
-    slot ranked past that prefix would leave some class more than ``levels``
-    deep, so the table ranks every slot the truncated dynamics can activate.
-    """
-    table = np.full((family.m, levels), family.m * levels + 1, dtype=np.int64)
-    for rank, (cls, level) in enumerate(family.enumerate_ranked(table.size), 1):
-        if level <= levels:
-            table[cls - 1, level - 1] = rank
-    return table
-
-
 def _active_rank(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Rank of the active slot of each padded profile in ``states``.
 
@@ -179,7 +164,7 @@ def _active_rank(table: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def fluid_sigma(family: UtilityFamily, q: QVector) -> Coordinate:
     """Active slot of a profile."""
-    table = _rank_table(family, q.depth)
+    table = family.rank_table(q.depth)
     rank = int(_active_rank(table, _pad(q, q.depth)))
     if rank > table.size:
         raise RuntimeError("the active slot ranks below a class full to the profile depth")
@@ -237,7 +222,7 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     levels = q.depth + 1
     family = system.family
     padded = _pad(q, levels)
-    rank = int(_active_rank(_rank_table(family, levels), padded))
+    rank = int(_active_rank(family.rank_table(levels), padded))
     fill = _fill_at(family, rank, levels)
     mu_levels = system.mu * np.arange(levels + 2)
     drift, inflow = _flows(padded, fill, np.asarray(system.alpha), system.lam, mu_levels)
@@ -320,7 +305,7 @@ def integrate_fluid(
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
     family = system.family
-    table = _rank_table(family, levels)
+    table = family.rank_table(levels)
     pour_order = [c for c in family.enumerate_ranked(table.size) if c.level <= levels]
     mu_levels = system.mu * np.arange(levels + 2)
     fills: dict[int, tuple] = {}
@@ -466,7 +451,7 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     levels = states.shape[2] - 2
 
     family = system.family
-    ranks = _active_rank(_rank_table(family, levels), states)
+    ranks = _active_rank(family.rank_table(levels), states)
     depth = int(ranks.max()) - 1 + REFLECTION_MARGIN
     slots = []
     for r in range(1, depth + 1):

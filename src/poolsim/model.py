@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -172,18 +172,39 @@ class Tabulated(Utility):
         return {"values": list(self.values)}
 
 
-_UTILITY_KINDS = {
-    "log_quality": lambda p: LogQuality(r=float(p["r"])),
-    "linear": lambda p: Linear(slope=float(p["slope"])),
-    "capped_linear": lambda p: CappedLinear(slope=float(p["slope"]), cap=int(p["cap"])),
-    "table": lambda p: Tabulated(values=tuple(p["values"])),
-}
+def _json_number(value: Any) -> float:
+    """A finite number from a decoded JSON document; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    # JSON lets NaN, Infinity and 1e400 through.
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
-_UTILITY_FIELDS = {
-    "log_quality": {"r"},
-    "linear": {"slope"},
-    "capped_linear": {"slope", "cap"},
-    "table": {"values"},
+
+def _json_integer(value: Any) -> int:
+    """An integer from a decoded JSON document; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_numbers(value: Any) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return tuple(_json_number(v) for v in value)
+
+
+#: Each utility kind: its type and a reader per field of its config form.
+_UTILITY_KINDS = {
+    "log_quality": (LogQuality, {"r": _json_number}),
+    "linear": (Linear, {"slope": _json_number}),
+    "capped_linear": (CappedLinear, {"slope": _json_number, "cap": _json_integer}),
+    "table": (Tabulated, {"values": _json_numbers}),
 }
 
 
@@ -192,16 +213,23 @@ def utility_from_dict(spec: dict) -> Utility:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"utility spec must be an object with a 'kind' field, got {spec!r}")
     kind = spec["kind"]
-    if kind not in _UTILITY_KINDS:
+    if not isinstance(kind, str) or kind not in _UTILITY_KINDS:
         known = ", ".join(sorted(_UTILITY_KINDS))
         raise ValueError(f"unknown utility kind {kind!r} (known kinds: {known})")
-    extra = set(spec) - _UTILITY_FIELDS[kind] - {"kind"}
-    missing = _UTILITY_FIELDS[kind] - set(spec)
+    make, fields = _UTILITY_KINDS[kind]
+    extra = set(spec) - set(fields) - {"kind"}
+    missing = set(fields) - set(spec)
     if missing:
         raise ValueError(f"utility kind {kind!r} is missing fields: {sorted(missing)}")
     if extra:
         raise ValueError(f"utility kind {kind!r} has unexpected fields: {sorted(extra)}")
-    return _UTILITY_KINDS[kind](spec)
+    params = {}
+    for key, read in fields.items():
+        try:
+            params[key] = read(spec[key])
+        except ValueError as exc:
+            raise ValueError(f"utility kind {kind!r} field {key!r}: {exc}") from None
+    return make(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +258,7 @@ class UtilityFamily:
         self._slots: list[Coordinate] = []
         # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
+        self._rank_tables: dict[int, np.ndarray] = {}
 
     @property
     def m(self) -> int:
@@ -311,8 +340,26 @@ class UtilityFamily:
         self._extend(rank - 1)
         return [bisect_left(ranks, rank) for ranks in self._level_ranks]
 
-    def value_at_zero(self, cls: int) -> float:
-        return self.utilities[cls - 1].value(0)
+    def rank_table(self, levels: int) -> np.ndarray:
+        """Ranks of the slots ``(cls, 1..levels)`` as a read-only ``(m, levels)`` array.
+
+        Entry ``[ci, j - 1]`` is the rank of slot ``(ci + 1, j)`` when it is
+        among the best ``m * levels`` slots, and ``m * levels + 1`` otherwise.
+        A slot ranked past that prefix leaves some class more than ``levels``
+        deep, so the table ranks every slot a profile of that depth can
+        activate. Built once per depth.
+        """
+        table = self._rank_tables.get(levels)
+        if table is None:
+            size = self.m * levels
+            self.enumerate_ranked(size)  # extends the ranking, size check included
+            table = np.full((self.m, levels), size + 1, dtype=np.int64)
+            for ci, ranks in enumerate(self._level_ranks):
+                inside = [r for r in ranks[:levels] if r <= size]
+                table[ci, : len(inside)] = inside
+            table.flags.writeable = False
+            self._rank_tables[levels] = table
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +548,11 @@ class OccupancyState:
     lowest occupied level or less. A pop lowers it to the level it fills, and
     :meth:`min_occupied` advances it lazily; readers that walk levels upward
     may start there. ``push_task``, ``pop_task`` and ``pick_task`` are the
-    checked reference moves. :func:`poolsim.sim.simulate` applies the same
-    moves in place and keeps the task total in a local, so while it runs
-    ``total_tasks`` is current only when a hook is called, when a snapshot is
-    taken and after the run returns; policies read ``counts``,
-    ``class_tasks`` and ``min_occ``.
+    checked reference moves; :func:`poolsim.sim.simulate` applies the same
+    moves in place. Derived counts are read from the cells, not mirrored:
+    ``total_tasks`` sums ``class_tasks``, and SLTA's yellow tokens, which
+    matter only once no green pool is left, are then exactly one cell, the
+    boundary class's pools one level below the boundary slot.
     """
 
     __slots__ = (
@@ -514,7 +561,6 @@ class OccupancyState:
         "class_sizes",
         "counts",
         "class_tasks",
-        "total_tasks",
         "min_occ",
     )
 
@@ -546,7 +592,6 @@ class OccupancyState:
                     f"class {ci + 1} has {sum(row)} pools but n * alpha gives it {size}"
                 )
         self.class_tasks = [sum(v * c for v, c in enumerate(row)) for row in self.counts]
-        self.total_tasks = sum(self.class_tasks)
         # Every class has a pool, so each row has a first non-empty level.
         self.min_occ = [next(v for v, c in enumerate(row) if c) for row in self.counts]
 
@@ -559,6 +604,11 @@ class OccupancyState:
     @property
     def m(self) -> int:
         return len(self.class_sizes)
+
+    @property
+    def total_tasks(self) -> int:
+        """Tasks present across all classes."""
+        return sum(self.class_tasks)
 
     def count(self, cls: int, occ: int) -> int:
         """Number of class-``cls`` pools holding exactly ``occ`` tasks."""
@@ -621,10 +671,11 @@ class OccupancyState:
         The draw ``u`` picks a class by its task total, then a level ``j`` by
         weight ``j * N(i, j)``. Needs at least one task.
         """
-        k = int(u * self.total_tasks)
-        if k == self.total_tasks:
-            k -= 1
         tasks = self.class_tasks
+        total = sum(tasks)
+        k = int(u * total)
+        if k == total:
+            k -= 1
         ci = 0
         while k >= tasks[ci]:
             k -= tasks[ci]
@@ -650,7 +701,6 @@ class OccupancyState:
             counts.append(0)
         counts[occ + 1] += 1
         self.class_tasks[ci] += 1
-        self.total_tasks += 1
 
     def pop_task(self, cls: int, occ: int) -> None:
         """Remove one task from a class-``cls`` pool holding ``occ`` tasks."""
@@ -663,7 +713,6 @@ class OccupancyState:
         if occ - 1 < self.min_occ[ci]:
             self.min_occ[ci] = occ - 1
         self.class_tasks[ci] -= 1
-        self.total_tasks -= 1
 
     # -- conversions and checks ----------------------------------------------
 
@@ -685,7 +734,6 @@ class OccupancyState:
             assert not any(counts[: self.min_occ[ci]]), "min-level pointer overshoots"
             tasks = sum(v * c for v, c in enumerate(counts))
             assert tasks == self.class_tasks[ci], "cached class task total is stale"
-        assert sum(self.class_tasks) == self.total_tasks, "cached task total is stale"
 
 
 def occupancy_to_q(state: OccupancyState) -> QVector:
@@ -715,7 +763,7 @@ def overall_utility(family: UtilityFamily, q: QVector) -> float:
     total = 0.0
     for ci in range(q.m):
         cls = ci + 1
-        total += family.value_at_zero(cls) * float(q.alpha[ci])
+        total += family.value(cls, 0) * float(q.alpha[ci])
         row = q.tail[ci]
         if q.depth >= 1:
             margs = family.marginals_upto(cls, q.depth)

@@ -155,6 +155,13 @@ class Slta(Policy):
     least ``n * beta`` of them) and the previous boundary class still has a
     green pool, up when every slot above the boundary is saturated and at most
     one yellow pool remains.
+
+    Green counts are kept per class, since the down rule compares their sum
+    with ``n * beta`` at every arrival. Yellow tokens are not counted: they
+    matter only once no green pool is left, and the boundary class's
+    threshold is ``level - 1`` (every level of that class above the boundary
+    slot ranks above it), so then they are exactly the one cell
+    ``N(cls, level - 1)`` of the boundary slot ``(cls, level)``.
     """
 
     name = "slta"
@@ -168,16 +175,10 @@ class Slta(Policy):
         self._thr: list[int] = []
         self._green: list[int] = []
         self._total_green = 0
-        self._yellow = 0
         self._boundary = Coordinate(0, 0)
         # Class index of the previous boundary slot; -1 at rank 1.
         self._prev_ci = -1
         self._quota = 0.0
-        self._n = 0
-
-    @property
-    def beta(self) -> float:
-        return self._quota / self._n if self._n else 0.0
 
     @property
     def boundary(self) -> Coordinate:
@@ -189,7 +190,6 @@ class Slta(Policy):
 
     def bind(self, state, config, initial_rank=None):
         self._family = config.family
-        self._n = state.n
         beta = (
             self._beta_override
             if self._beta_override is not None
@@ -211,12 +211,13 @@ class Slta(Policy):
         self._boundary = family.slot(r)
         self._prev_ci = family.slot(r - 1).cls - 1 if r > 1 else -1
         self._thr = family.class_counts_before(r)
-        self._green, self._yellow = token_counts(state, self._thr, self._boundary)
+        self._green, _ = token_counts(state, self._thr, self._boundary)
         self._total_green = sum(self._green)
 
     def _check_goodness(self, state: OccupancyState) -> None:
         """The boundary must sit strictly above every saturated slot."""
-        if self._yellow < 1:
+        _, yellow = token_counts(state, self._thr, self._boundary)
+        if yellow < 1:
             raise ValueError(
                 f"bad starting state: boundary slot {tuple(self._boundary)} is saturated"
             )
@@ -234,17 +235,11 @@ class Slta(Policy):
         if prev_occ + 1 == self._thr[ci]:
             self._green[ci] -= 1
             self._total_green -= 1
-        b = self._boundary
-        if ci == b.cls - 1 and prev_occ + 1 == b.level:
-            self._yellow -= 1
 
     def notify_pop(self, ci: int, prev_occ: int) -> None:
         if prev_occ == self._thr[ci]:
             self._green[ci] += 1
             self._total_green += 1
-        b = self._boundary
-        if ci == b.cls - 1 and prev_occ == b.level:
-            self._yellow += 1
 
     def apply_learning(self, state: OccupancyState, delta: int) -> None:
         if delta == 0:
@@ -255,7 +250,16 @@ class Slta(Policy):
     # -- decisions ------------------------------------------------------------
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
-        delta = self.learning_delta()
+        """Dispatch one arrival and pick the learning step from the pre-arrival counts.
+
+        The rank steps down when green pools are plentiful (at least
+        ``n * beta``, compared as reals) and the previous boundary class still
+        has one, and up when no green pool is left and at most one yellow pool
+        remains; the two cannot both hold. Yellow pools are counted only then,
+        from one cell: with no green pool left no boundary-class pool sits
+        below the class threshold ``level - 1``, so every yellow pool sits at
+        it. The step is applied only after the arrival is dispatched.
+        """
         total_green = self._total_green
         if total_green:
             # Uniform over green pools outside the previous boundary class, or
@@ -263,6 +267,7 @@ class Slta(Policy):
             # draw becomes an index k into those pools, as in pick_pool.
             skip = self._prev_ci
             prev_green = self._green[skip] if skip >= 0 else 0
+            delta = -1 if prev_green and total_green >= self._quota else 0
             pool = total_green - prev_green
             if not pool:
                 pool = prev_green
@@ -285,34 +290,19 @@ class Slta(Policy):
             raise AssertionError("no green pool found despite positive green count")
         # No green tokens: aim at the boundary slot while it has room.
         b = self._boundary
-        if state.count(b.cls, b.level - 1) > 0:
+        yellow = state.count(b.cls, b.level - 1)
+        delta = 1 if yellow <= 1 else 0
+        if yellow:
             return b.cls, b.level - 1, delta
         # Nothing to aim at: uniform over all pools.
         cls, occ = state.pick_pool(u)
         return cls, occ, delta
 
-    def learning_delta(self) -> int:
-        """Rank adjustment decided at an arrival, from the pre-arrival counters.
-
-        Down when green pools are plentiful (at least ``n * beta``, compared as
-        reals) and the previous boundary class still has one; up when every
-        slot above the boundary is saturated and at most one yellow pool
-        remains. The two conditions are mutually exclusive. The adjustment is
-        applied only after the arrival is dispatched.
-        """
-        if self.rank > 1:
-            if self._total_green >= self._quota and self._green[self._prev_ci] > 0:
-                return -1
-        if self._total_green == 0 and self._yellow <= 1:
-            return 1
-        return 0
-
     # -- diagnostics -----------------------------------------------------------
 
     def verify_tokens(self, state: OccupancyState) -> None:
-        green, yellow = token_counts(state, self._thr, self._boundary)
+        green, _ = token_counts(state, self._thr, self._boundary)
         assert green == self._green, f"green counters drifted: {self._green} vs {green}"
-        assert yellow == self._yellow, f"yellow counter drifted: {self._yellow} vs {yellow}"
         assert self._total_green == sum(green)
 
     def is_good(self, state: OccupancyState) -> bool:

@@ -108,10 +108,6 @@ class RunConfig:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("sample_times must be strictly increasing")
 
-    @property
-    def starts_optimal(self) -> bool:
-        return self.init == "optimal"
-
 
 @dataclass
 class Metrics:
@@ -206,9 +202,8 @@ def simulate(
     """Run one policy over one sample path and return its metrics.
 
     ``hook(kind, t, state, policy)`` is called after every processed event with
-    kind "arrival" or "departure" and the state fully current, its task total
-    included; it is for tests and debugging only and slows the run down
-    considerably.
+    kind "arrival" or "departure" and the state fully current; it is for tests
+    and debugging only and slows the run down considerably.
 
     Raises :class:`BoundViolation` if the realized average utility lands above
     the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``.
@@ -222,7 +217,7 @@ def simulate(
     horizon = run.horizon
     warmup = run.warmup
     if warmup is None:
-        warmup = 0.0 if run.starts_optimal else 5.0 / mu
+        warmup = 0.0 if run.init == "optimal" else 5.0 / mu
         if warmup >= horizon:
             warmup = 0.0
     started = time.perf_counter()
@@ -235,8 +230,8 @@ def simulate(
     arr_rate = n * lam
 
     # Local bindings for the event loop. Task moves are applied in place, as
-    # OccupancyState.push_task / pick_task / pop_task apply them, with the task
-    # total kept in s_tot and written back to the state wherever it is seen.
+    # OccupancyState.push_task / pick_task / pop_task apply them; s_tot is the
+    # task total, kept as a local because every event reads it.
     counts = state.counts
     class_tasks = state.class_tasks
     low = state.min_occ
@@ -263,7 +258,6 @@ def simulate(
     t_last = 0.0
     events = 0
     arrivals = 0
-    switches = 0
     rank_history: list[tuple[float, int]] = []
     if policy.rank is not None:
         rank_history.append((0.0, policy.rank))
@@ -317,7 +311,6 @@ def simulate(
                         edge += batch_width
                     batch_acc[b if b < batches else batches - 1] += rest * s_tot
             if next_sample < te:
-                state.total_tasks = s_tot
                 while si < len(sample_times) and sample_times[si] < te:
                     trajectory.append((sample_times[si], occupancy_to_q(state)))
                     si += 1
@@ -341,7 +334,6 @@ def simulate(
                     notify_push(ci, v)
                     if delta:
                         apply_learning(state, delta)
-                        switches += 1
                         rank_history.append((te, policy.rank))
                 arrivals += 1
             else:
@@ -372,10 +364,8 @@ def simulate(
             events += 1
             t_last = te
             if hook is not None:
-                state.total_tasks = s_tot
                 hook("arrival" if is_arrival else "departure", te, state, policy)
 
-    state.total_tasks = s_tot
     while si < len(sample_times) and sample_times[si] <= horizon:
         trajectory.append((sample_times[si], occupancy_to_q(state)))
         si += 1
@@ -399,7 +389,7 @@ def simulate(
         empirical_bound=empirical_bound,
         bound_rho=bound_rho,
         r_final=policy.rank,
-        switches=switches,
+        switches=max(len(rank_history) - 1, 0),
         events=events,
         arrivals=arrivals,
         wall_ms=wall_ms,

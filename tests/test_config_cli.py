@@ -6,6 +6,8 @@ import pytest
 
 from poolsim.cli import build_parser, main
 from poolsim.config import ConfigError, load_config, parse_config
+from poolsim.policies import Slta
+from poolsim.sim import RunConfig, simulate
 
 BASE_DOC = {
     "schema": 1,
@@ -81,6 +83,21 @@ def test_parse_error_paths():
         ({**BASE_DOC, "sweep": {"n": [], "rho": [9.75], "seeds": [0]}}, "sweep.n"),
         ({**BASE_DOC, "n": 0}, "n"),
     ]
+    # utility fields follow the config's number rules: no bools, strings,
+    # fractional or float caps, and tables only as lists of numbers
+    for utility in (
+        {"kind": "capped_linear", "slope": 1.0, "cap": 2.5},
+        {"kind": "capped_linear", "slope": 1.0, "cap": 2.0},
+        {"kind": "capped_linear", "slope": 1.0, "cap": True},
+        {"kind": "log_quality", "r": "20"},
+        {"kind": "linear", "slope": True},
+        {"kind": "table", "values": "12"},
+        {"kind": "table", "values": {"3": 1, "5": 2}},
+        {"kind": "table", "values": [0.0, "1"]},
+        {"kind": ["linear"], "slope": 1.0},
+    ):
+        classes = [{"fraction": 0.5, "utility": utility}, BASE_DOC["classes"][1]]
+        cases.append(({**BASE_DOC, "classes": classes}, "classes[0].utility"))
     for doc, needle in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
@@ -127,6 +144,17 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
     path.write_text(json.dumps(BASE_DOC).replace('"rho": 9.75', '"rho": NaN'))
     with pytest.raises(ConfigError, match="finite"):
         load_config(str(path))
+
+
+def test_file_errors_exit_2_and_name_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["bound", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert main(["bound", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    out = tmp_path / "no-such-dir" / "bound.json"
+    assert main(["bound", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_run_batches_is_not_a_config_field():
@@ -229,6 +257,52 @@ def test_cli_simulate_csv(tmp_path):
     assert strip(out) == strip(again)
 
 
+def test_cli_simulate_reads_sweep_warmup_beta_and_out(tmp_path):
+    # the same settings given as flags give the same rows, wall column cut
+    out = tmp_path / "from-config.csv"
+    doc = {
+        **BASE_DOC,
+        "beta": 0.5,
+        "run": {"horizon": 3.0, "warmup": 0.5, "init": "optimal"},
+        "sweep": {"n": [4, 8], "seeds": [1, 2], "replications": 2},
+        "out": str(out),
+    }
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    cut = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    rows = cut(out)
+    assert len(rows) == 1 + 2 * 2 * 2 * 2
+    flags = {**BASE_DOC, "beta": 0.5, "run": {"horizon": 3.0, "init": "optimal"}}
+    plain = write_config(tmp_path, flags, name="flags.json")
+    expected = []
+    for seed in (1, 2):
+        again = tmp_path / f"seed{seed}.csv"
+        argv = ["simulate", "--config", plain, "--n", "4", "--n", "8", "--seed", str(seed),
+                "--reps", "2", "--warmup", "0.5", "--out", str(again)]
+        assert main(argv) == 0
+        expected.append(cut(again))
+    assert rows[0] == expected[0][0] == expected[1][0]
+    assert sorted(rows[1:]) == sorted(expected[0][1:] + expected[1][1:])
+    # --out overrides the config's path
+    out.unlink()
+    override = tmp_path / "override.csv"
+    argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(override)]
+    assert main(argv) == 0
+    assert cut(override) == rows and not out.exists()
+    # beta has no flag: the SLTA rows are runs with Slta(beta=0.5)
+    cfg = parse_config(doc)
+    header = rows[0].split(",")
+    for line in rows[1:]:
+        row = dict(zip(header, line.split(",")))
+        if row["policy"] != "slta":
+            continue
+        run = RunConfig(horizon=3.0, warmup=0.5, seed=int(row["seed"]),
+                        replication=int(row["rep"]), init="optimal", selection_slot=1)
+        m = simulate(cfg.system(n=int(row["n"])), Slta(beta=0.5), run)
+        assert (row["avg_u"], row["r_final"], row["switches"]) == (
+            f"{m.avg_u:.9g}", str(m.r_final), str(m.switches)
+        )
+
+
 def test_cli_simulate_rejects_unknown_policy(tmp_path, capsys):
     code = main(
         [
@@ -303,9 +377,6 @@ def test_fan_out_clamps_workers(monkeypatch):
     assert cli._fan_out(["a", "b"], 10**6) == [["a"], ["b"]]
     assert cli._fan_out(["a"], 2) == [["a"]]
     assert seen == [3, 2]
-    # one worker or fewer runs in-process
-    assert cli._fan_out(["c"], 0) == [["c"]]
-    assert cli._fan_out(["c"], -4) == [["c"]]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._fan_out(["d"], 8) == [["d"]]
     assert seen == [3, 2]

@@ -26,6 +26,7 @@ from conftest import (
     TWO_CLASS_ALPHA,
     piecewise_family,
     pool_state,
+    shared_resource_family,
     two_class_family,
 )
 
@@ -206,6 +207,25 @@ def test_enumeration_exhausts_boxes():
     assert len(set(slots)) == len(slots)
     want = {Coordinate(i, j) for i in (1, 2) for j in range(1, 31)}
     assert want <= set(slots)
+
+
+@pytest.mark.parametrize("make", [two_class_family, piecewise_family, shared_resource_family])
+@pytest.mark.parametrize("prefix", [0, 400])
+def test_rank_table_matches_the_ranked_walk(make, prefix):
+    # entry [ci, j - 1] is the rank of slot (ci + 1, j) among the best
+    # m * levels slots, else m * levels + 1, also when a longer prefix is cached
+    fam = make()
+    fam.enumerate_ranked(prefix)
+    for levels in range(1, 81):
+        size = fam.m * levels
+        want = np.full((fam.m, levels), size + 1)
+        for rank, (cls, level) in enumerate(fam.enumerate_ranked(size), 1):
+            if level <= levels:
+                want[cls - 1, level - 1] = rank
+        table = fam.rank_table(levels)
+        assert np.array_equal(table, want)
+        assert fam.rank_table(levels) is table
+        assert not table.flags.writeable
 
 
 @settings(max_examples=20, deadline=None)

@@ -202,7 +202,6 @@ def test_slta_no_tokens_uniform_over_pools():
     policy._prev_ci = -1
     policy._green = [0]
     policy._total_green = 0
-    policy._yellow = 0
     assert slot_of(policy.decide(state, 0.1)) == Coordinate(1, 6)
     assert slot_of(policy.decide(state, 0.99)) == Coordinate(1, 6)
 
@@ -302,7 +301,7 @@ def test_slta_green_walk_passes_classes_below_their_threshold():
 
 def test_learn_stays_put_on_empty_start():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 1)
-    assert policy.learning_delta() == 0
+    assert policy.decide(state, 0.5)[2] == 0
 
 
 def test_learn_decrements_at_exact_quota():
@@ -312,14 +311,14 @@ def test_learn_decrements_at_exact_quota():
     assert policy.thresholds == [0, 1]
     green, _ = token_counts(state, policy.thresholds, policy.boundary)
     assert sum(green) == 2  # equals n * beta exactly
-    assert policy.learning_delta() == -1
+    assert policy.decide(state, 0.5)[2] == -1
 
 
 def test_learn_increments_when_one_yellow_left():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [1, 2]], 3)
     green, yellow = token_counts(state, policy.thresholds, policy.boundary)
     assert sum(green) == 0 and yellow == 1
-    assert policy.learning_delta() == 1
+    assert policy.decide(state, 0.5)[2] == 1
 
 
 def test_learn_never_fires_both_ways(rng):
@@ -334,7 +333,7 @@ def test_learn_never_fires_both_ways(rng):
             policy.bind(state, cfg, initial_rank=int(rng.integers(1, 8)))
         except ValueError:
             continue
-        delta = policy.learning_delta()
+        delta = policy.decide(state, 0.5)[2]
         assert delta in (-1, 0, 1)
         seen.add(delta)
     assert seen == {-1, 0, 1}

@@ -50,8 +50,6 @@ def test_run_config_validation():
         RunConfig(horizon=10.0, sample_times=(1.0, 1.0))
     with pytest.raises(ValueError):
         RunConfig(horizon=10.0, batches=-1)
-    assert RunConfig(horizon=1.0, init="optimal").starts_optimal
-    assert not RunConfig(horizon=1.0).starts_optimal
 
 
 def test_run_config_rejects_non_finite_times():
