@@ -5,16 +5,18 @@ Subcommands::
     poolsim bound --config cfg.json [--rho R]        greedy ceiling summary
     poolsim assign --config cfg.json [--rho R]       full target profile
     poolsim rank --config cfg.json [--count K]       best-first slot listing
-    poolsim simulate --config cfg.json [--seed S] [--threads W]
-                     [--policy slta] [--T 180] [--reps 20]
+    poolsim simulate --config cfg.json --policy slta --n 200 [--seed S]
+                     [--threads W] [--T 180] [--reps 20]
     poolsim fluid --config cfg.json --init empty --T 20 --dt 1e-3
     poolsim table1 [--seed S] [--threads W] --scale 50 100 200 --reps 20
     poolsim suboptimal [--seed S] --a 1 --eps 0.05 --rho 1
 
-Every subcommand takes ``--out``. Each takes only the shared flags it reads:
-``table1`` runs its built-in two-class benchmark and ``suboptimal`` its
-two-pool counterexample, so neither takes ``--config``, and only the commands
-that simulate take ``--seed``. A flag a command does not read exits with 2.
+A config file describes the system only; every run setting is a flag. Every
+subcommand takes ``--out``, and a path in a missing directory exits with 2
+before any work starts. Each takes only the shared flags it reads: ``table1``
+runs its built-in two-class benchmark and ``suboptimal`` its two-pool
+counterexample, so neither takes ``--config``, and only the commands that
+simulate take ``--seed``. A flag a command does not read exits with 2.
 
 Exit codes: 0 on success, 2 for configuration or parameter problems, 3 when a
 runtime invariant breaks (a run landing above its utility ceiling, or the
@@ -73,6 +75,12 @@ def _write_text(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     except OSError as exc:
         raise ConfigError("out", f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an output path in a missing directory before any work starts."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise ConfigError("out", f"cannot write {out}: no such directory")
 
 
 def _csv(rows: Sequence[Sequence[Any]], header: Sequence[str]) -> str:
@@ -180,34 +188,27 @@ def _fan_out(cells: list[Cell], threads: int) -> list[list[Metrics]]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    policies = args.policy or cfg.policies
-    if not policies:
-        raise ConfigError("policies", "no policies given (flag --policy or config list)")
-    n_values = args.n or cfg.sweep.n_values or ([cfg.n] if cfg.n else [])
-    if not n_values:
-        raise ConfigError("n", "no pool count given (flag --n, config n, or sweep.n)")
-    rho_values = args.rho or cfg.sweep.rho_values or [cfg.offered_load()]
-    seeds = [args.seed] if args.seed is not None else (cfg.sweep.seeds or [0])
-    reps = args.reps if args.reps is not None else cfg.sweep.replications
-    if reps < 1:
-        raise ConfigError("reps", f"must be >= 1, got {reps}")
-    horizon = args.T if args.T is not None else cfg.run.horizon
-    warmup = args.warmup if args.warmup is not None else cfg.run.warmup
-    init = args.init if args.init is not None else cfg.run.init
+    for name in args.policy:
+        try:
+            parse_policy(name)
+        except ValueError as exc:
+            raise ConfigError("policy", str(exc)) from None
+    if args.reps < 1:
+        raise ConfigError("reps", f"must be >= 1, got {args.reps}")
 
     cells = []
-    for n in n_values:
-        for rho in rho_values:
-            system = cfg.system(n=n, rho=rho)
-            for seed in seeds:
-                for rep in range(reps):
+    for n in args.n:
+        for rho in args.rho or [cfg.rho]:
+            system = cfg.system(n, rho)
+            for seed in args.seed or [0]:
+                for rep in range(args.reps):
                     run = RunConfig(
-                        horizon=horizon, warmup=warmup, seed=seed,
-                        replication=rep, init=init,
+                        horizon=args.T, warmup=args.warmup, seed=seed,
+                        replication=rep, init=args.init,
                     )
-                    cells.append((system, run, policies, cfg.beta))
+                    cells.append((system, run, args.policy, cfg.beta))
     rows = [_metric_row(m) for runs in _fan_out(cells, args.threads) for m in runs]
-    _write_text(_csv(rows, METRIC_COLUMNS), args.out or cfg.out)
+    _write_text(_csv(rows, METRIC_COLUMNS), args.out)
     return 0
 
 
@@ -320,7 +321,7 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
 
 def cmd_fluid(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    # The mean-field model needs no pool count; a configured n is ignored.
+    # The mean-field model needs no pool count.
     rho = cfg.offered_load(args.rho)
     system = FluidSystem(alpha=cfg.fractions, lam=rho * cfg.mu, mu=cfg.mu, family=cfg.family)
     integ = IntegratorConfig.for_system(system, horizon=args.T, dt=args.dt, levels=args.levels)
@@ -346,7 +347,7 @@ def cmd_fluid(args: argparse.Namespace) -> int:
             rows.append([float(t), c, l, v, mass])
         if not pairs:
             rows.append([float(t), 0, 0, 0.0, mass])
-    _write_text(_csv(rows, ("t", "cls", "level", "q", "mass")), args.out or cfg.out)
+    _write_text(_csv(rows, ("t", "cls", "level", "q", "mass")), args.out)
 
     if args.verify_reflection:
         report = verify_reflection_system(path)
@@ -407,16 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", "-k", type=int, default=20, help="slots to print")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("simulate", parents=[config, seed, out, threads],
+    p = sub.add_parser("simulate", parents=[config, out, threads],
                        help="finite-system runs, CSV metrics")
-    p.add_argument("--policy", action="append",
+    p.add_argument("--policy", action="append", required=True,
                    help="jlmu | slta | random | fixed:<cls>; repeat to couple several")
-    p.add_argument("--T", type=float, default=None, help="run horizon")
+    p.add_argument("--seed", type=int, action="append",
+                   help="base RNG seed (default 0); repeatable")
+    p.add_argument("--T", type=float, default=100.0, help="run horizon")
     p.add_argument("--warmup", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--n", type=int, action="append", help="pool count; repeatable")
-    p.add_argument("--rho", type=float, action="append", help="offered load; repeatable")
-    p.add_argument("--init", choices=("empty", "optimal"), default=None)
+    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--n", type=int, action="append", required=True,
+                   help="pool count; repeatable")
+    p.add_argument("--rho", type=float, action="append",
+                   help="offered load (default: the config's); repeatable")
+    p.add_argument("--init", choices=("empty", "optimal"), default="empty")
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("fluid", parents=[config, out], help="integrate the mean-field model")
@@ -453,6 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +20,10 @@ BASE_DOC = {
     ],
     "mu": 1.0,
     "rho": 9.75,
-    "n": 8,
-    "policies": ["jlmu", "slta"],
-    "run": {"horizon": 4.0, "init": "empty"},
 }
+
+#: The run settings every simulate call needs, as flags.
+RUN_FLAGS = ["--policy", "jlmu", "--policy", "slta", "--n", "8"]
 
 
 def write_config(tmp_path, doc=None, name="cfg.json"):
@@ -37,19 +40,32 @@ def test_parse_builds_systems_on_one_family():
     cfg = parse_config(BASE_DOC)
     assert cfg.offered_load() == pytest.approx(9.75)
     assert cfg.family.m == 2
-    system = cfg.system()
+    system = cfg.system(8)
     assert system.n == 8 and system.lam == pytest.approx(9.75)
     # every system shares the config's one slot ranking and marginal cache
     assert cfg.system(n=8).family is cfg.system(n=16, rho=10.0).family is cfg.family
 
 
-def test_parse_lambda_instead_of_rho():
-    doc = dict(BASE_DOC)
-    del doc["rho"]
-    doc["lambda"] = 19.5
-    doc["mu"] = 2.0
-    cfg = parse_config(doc)
-    assert cfg.offered_load() == pytest.approx(9.75)
+REMOVED_FIELDS = {
+    "n": 8,
+    "lambda": 9.75,
+    "policies": ["jlmu"],
+    "run": {"horizon": 4.0},
+    "sweep": {"n": [4, 8]},
+    "out": "metrics.csv",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_FIELDS))
+def test_removed_fields_are_unknown(tmp_path, capsys, key):
+    # a config describes the system; run settings are flags (rho replaces lambda)
+    doc = {**BASE_DOC, key: REMOVED_FIELDS[key]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == key and "unknown field" in str(err.value)
+    argv = ["simulate", "--config", write_config(tmp_path, doc), *RUN_FLAGS, "--T", "1"]
+    assert main(argv) == 2
+    assert f"{key}: unknown field" in capsys.readouterr().err
 
 
 def test_parse_error_paths():
@@ -73,15 +89,7 @@ def test_parse_error_paths():
         ({**BASE_DOC, "classes": []}, "classes"),
         ({**BASE_DOC, "classes": bad_classes}, "classes[0].utility"),
         ({**BASE_DOC, "mu": 0.0}, "mu"),
-        ({**BASE_DOC, "lambda": 1.0}, "exactly one"),
-        ({**BASE_DOC, "policies": ["lru"]}, "policies[0]"),
-        ({**BASE_DOC, "policies": ["fixed:0"]}, "policies[0]"),
-        ({**BASE_DOC, "policies": ["jlmu", "fixed: 1"]}, "policies[1]"),
-        ({**BASE_DOC, "run": {"horizon": -1.0}}, "run.horizon"),
-        ({**BASE_DOC, "run": {"horizon": 1.0, "init": "warm"}}, "run.init"),
         ({**BASE_DOC, "surprise": 1}, "surprise"),
-        ({**BASE_DOC, "sweep": {"n": [], "rho": [9.75], "seeds": [0]}}, "sweep.n"),
-        ({**BASE_DOC, "n": 0}, "n"),
     ]
     # utility fields follow the config's number rules: no bools, strings,
     # fractional or float caps, and tables only as lists of numbers
@@ -107,7 +115,7 @@ def test_parse_error_paths():
 def test_missing_load_is_rejected():
     doc = dict(BASE_DOC)
     del doc["rho"]
-    with pytest.raises(ConfigError, match="exactly one"):
+    with pytest.raises(ConfigError, match="missing required field 'rho'"):
         parse_config(doc)
 
 
@@ -123,9 +131,6 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
         ({**BASE_DOC, "rho": math.nan}, "rho"),
         ({**BASE_DOC, "mu": math.inf}, "mu"),
         ({**BASE_DOC, "rho": 10**400}, "rho"),
-        ({**BASE_DOC, "run": {"horizon": math.inf}}, "run.horizon"),
-        ({**BASE_DOC, "run": {"horizon": 1.0, "warmup": math.nan}}, "run.warmup"),
-        ({**BASE_DOC, "sweep": {"rho": [9.75, -math.inf]}}, "sweep.rho[1]"),
     ]
     for utility in (
         {"kind": "linear", "slope": math.inf},
@@ -155,21 +160,51 @@ def test_file_errors_exit_2_and_name_the_path(tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "bound.json"
     assert main(["bound", "--config", write_config(tmp_path), "--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
+    # a file that is not UTF-8 is named too, not just the decoder's complaint
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(bytes([0x81]) + bytes(range(256))[:99])
+    assert main(["bound", "--config", str(binary)]) == 2
+    assert str(binary) in capsys.readouterr().err
+
+
+def test_out_directory_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
+    from poolsim import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "_run_cell", no_work)
+    monkeypatch.setattr(cli, "integrate_fluid", no_work)
+    out = str(tmp_path / "no-such-dir" / "out.csv")
+    cfg = write_config(tmp_path)
+    for argv in (
+        ["fluid", "--config", cfg, "--T", "20"],
+        ["simulate", "--config", cfg, *RUN_FLAGS, "--T", "1"],
+        ["table1", "--scale", "4", "--reps", "1", "--T", "1"],
+    ):
+        assert main(argv + ["--out", out]) == 2
+        assert f"out: cannot write {out}" in capsys.readouterr().err
+
+
+def test_table1_out_directory_means_table1_csv(tmp_path):
+    assert main(["table1", "--scale", "4", "--rho", "9.75", "--reps", "1", "--T", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "table1.csv").read_text().startswith("n,rep,")
 
 
 def test_run_batches_is_not_a_config_field():
     doc = {**BASE_DOC, "run": {"horizon": 4.0, "batches": 5}}
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
-    assert err.value.path == "run"
-    assert "['batches']" in str(err.value)
+    assert err.value.path == "run" and "unknown field" in str(err.value)
 
 
-def test_run_init_alias_rejected():
-    doc = {**BASE_DOC, "run": {"horizon": 1.0, "init": "optimal-rounded"}}
-    with pytest.raises(ConfigError) as err:
-        parse_config(doc)
-    assert err.value.path == "run.init"
+def test_run_init_alias_rejected(tmp_path, capsys):
+    argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS, "--T", "1"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--init", "optimal-rounded"])
+    assert info.value.code == 2
+    assert "--init: invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +271,7 @@ def test_cli_simulate_csv(tmp_path):
             "simulate",
             "--config",
             write_config(tmp_path),
+            *RUN_FLAGS,
             "--T",
             "2.0",
             "--out",
@@ -250,7 +286,8 @@ def test_cli_simulate_csv(tmp_path):
         assert float(row["avg_u"]) <= float(row["empirical_bound"]) + 1e-9
     # identical settings must reproduce every column except the wall clock
     again = tmp_path / "metrics2.csv"
-    main(["simulate", "--config", write_config(tmp_path), "--T", "2.0", "--out", str(again)])
+    argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS, "--T", "2.0"]
+    main(argv + ["--out", str(again)])
     strip = lambda text: [
         ",".join(line.split(",")[:-1]) for line in text.read_text().splitlines()
     ]
@@ -258,38 +295,25 @@ def test_cli_simulate_csv(tmp_path):
 
 
 def test_cli_simulate_reads_sweep_warmup_beta_and_out(tmp_path):
-    # the same settings given as flags give the same rows, wall column cut
-    out = tmp_path / "from-config.csv"
-    doc = {
-        **BASE_DOC,
-        "beta": 0.5,
-        "run": {"horizon": 3.0, "warmup": 0.5, "init": "optimal"},
-        "sweep": {"n": [4, 8], "seeds": [1, 2], "replications": 2},
-        "out": str(out),
-    }
-    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    # repeated --seed gives the rows of the one-seed calls, wall column cut
+    config = write_config(tmp_path, {**BASE_DOC, "beta": 0.5})
+    argv = ["simulate", "--config", config, "--policy", "jlmu", "--policy", "slta",
+            "--n", "4", "--n", "8", "--reps", "2", "--T", "3.0", "--warmup", "0.5",
+            "--init", "optimal"]
     cut = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    out = tmp_path / "seeds.csv"
+    assert main(argv + ["--seed", "1", "--seed", "2", "--out", str(out)]) == 0
     rows = cut(out)
     assert len(rows) == 1 + 2 * 2 * 2 * 2
-    flags = {**BASE_DOC, "beta": 0.5, "run": {"horizon": 3.0, "init": "optimal"}}
-    plain = write_config(tmp_path, flags, name="flags.json")
     expected = []
     for seed in (1, 2):
         again = tmp_path / f"seed{seed}.csv"
-        argv = ["simulate", "--config", plain, "--n", "4", "--n", "8", "--seed", str(seed),
-                "--reps", "2", "--warmup", "0.5", "--out", str(again)]
-        assert main(argv) == 0
+        assert main(argv + ["--seed", str(seed), "--out", str(again)]) == 0
         expected.append(cut(again))
     assert rows[0] == expected[0][0] == expected[1][0]
     assert sorted(rows[1:]) == sorted(expected[0][1:] + expected[1][1:])
-    # --out overrides the config's path
-    out.unlink()
-    override = tmp_path / "override.csv"
-    argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(override)]
-    assert main(argv) == 0
-    assert cut(override) == rows and not out.exists()
     # beta has no flag: the SLTA rows are runs with Slta(beta=0.5)
-    cfg = parse_config(doc)
+    cfg = load_config(config)
     header = rows[0].split(",")
     for line in rows[1:]:
         row = dict(zip(header, line.split(",")))
@@ -297,7 +321,7 @@ def test_cli_simulate_reads_sweep_warmup_beta_and_out(tmp_path):
             continue
         run = RunConfig(horizon=3.0, warmup=0.5, seed=int(row["seed"]),
                         replication=int(row["rep"]), init="optimal", selection_slot=1)
-        m = simulate(cfg.system(n=int(row["n"])), Slta(beta=0.5), run)
+        m = simulate(cfg.system(int(row["n"])), Slta(beta=0.5), run)
         assert (row["avg_u"], row["r_final"], row["switches"]) == (
             f"{m.avg_u:.9g}", str(m.r_final), str(m.switches)
         )
@@ -310,21 +334,35 @@ def test_cli_simulate_rejects_unknown_policy(tmp_path, capsys):
             "--config",
             write_config(tmp_path),
             "--policy",
+            "jlmu",
+            "--policy",
             "lru",
+            "--n",
+            "8",
             "--T",
             "1.0",
         ]
     )
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert "config error: policy: unknown policy 'lru'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--policy", "--n"])
+def test_cli_simulate_requires_policy_and_n(tmp_path, capsys, flag):
+    argv = ["simulate", "--config", write_config(tmp_path), "--policy", "jlmu", "--n", "8"]
+    k = argv.index(flag)
+    with pytest.raises(SystemExit) as info:
+        main(argv[:k] + argv[k + 2:])
+    assert info.value.code == 2
+    assert f"required: {flag}" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
     # an infinite horizon used to start a run that never returned
-    assert main(["simulate", "--config", write_config(tmp_path), "--T", "inf"]) == 2
+    argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS]
+    assert main(argv + ["--T", "inf"]) == 2
     assert "horizon" in capsys.readouterr().err
-    doc = {**BASE_DOC, "run": {"horizon": 1.0}}
-    argv = ["simulate", "--config", write_config(tmp_path, doc)]
+    argv += ["--T", "1.0"]
     assert main(argv + ["--warmup", "nan"]) == 2
     assert main(argv + ["--rho", "nan"]) == 2
 
@@ -333,7 +371,8 @@ def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
 def test_cli_simulate_rejects_reps_below_one(tmp_path, capsys, reps):
     # these used to exit 0 with only the CSV header written
     out = tmp_path / "metrics.csv"
-    argv = ["simulate", "--config", write_config(tmp_path), "--T", "1.0", "--reps", reps]
+    argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS, "--T", "1.0",
+            "--reps", reps]
     assert main(argv + ["--out", str(out)]) == 2
     assert "reps" in capsys.readouterr().err
     assert not out.exists()
@@ -342,7 +381,10 @@ def test_cli_simulate_rejects_reps_below_one(tmp_path, capsys, reps):
 @pytest.mark.parametrize("threads", ["0", "-4"])
 @pytest.mark.parametrize(
     "argv",
-    [["table1", "--scale", "4", "--reps", "1", "--T", "1"], ["simulate", "--config", "c.json"]],
+    [
+        ["table1", "--scale", "4", "--reps", "1", "--T", "1"],
+        ["simulate", "--config", "c.json", "--policy", "jlmu", "--n", "4"],
+    ],
 )
 def test_cli_rejects_threads_below_one(argv, threads, capsys):
     # refused while parsing, before any config is read or any run starts
@@ -487,7 +529,7 @@ def test_cli_fluid_qstar_stays_put(tmp_path, capsys):
 
 def test_cli_fluid_needs_no_pool_count(tmp_path):
     # 1/pi and 1 - 1/pi: no small pool count gives whole class sizes
-    doc = {k: v for k, v in BASE_DOC.items() if k != "n"}
+    doc = dict(BASE_DOC)
     doc["classes"] = [
         {**doc["classes"][0], "fraction": 0.3183098861837907},
         {**doc["classes"][1], "fraction": 0.6816901138162093},
@@ -547,11 +589,42 @@ def test_cli_shared_flags_parse_where_they_are_read():
     args = parser.parse_args(["table1", "--seed", "3", "--threads", "2", "--out", "t.csv"])
     assert (args.seed, args.threads, args.out) == (3, 2, "t.csv")
     args = parser.parse_args(
-        ["simulate", "--config", "c.json", "--seed", "4", "--threads", "2", "--out", "s.csv"]
+        ["simulate", "--config", "c.json", "--policy", "jlmu", "--n", "4",
+         "--seed", "4", "--threads", "2", "--out", "s.csv"]
     )
-    assert (args.config, args.seed, args.threads, args.out) == ("c.json", 4, 2, "s.csv")
+    assert (args.config, args.seed, args.threads, args.out) == ("c.json", [4], 2, "s.csv")
     args = parser.parse_args(["suboptimal", "--seed", "5", "--out", "r.json"])
     assert (args.seed, args.out) == (5, "r.json")
     for command in ("bound", "assign", "rank", "fluid"):
         args = parser.parse_args([command, "--config", "c.json", "--out", "o"])
         assert (args.config, args.out) == ("c.json", "o")
+
+
+def test_readme_command_line_section_parses():
+    # README's config example and shell lines must match the parser; nothing runs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w+)\n(.*?)```", section, re.S)
+    (config,) = [body for lang, body in blocks if lang == "json"]
+    (shell,) = [body for lang, body in blocks if lang == "sh"]
+    parse_config(json.loads(config))
+    commands, pending = [], ""
+    for line in shell.splitlines():
+        line = pending + line.split("#", 1)[0].rstrip()
+        if line.endswith("\\"):
+            pending = line[:-1]
+            continue
+        pending = ""
+        if line.strip():
+            commands.append(shlex.split(line))
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "poolsim", argv
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")
+    assert {argv[1] for argv in commands} == {
+        "bound", "assign", "rank", "simulate", "fluid", "table1", "suboptimal"
+    }
