@@ -48,7 +48,6 @@ class OptimalAssignment:
     sigma_index: int
     q_star: QVector
     bound: float
-    rho: float
 
     @property
     def residual(self) -> float:
@@ -56,8 +55,8 @@ class OptimalAssignment:
         return self.q_star.get(*self.sigma_star)
 
 
-def _too_deep(rho: float) -> RuntimeError:
-    return RuntimeError(
+def _too_deep(rho: float) -> ValueError:
+    return ValueError(
         f"load {rho} needs more than {MAX_ENUMERATION} ranked slots; "
         "refusing to walk further"
     )
@@ -122,7 +121,6 @@ def optimal_assignment(family: UtilityFamily, alpha, rho: float) -> OptimalAssig
         sigma_index=rank,
         q_star=q,
         bound=overall_utility(family, q),
-        rho=rho,
     )
 
 

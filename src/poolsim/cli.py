@@ -12,11 +12,13 @@ Subcommands::
     poolsim suboptimal [--seed S] --a 1 --eps 0.05 --rho 1
 
 A config file describes the system only; every run setting is a flag. Every
-subcommand takes ``--out``, and a path in a missing directory exits with 2
-before any work starts. Each takes only the shared flags it reads: ``table1``
-runs its built-in two-class benchmark and ``suboptimal`` its two-pool
-counterexample, so neither takes ``--config``, and only the commands that
-simulate take ``--seed``. A flag a command does not read exits with 2.
+subcommand takes ``--out``, and a path that is a directory or sits in a
+missing one exits with 2 before any work starts; ``table1`` alone reads a
+directory as ``<dir>/table1.csv``. Each command takes only the shared flags
+it reads: ``table1`` runs its built-in two-class benchmark and
+``suboptimal`` its two-pool counterexample, so neither takes ``--config``,
+and only the commands that simulate take ``--seed``. A flag a command does
+not read exits with 2.
 
 Exit codes: 0 on success, 2 for configuration or parameter problems, 3 when a
 runtime invariant breaks (a run landing above its utility ceiling, or the
@@ -78,8 +80,13 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an output path in a missing directory before any work starts."""
-    if out is not None and not Path(out).parent.is_dir():
+    """Refuse an output path that is a directory or sits in a missing one,
+    before any work starts."""
+    if out is None:
+        return
+    if Path(out).is_dir():
+        raise ConfigError("out", f"cannot write {out}: is a directory")
+    if not Path(out).parent.is_dir():
         raise ConfigError("out", f"cannot write {out}: no such directory")
 
 
@@ -260,10 +267,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 mean_row.append(sum(vals) / len(vals))
         rows_out.append(mean_row)
 
-    out = args.out
-    if out and Path(out).is_dir():
-        out = str(Path(out) / "table1.csv")
-    _write_text(_csv(rows_out, header), out)
+    _write_text(_csv(rows_out, header), args.out)
     return 0
 
 
@@ -457,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # table1 alone reads an existing directory as the place for table1.csv.
+    if args.handler is cmd_table1 and args.out and Path(args.out).is_dir():
+        args.out = str(Path(args.out) / "table1.csv")
     try:
         _check_out(args.out)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -28,9 +28,7 @@ from .model import Coordinate, FluidSystem, QVector, UtilityFamily
 __all__ = [
     "IntegratorConfig",
     "FluidPath",
-    "SampledPath",
     "ReflectionReport",
-    "fluid_sigma",
     "fluid_rhs",
     "integrate_fluid",
     "equilibrium_profile",
@@ -160,15 +158,6 @@ def _active_rank(table: np.ndarray, states: np.ndarray) -> np.ndarray:
             "no active slot within the truncated profile; increase the depth"
         )
     return ranks
-
-
-def fluid_sigma(family: UtilityFamily, q: QVector) -> Coordinate:
-    """Active slot of a profile."""
-    table = family.rank_table(q.depth)
-    rank = int(_active_rank(table, _pad(q, q.depth)))
-    if rank > table.size:
-        raise RuntimeError("the active slot ranks below a class full to the profile depth")
-    return family.slot(rank)
 
 
 def _fill_at(
@@ -361,42 +350,23 @@ def integrate_fluid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class SampledPath:
-    """A real path sampled on a strictly increasing time grid."""
+def skorokhod_reflect(x, barrier: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided reflection of the sampled path ``x`` below an upper barrier.
 
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ValueError("times and values must be equal-length vectors")
-        if self.times.size and np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-
-def skorokhod_reflect(
-    path: SampledPath, barrier: float
-) -> tuple[SampledPath, SampledPath]:
-    """One-sided reflection below an upper barrier.
-
-    Returns ``(push, reflected)``: the minimal non-decreasing process that,
-    subtracted from the input, keeps it at or below the barrier, and the
-    reflected path itself. The push at time t is the running maximum of the
-    barrier excess. Requires the path to start at or below the barrier.
+    ``x`` holds the path's values in time order; the sample times do not
+    enter the map. Returns the arrays ``(push, reflected)``: the minimal
+    non-decreasing process that, subtracted from ``x``, keeps it at or below
+    the barrier, and the reflected path ``x - push`` itself. The push at
+    sample k is the running maximum of the barrier excess up to k. Requires
+    the path to start at or below the barrier.
     """
-    x = path.values
-    if x.size == 0:
-        raise ValueError("cannot reflect an empty path")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("need a non-empty vector of path values")
     if x[0] > barrier:
         raise ValueError(f"path starts at {x[0]}, above the barrier {barrier}")
     push = np.maximum.accumulate(np.maximum(x - barrier, 0.0))
-    return (
-        SampledPath(times=path.times, values=push),
-        SampledPath(times=path.times, values=x - push),
-    )
+    return push, x - push
 
 
 @dataclass(eq=False)
@@ -404,17 +374,12 @@ class ReflectionReport:
     """Residuals of the reflection identities along one trajectory."""
 
     slots: list[Coordinate]
-    ranks: np.ndarray
     flow_residuals: np.ndarray
     state_residuals: np.ndarray
 
     @property
-    def depth(self) -> int:
-        return len(self.slots)
-
-    @property
     def max_residual(self) -> float:
-        if self.depth == 0:
+        if not self.slots:
             return 0.0
         return float(
             max(self.flow_residuals.max(), self.state_residuals.max())
@@ -506,13 +471,10 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
             ([0.0], np.cumsum((0.5 * dt) * (d[:-1] + d[1:])))
         )
         free = states[0, cls - 1, level] + w_prev - drained
-        push, reflected = skorokhod_reflect(SampledPath(times, free), alpha[cls - 1])
-        flow_res[idx] = float(np.abs(w - push.values).max())
-        state_res[idx] = float(np.abs(states[:, cls - 1, level] - reflected.values).max())
+        push, reflected = skorokhod_reflect(free, alpha[cls - 1])
+        flow_res[idx] = float(np.abs(w - push).max())
+        state_res[idx] = float(np.abs(states[:, cls - 1, level] - reflected).max())
         w_prev = w
     return ReflectionReport(
-        slots=slots,
-        ranks=ranks,
-        flow_residuals=flow_res,
-        state_residuals=state_res,
+        slots=slots, flow_residuals=flow_res, state_residuals=state_res
     )

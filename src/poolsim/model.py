@@ -62,25 +62,15 @@ class Coordinate(NamedTuple):
 class Utility:
     """Concave utility of integer per-pool occupancy."""
 
-    kind: str = "?"
-
     def value(self, x: int) -> float:
         raise NotImplementedError
 
-    def params(self) -> dict:
-        raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner})"
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class LogQuality(Utility):
     """u(x) = x * log(r / x), with u(0) = 0. Peaks near x = r / e."""
 
     r: float
-    kind = "log_quality"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r) and self.r > 0):
@@ -91,16 +81,12 @@ class LogQuality(Utility):
             return 0.0
         return x * math.log(self.r / x)
 
-    def params(self) -> dict:
-        return {"r": self.r}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Linear(Utility):
     """u(x) = slope * x."""
 
     slope: float
-    kind = "linear"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.slope):
@@ -109,17 +95,13 @@ class Linear(Utility):
     def value(self, x: int) -> float:
         return self.slope * x
 
-    def params(self) -> dict:
-        return {"slope": self.slope}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class CappedLinear(Utility):
     """u(x) = slope * min(x, cap): linear up to ``cap`` tasks, flat beyond."""
 
     slope: float
     cap: int
-    kind = "capped_linear"
 
     def __post_init__(self) -> None:
         # A negative slope would make the marginal jump up to 0 at the cap.
@@ -131,11 +113,8 @@ class CappedLinear(Utility):
     def value(self, x: int) -> float:
         return self.slope * min(x, self.cap)
 
-    def params(self) -> dict:
-        return {"slope": self.slope, "cap": self.cap}
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Tabulated(Utility):
     """Utility given by a table ``values[x]`` for x = 0..len-1.
 
@@ -144,7 +123,6 @@ class Tabulated(Utility):
     """
 
     values: tuple[float, ...]
-    kind = "table"
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
@@ -167,9 +145,6 @@ class Tabulated(Utility):
             return self.values[x]
         tail_slope = self.values[last] - self.values[last - 1]
         return self.values[last] + (x - last) * tail_slope
-
-    def params(self) -> dict:
-        return {"values": list(self.values)}
 
 
 def _json_number(value: Any) -> float:

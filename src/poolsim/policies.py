@@ -202,7 +202,7 @@ class Slta(Policy):
         if self.rank < 1:
             raise ValueError(f"initial rank must be >= 1, got {self.rank}")
         self._reload(state)
-        self._check_goodness(state)
+        self.check_goodness(state)
 
     def _reload(self, state: OccupancyState) -> None:
         """Recompute thresholds, boundary and token counts from scratch."""
@@ -214,19 +214,20 @@ class Slta(Policy):
         self._green, _ = token_counts(state, self._thr, self._boundary)
         self._total_green = sum(self._green)
 
-    def _check_goodness(self, state: OccupancyState) -> None:
-        """The boundary must sit strictly above every saturated slot."""
+    def check_goodness(self, state: OccupancyState) -> None:
+        """Raise ValueError unless the boundary slot sits strictly above every
+        saturated slot; :meth:`bind` runs this on the starting state."""
         _, yellow = token_counts(state, self._thr, self._boundary)
         if yellow < 1:
             raise ValueError(
-                f"bad starting state: boundary slot {tuple(self._boundary)} is saturated"
+                f"state is not good: boundary slot {tuple(self._boundary)} is saturated"
             )
         for ci, depth in enumerate(self._thr):
             if ci == self._boundary.cls - 1:
                 continue
             if state.tail_count(ci + 1, depth + 1) >= state.class_sizes[ci]:
                 raise ValueError(
-                    f"bad starting state: class {ci + 1} is saturated beyond its threshold"
+                    f"state is not good: class {ci + 1} is saturated beyond its threshold"
                 )
 
     # -- token upkeep --------------------------------------------------------
@@ -304,13 +305,6 @@ class Slta(Policy):
         green, _ = token_counts(state, self._thr, self._boundary)
         assert green == self._green, f"green counters drifted: {self._green} vs {green}"
         assert self._total_green == sum(green)
-
-    def is_good(self, state: OccupancyState) -> bool:
-        try:
-            self._check_goodness(state)
-        except ValueError:
-            return False
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,9 @@ def simulate(
         if warmup >= horizon:
             warmup = 0.0
     started = time.perf_counter()
+    # The ceiling at the offered load depends on the config alone; taking it
+    # first refuses a load past the ranked-slot limit before any event.
+    bound_rho = upper_bound(family, config.alpha, config.rho)
 
     state, base_rank = init_state(config, run.init)
     policy.bind(state, config, initial_rank=base_rank)
@@ -373,7 +376,6 @@ def simulate(
     avg_u = acc_u / (n * span)
     avg_s = acc_s / (n * span)
     empirical_bound = upper_bound(family, config.alpha, avg_s)
-    bound_rho = upper_bound(family, config.alpha, config.rho)
     wall_ms = (time.perf_counter() - started) * 1e3
 
     metrics = Metrics(

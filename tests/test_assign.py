@@ -73,7 +73,7 @@ def test_sigma_star_rejects_bad_inputs():
     for load in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             boundary(fam, TWO_CLASS_ALPHA, load)
-    with pytest.raises(RuntimeError, match="refusing"):
+    with pytest.raises(ValueError, match="refusing"):
         boundary(fam, TWO_CLASS_ALPHA, 1e300)
 
 

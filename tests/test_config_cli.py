@@ -175,12 +175,17 @@ def test_out_directory_is_checked_before_any_work(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(cli, "_run_cell", no_work)
     monkeypatch.setattr(cli, "integrate_fluid", no_work)
-    out = str(tmp_path / "no-such-dir" / "out.csv")
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
     cfg = write_config(tmp_path)
-    for argv in (
-        ["fluid", "--config", cfg, "--T", "20"],
-        ["simulate", "--config", cfg, *RUN_FLAGS, "--T", "1"],
-        ["table1", "--scale", "4", "--reps", "1", "--T", "1"],
+    fluid = ["fluid", "--config", cfg, "--T", "20"]
+    simulate = ["simulate", "--config", cfg, *RUN_FLAGS, "--T", "1"]
+    for argv, out in (
+        (fluid, missing),
+        (simulate, missing),
+        (["table1", "--scale", "4", "--reps", "1", "--T", "1"], missing),
+        # an existing directory is refused too, except by table1 (below)
+        (fluid, str(tmp_path)),
+        (simulate, str(tmp_path)),
     ):
         assert main(argv + ["--out", out]) == 2
         assert f"out: cannot write {out}" in capsys.readouterr().err
@@ -232,13 +237,16 @@ def test_cli_bound_rho_override(tmp_path, capsys):
 
 def test_cli_bound_rejects_unreachable_loads(tmp_path, capsys):
     # non-finite loads are config errors; a load beyond what 10^6 ranked
-    # slots can carry is refused without walking them
+    # slots can carry is refused without walking them, also with exit 2
     cfg = write_config(tmp_path)
     for command in ("bound", "assign"):
         for load in ("nan", "inf"):
             assert main([command, "--config", cfg, "--rho", load]) == 2
             assert "finite" in capsys.readouterr().err
-        assert main([command, "--config", cfg, "--rho", "1e300"]) == 3
+        assert main([command, "--config", cfg, "--rho", "1e300"]) == 2
+        assert "refusing" in capsys.readouterr().err
+    for argv in (["fluid", "--config", cfg], ["simulate", "--config", cfg, *RUN_FLAGS]):
+        assert main(argv + ["--rho", "1e300"]) == 2
         assert "refusing" in capsys.readouterr().err
 
 

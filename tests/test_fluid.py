@@ -8,20 +8,17 @@ from poolsim.fluid import (
     FluidPath,
     MAX_STEPS,
     IntegratorConfig,
-    SampledPath,
     equilibrium_profile,
     fluid_rhs,
-    fluid_sigma,
     integrate_fluid,
     skorokhod_reflect,
     verify_reflection_system,
 )
-from poolsim.model import Coordinate, LogQuality, QVector, UtilityFamily
+from poolsim.model import Coordinate, FluidSystem, LogQuality, QVector, UtilityFamily
 
 from conftest import (
     TWO_CLASS_ALPHA,
     random_feasible_tail,
-    two_class_family,
     two_class_system,
 )
 
@@ -38,28 +35,31 @@ def all_alpha_profile(alpha, depth):
 def test_sigma_of_equilibrium_is_boundary():
     system = two_class_system(8, 9.75)
     q = equilibrium_profile(system)
-    assert fluid_sigma(system.family, q) == Coordinate(2, 12)
+    assert fluid_rhs(system, q)[2] == Coordinate(2, 12)
 
 
 def test_sigma_of_empty_is_top_slot():
-    fam = two_class_family()
+    system = two_class_system(8, 9.75)
     q = QVector.zeros(TWO_CLASS_ALPHA, 3)
-    assert fluid_sigma(fam, q) == Coordinate(2, 1)
+    assert fluid_rhs(system, q)[2] == Coordinate(2, 1)
 
 
 def test_sigma_single_class_block_fill():
     fam = UtilityFamily((LogQuality(50.0),))
+    system = FluidSystem(alpha=(1.0,), lam=6.0, mu=1.0, family=fam)
     tail = np.zeros((1, 8))
     tail[0, :6] = 1.0
     q = QVector(alpha=np.array([1.0]), tail=tail)
-    assert fluid_sigma(fam, q) == Coordinate(1, 6)
+    assert fluid_rhs(system, q)[2] == Coordinate(1, 6)
 
 
 def test_sigma_needs_an_open_gap():
-    fam = two_class_family()
+    # every retained level full: no slot within the truncation is open
+    system = two_class_system(8, 9.75)
     q = all_alpha_profile(TWO_CLASS_ALPHA, 3)
+    cfg = IntegratorConfig(dt=1e-3, levels=3, horizon=1e-3)
     with pytest.raises(RuntimeError, match="active slot"):
-        fluid_sigma(fam, q)
+        integrate_fluid(system, q, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -216,51 +216,45 @@ def test_tight_truncation_warns():
 
 
 def test_reflect_below_barrier_is_identity():
-    t = np.linspace(0.0, 1.0, 11)
-    x = SampledPath(times=t, values=np.full(11, 0.3))
+    x = np.full(11, 0.3)
     push, refl = skorokhod_reflect(x, 1.0)
-    assert np.all(push.values == 0.0)
-    assert np.all(refl.values == x.values)
+    assert np.all(push == 0.0)
+    assert np.all(refl == x)
 
 
 def test_reflect_linear_ramp_closed_form():
     t = np.linspace(0.0, 3.0, 3001)
-    push, refl = skorokhod_reflect(SampledPath(times=t, values=t.copy()), 1.0)
-    assert np.allclose(push.values, np.maximum(t - 1.0, 0.0), atol=1e-12)
-    assert np.allclose(refl.values, np.minimum(t, 1.0), atol=1e-12)
+    push, refl = skorokhod_reflect(t.copy(), 1.0)
+    assert np.allclose(push, np.maximum(t - 1.0, 0.0), atol=1e-12)
+    assert np.allclose(refl, np.minimum(t, 1.0), atol=1e-12)
 
 
 def test_reflect_requires_valid_start():
-    t = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="above the barrier"):
-        skorokhod_reflect(SampledPath(times=t, values=np.array([2.0, 0.0])), 1.0)
-    with pytest.raises(ValueError):
-        SampledPath(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
+        skorokhod_reflect(np.array([2.0, 0.0]), 1.0)
 
 
 def test_reflect_structure_and_complementarity(rng):
-    t = np.linspace(0.0, 5.0, 2000)
     for _ in range(20):
         x = np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 0.05, 1999))))
-        push, refl = skorokhod_reflect(SampledPath(times=t, values=x), 0.4)
-        assert push.values[0] == 0.0
-        assert np.all(np.diff(push.values) >= 0.0)
-        assert refl.values.max() <= 0.4 + 1e-12
+        push, refl = skorokhod_reflect(x, 0.4)
+        assert push[0] == 0.0
+        assert np.all(np.diff(push) >= 0.0)
+        assert refl.max() <= 0.4 + 1e-12
         # the push grows only while the reflected path presses the barrier
-        grows = np.flatnonzero(np.diff(push.values) > 1e-15) + 1
-        assert np.allclose(refl.values[grows], 0.4, atol=1e-12)
+        grows = np.flatnonzero(np.diff(push) > 1e-15) + 1
+        assert np.allclose(refl[grows], 0.4, atol=1e-12)
 
 
 def test_reflect_lipschitz_pair(rng):
-    t = np.linspace(0.0, 5.0, 1500)
     for _ in range(20):
         x = np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 0.05, 1499))))
         y = np.concatenate(([0.0], np.cumsum(rng.normal(0.0, 0.05, 1499))))
-        px, rx = skorokhod_reflect(SampledPath(times=t, values=x), 0.4)
-        py, ry = skorokhod_reflect(SampledPath(times=t, values=y), 0.4)
+        px, rx = skorokhod_reflect(x, 0.4)
+        py, ry = skorokhod_reflect(y, 0.4)
         gap = np.abs(x - y).max()
-        assert np.abs(px.values - py.values).max() <= gap + 1e-12
-        assert np.abs(rx.values - ry.values).max() <= 2.0 * gap + 1e-12
+        assert np.abs(px - py).max() <= gap + 1e-12
+        assert np.abs(rx - ry).max() <= 2.0 * gap + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +277,7 @@ def test_reflection_residuals_at_equilibrium():
 
 def test_reflection_residuals_transient():
     report = verify_reflection_system(transient_path(1e-3))
-    assert report.depth >= 20
+    assert len(report.slots) >= 20
     assert report.slots[0] == Coordinate(2, 1)
     assert report.max_residual <= 5e-3
 

@@ -109,16 +109,16 @@ def test_concave_tables_accepted(start, first, drops):
 
 
 def test_utility_from_dict_round_trip():
-    specs = [
-        {"kind": "log_quality", "r": 20.0},
-        {"kind": "linear", "slope": 1.0},
-        {"kind": "capped_linear", "slope": 1.5, "cap": 20},
-        {"kind": "table", "values": list(QUAD_VALUES)},
+    cases = [
+        ({"kind": "log_quality", "r": 20.0}, LogQuality(20.0)),
+        ({"kind": "linear", "slope": 1.0}, Linear(1.0)),
+        ({"kind": "capped_linear", "slope": 1.5, "cap": 20}, CappedLinear(1.5, 20)),
+        ({"kind": "table", "values": list(QUAD_VALUES)}, Tabulated(QUAD_VALUES)),
     ]
-    for spec in specs:
+    for spec, expected in cases:
         u = utility_from_dict(spec)
-        again = utility_from_dict({"kind": u.kind, **u.params()})
-        assert all(u.value(x) == again.value(x) for x in range(30))
+        assert u == expected
+        assert all(u.value(x) == expected.value(x) for x in range(30))
 
 
 def test_utility_from_dict_rejects_bad_specs():

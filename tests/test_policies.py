@@ -362,7 +362,7 @@ def test_goodness_and_tokens_preserved_in_simulation():
 
     def audit(kind, t, state, policy):
         policy.verify_tokens(state)
-        assert policy.is_good(state), f"goodness lost after {kind} at t={t}"
+        policy.check_goodness(state)
 
     metrics = simulate(
         config, "slta", RunConfig(horizon=30.0, seed=7, init="empty"), hook=audit

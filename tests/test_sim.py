@@ -125,6 +125,18 @@ def test_zero_load_coupled_policies_agree():
     assert {(m.avg_u, m.avg_s, m.events, m.arrivals) for m in out} == {(0.0, 0.0, 0, 0)}
 
 
+def test_unreachable_load_is_refused_before_any_event():
+    # no 10^6 ranked slots carry this load; the ceiling at the offered load
+    # is taken before the loop, so the refusal does not wait for the horizon
+    config = two_class_system(2, 1e7)
+
+    def no_event(*args):
+        raise AssertionError("an event ran before the load was refused")
+
+    with pytest.raises(ValueError, match="refusing"):
+        simulate(config, "jlmu", RunConfig(horizon=0.01), hook=no_event)
+
+
 # ---------------------------------------------------------------------------
 # determinism and coupling
 
