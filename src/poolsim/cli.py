@@ -42,10 +42,10 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .assign import optimal_assignment
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
 from .model import FluidSystem, LogQuality, SystemConfig, UtilityFamily
-from .policies import parse_policy
+from .policies import FixedClassDispatch, parse_policy
 from .sim import Metrics, RunConfig, batch_means, coupled_simulate
 
 __all__ = ["main"]
@@ -101,20 +101,27 @@ def _json_text(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(args: argparse.Namespace) -> ExperimentConfig:
+def _load(args: argparse.Namespace) -> tuple[FluidSystem, float | None]:
+    """The config's system and SLTA's ``beta``."""
     if not args.config:
         raise ConfigError("", "this command needs --config")
     return load_config(args.config)
+
+
+def _load_at_rho(args: argparse.Namespace) -> FluidSystem:
+    """The config's system, at the load of a single ``--rho`` flag when given."""
+    system, _ = _load(args)
+    return system if args.rho is None else replace(system, rho=args.rho)
 
 
 # ---------------------------------------------------------------------------
 # assignment commands
 
 
-def _assignment_payload(cfg: ExperimentConfig, rho: float) -> dict:
-    assign = optimal_assignment(cfg.family, cfg.fractions, rho)
+def _assignment_payload(system: FluidSystem) -> dict:
+    assign = optimal_assignment(system.family, system.alpha, system.rho)
     return {
-        "rho": rho,
+        "rho": system.rho,
         "sigma_star": [assign.sigma_star.cls, assign.sigma_star.level],
         "rank": assign.sigma_index,
         "residual": assign.residual,
@@ -124,31 +131,30 @@ def _assignment_payload(cfg: ExperimentConfig, rho: float) -> dict:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    payload = _assignment_payload(cfg, cfg.offered_load(args.rho))
+    payload = _assignment_payload(_load_at_rho(args))
     del payload["q_star"]
     _write_text(_json_text(payload), args.out)
     return 0
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    payload = _assignment_payload(cfg, cfg.offered_load(args.rho))
+    system = _load_at_rho(args)
+    payload = _assignment_payload(system)
     mass = sum(v for _, _, v in payload["q_star"])
     payload["mass"] = mass
     payload["class_mass"] = [
         sum(v for c, _, v in payload["q_star"] if c == ci + 1)
-        for ci in range(len(cfg.fractions))
+        for ci in range(system.m)
     ]
     _write_text(_json_text(payload), args.out)
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    system, _ = _load(args)
     if args.count < 1:
         raise ConfigError("count", f"must be >= 1, got {args.count}")
-    family = cfg.family
+    family = system.family
     slots = family.enumerate_ranked(args.count)
     payload = [
         {"rank": k + 1, "cls": c.cls, "level": c.level,
@@ -194,10 +200,12 @@ def _fan_out(cells: list[Cell], threads: int) -> list[list[Metrics]]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    config, beta = _load(args)
     for name in args.policy:
         try:
-            parse_policy(name)
+            policy = parse_policy(name)
+            if isinstance(policy, FixedClassDispatch):
+                policy.check_classes(config.m)
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
     if args.reps < 1:
@@ -205,15 +213,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cells = []
     for n in args.n:
-        for rho in args.rho or [cfg.rho]:
-            system = cfg.system(n, rho)
+        for rho in args.rho or [config.rho]:
+            system = SystemConfig(
+                n=n, alpha=config.alpha, rho=rho, mu=config.mu, family=config.family
+            )
             for seed in args.seed or [0]:
                 for rep in range(args.reps):
                     run = RunConfig(
                         horizon=args.T, warmup=args.warmup, seed=seed,
                         replication=rep, init=args.init,
                     )
-                    cells.append((system, run, args.policy, cfg.beta))
+                    cells.append((system, run, args.policy, beta))
     rows = [_metric_row(m) for runs in _fan_out(cells, args.threads) for m in runs]
     _write_text(_csv(rows, METRIC_COLUMNS), args.out)
     return 0
@@ -222,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def table1_system(n: int, rho: float) -> SystemConfig:
     """The two-class log-quality benchmark used by the scaling matrix."""
     family = UtilityFamily((LogQuality(20.0), LogQuality(30.0)))
-    return SystemConfig.from_rho(n=n, alpha=(0.5, 0.5), rho=rho, mu=1.0, family=family)
+    return SystemConfig(n=n, alpha=(0.5, 0.5), rho=rho, mu=1.0, family=family)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -287,7 +297,7 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
 
     # Two pools, one per class; total arrival rate rho * mu splits as n * lam.
     family = UtilityFamily((Linear(a * eps), CappedLinear(a, 1)))
-    system = SystemConfig.from_rho(n=2, alpha=(0.5, 0.5), rho=rho / 2.0, mu=1.0, family=family)
+    system = SystemConfig(n=2, alpha=(0.5, 0.5), rho=rho / 2.0, mu=1.0, family=family)
 
     sums: dict[str, list[float]] = {"jlmu": [], "fixed:2": []}
     wins = 0
@@ -324,10 +334,8 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
-    cfg = _load(args)
     # The mean-field model needs no pool count.
-    rho = cfg.offered_load(args.rho)
-    system = FluidSystem(alpha=cfg.fractions, lam=rho * cfg.mu, mu=cfg.mu, family=cfg.family)
+    system = _load_at_rho(args)
     integ = IntegratorConfig.for_system(system, horizon=args.T, dt=args.dt, levels=args.levels)
     record = args.record_every if args.record_every is not None else max(
         1, int(round(integ.horizon / integ.dt / 400))

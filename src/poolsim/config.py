@@ -1,10 +1,10 @@
 """Experiment configuration files.
 
-A config describes the system and nothing else. It is a JSON object with
-``"schema": 1``, the class mix and utilities, the service rate ``mu``, the
-per-pool offered load ``rho``, and optionally SLTA's learning rate ``beta``,
-which has no flag. Everything about a run (the pool count, policies, horizon,
-seeds, replications and output path) is a command-line flag. Example::
+A config is a system plus SLTA's learning rate ``beta``, which has no flag.
+It is a JSON object with ``"schema": 1``, the class mix and utilities, the
+service rate ``mu``, the per-pool offered load ``rho``, and optionally
+``beta``. Everything about a run (the pool count, policies, horizon, seeds,
+replications and output path) is a command-line flag. Example::
 
     {
       "schema": 1,
@@ -17,21 +17,85 @@ seeds, replications and output path) is a command-line flag. Example::
     }
 
 Validation errors carry the offending field path; JSON syntax errors keep the
-parser's line and column.
+parser's line and column. This module holds every rule for reading JSON,
+including the utility specs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from pathlib import Path
 from typing import Any
 
-from .model import SystemConfig, UtilityFamily, _check_fractions, _json_number, utility_from_dict
+from .model import (
+    CappedLinear, FluidSystem, Linear, LogQuality, Tabulated, Utility, UtilityFamily,
+    _check_fractions,
+)
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "load_config", "parse_config", "utility_from_dict"]
 
 SCHEMA_VERSION = 1
+
+
+def _json_number(value: Any) -> float:
+    """A finite number from a decoded JSON document; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    # JSON lets NaN, Infinity and 1e400 through.
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _json_integer(value: Any) -> int:
+    """An integer from a decoded JSON document; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_numbers(value: Any) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return tuple(_json_number(v) for v in value)
+
+
+#: Each utility kind: its type and a reader per field of its config form.
+_UTILITY_KINDS = {
+    "log_quality": (LogQuality, {"r": _json_number}),
+    "linear": (Linear, {"slope": _json_number}),
+    "capped_linear": (CappedLinear, {"slope": _json_number, "cap": _json_integer}),
+    "table": (Tabulated, {"values": _json_numbers}),
+}
+
+
+def utility_from_dict(spec: dict) -> Utility:
+    """Build a utility from its config form, e.g. {"kind": "linear", "slope": 2.0}."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"utility spec must be an object with a 'kind' field, got {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _UTILITY_KINDS:
+        known = ", ".join(sorted(_UTILITY_KINDS))
+        raise ValueError(f"unknown utility kind {kind!r} (known kinds: {known})")
+    make, fields = _UTILITY_KINDS[kind]
+    extra = set(spec) - set(fields) - {"kind"}
+    missing = set(fields) - set(spec)
+    if missing:
+        raise ValueError(f"utility kind {kind!r} is missing fields: {sorted(missing)}")
+    if extra:
+        raise ValueError(f"utility kind {kind!r} has unexpected fields: {sorted(extra)}")
+    params = {}
+    for key, read in fields.items():
+        try:
+            params[key] = read(spec[key])
+        except ValueError as exc:
+            raise ValueError(f"utility kind {kind!r} field {key!r}: {exc}") from None
+    return make(**params)
 
 
 class ConfigError(ValueError):
@@ -55,37 +119,12 @@ def _number(value: Any, where: str) -> float:
         raise ConfigError(where, str(exc)) from None
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated contents of a config file.
+def parse_config(doc: Any) -> tuple[FluidSystem, float | None]:
+    """Validate a decoded JSON document into its system and SLTA's ``beta``.
 
-    ``family`` is built once, so every system the config builds shares one
-    slot ranking and marginal cache.
+    The system's family is built once, so every system derived from it shares
+    one slot ranking and marginal cache.
     """
-
-    fractions: tuple[float, ...]
-    family: UtilityFamily
-    mu: float
-    rho: float
-    beta: float | None
-
-    def offered_load(self, rho: float | None = None) -> float:
-        """The load to use: ``rho`` when given, else the config's."""
-        return self.rho if rho is None else rho
-
-    def system(self, n: int, rho: float | None = None) -> SystemConfig:
-        """Build the system of ``n`` pools, optionally overriding the load."""
-        return SystemConfig.from_rho(
-            n=n,
-            alpha=self.fractions,
-            rho=self.offered_load(rho),
-            mu=self.mu,
-            family=self.family,
-        )
-
-
-def parse_config(doc: Any) -> ExperimentConfig:
-    """Validate a decoded JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("", f"config must be a JSON object, got {type(doc).__name__}")
     for key in doc:
@@ -134,16 +173,11 @@ def parse_config(doc: Any) -> ExperimentConfig:
         if not 0 < beta <= 1:
             raise ConfigError("beta", f"must be in (0, 1], got {beta}")
 
-    return ExperimentConfig(
-        fractions=tuple(fractions),
-        family=UtilityFamily(utilities),
-        mu=mu,
-        rho=rho,
-        beta=beta,
-    )
+    system = FluidSystem(alpha=tuple(fractions), rho=rho, mu=mu, family=UtilityFamily(utilities))
+    return system, beta
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path) -> tuple[FluidSystem, float | None]:
     """Read and validate a config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "OccupancyState",
     "overall_utility",
     "occupancy_to_q",
-    "utility_from_dict",
 ]
 
 #: Hard cap on how many slots any ranked walk may visit before giving up.
@@ -145,66 +144,6 @@ class Tabulated(Utility):
             return self.values[x]
         tail_slope = self.values[last] - self.values[last - 1]
         return self.values[last] + (x - last) * tail_slope
-
-
-def _json_number(value: Any) -> float:
-    """A finite number from a decoded JSON document; bools and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    # JSON lets NaN, Infinity and 1e400 through.
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _json_integer(value: Any) -> int:
-    """An integer from a decoded JSON document; bools and floats are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _json_numbers(value: Any) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    return tuple(_json_number(v) for v in value)
-
-
-#: Each utility kind: its type and a reader per field of its config form.
-_UTILITY_KINDS = {
-    "log_quality": (LogQuality, {"r": _json_number}),
-    "linear": (Linear, {"slope": _json_number}),
-    "capped_linear": (CappedLinear, {"slope": _json_number, "cap": _json_integer}),
-    "table": (Tabulated, {"values": _json_numbers}),
-}
-
-
-def utility_from_dict(spec: dict) -> Utility:
-    """Build a utility from its config form, e.g. {"kind": "linear", "slope": 2.0}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"utility spec must be an object with a 'kind' field, got {spec!r}")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _UTILITY_KINDS:
-        known = ", ".join(sorted(_UTILITY_KINDS))
-        raise ValueError(f"unknown utility kind {kind!r} (known kinds: {known})")
-    make, fields = _UTILITY_KINDS[kind]
-    extra = set(spec) - set(fields) - {"kind"}
-    missing = set(fields) - set(spec)
-    if missing:
-        raise ValueError(f"utility kind {kind!r} is missing fields: {sorted(missing)}")
-    if extra:
-        raise ValueError(f"utility kind {kind!r} has unexpected fields: {sorted(extra)}")
-    params = {}
-    for key, read in fields.items():
-        try:
-            params[key] = read(spec[key])
-        except ValueError as exc:
-            raise ValueError(f"utility kind {kind!r} field {key!r}: {exc}") from None
-    return make(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +312,15 @@ def _class_sizes(n: int, alpha: tuple[float, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FluidSystem:
-    """A system without a pool count: class fractions ``alpha``, arrivals at rate
-    lam per pool, services at rate mu, and the class utilities.
+    """A system without a pool count: class fractions ``alpha``, offered load
+    ``rho`` per pool, services at rate ``mu``, and the class utilities.
 
-    This is all the large-system (fluid) model needs. ``lam`` is the arrival
-    rate per pool of capacity; the offered load per pool is ``rho = lam / mu``.
+    This is all the large-system (fluid) model needs. Arrivals come at rate
+    ``lam = rho * mu`` per pool of capacity.
     """
 
     alpha: tuple[float, ...]
-    lam: float
+    rho: float
     mu: float
     family: UtilityFamily
 
@@ -393,17 +332,19 @@ class FluidSystem:
             )
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        # lam == 0 is allowed: it models a draining system with no arrivals.
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        # rho == 0 is allowed: it models a draining system with no arrivals.
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"arrival rate rho * mu overflows: {self.rho} * {self.mu}")
 
     @property
     def m(self) -> int:
         return len(self.alpha)
 
     @property
-    def rho(self) -> float:
-        return self.lam / self.mu
+    def lam(self) -> float:
+        return self.rho * self.mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,17 +359,6 @@ class SystemConfig(FluidSystem):
     def __post_init__(self) -> None:
         super().__post_init__()
         _class_sizes(self.n, self.alpha)
-
-    @classmethod
-    def from_rho(
-        cls,
-        n: int,
-        alpha: Sequence[float],
-        rho: float,
-        mu: float,
-        family: UtilityFamily,
-    ) -> "SystemConfig":
-        return cls(n=n, alpha=tuple(alpha), lam=rho * mu, mu=mu, family=family)
 
     @property
     def class_sizes(self) -> tuple[int, ...]:

@@ -325,19 +325,19 @@ class RandomDispatch(Policy):
 class FixedClassDispatch(Policy):
     """Send every task to a uniformly random pool of one fixed class."""
 
-    name = "fixed"
-
     def __init__(self, cls: int):
         if cls < 1:
             raise ValueError(f"class index must be >= 1, got {cls}")
         self.cls = cls
+        self.name = f"fixed:{cls}"
 
     def bind(self, state, config, initial_rank=None):
-        if self.cls > state.m:
-            raise ValueError(
-                f"fixed:{self.cls} needs class {self.cls} but the system has {state.m}"
-            )
-        self.name = f"fixed:{self.cls}"
+        self.check_classes(state.m)
+
+    def check_classes(self, m: int) -> None:
+        """Refuse a system of ``m`` classes that lacks this policy's class."""
+        if self.cls > m:
+            raise ValueError(f"{self.name} needs class {self.cls} but the system has {m}")
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
         cls, occ = state.pick_pool(u, self.cls)

@@ -39,7 +39,7 @@ def shared_resource_family() -> UtilityFamily:
 
 
 def two_class_system(n: int, rho: float, mu: float = 1.0) -> SystemConfig:
-    return SystemConfig.from_rho(
+    return SystemConfig(
         n=n, alpha=TWO_CLASS_ALPHA, rho=rho, mu=mu, family=two_class_family()
     )
 

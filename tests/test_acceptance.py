@@ -160,7 +160,7 @@ def counterexample_pairs():
     rho * mu = 1 with a = 1, eps = 0.05.
     """
     family = UtilityFamily((Linear(0.05), CappedLinear(1.0, 1)))
-    system = SystemConfig.from_rho(
+    system = SystemConfig(
         n=2, alpha=(0.5, 0.5), rho=0.5, mu=1.0, family=family
     )
     pairs = []

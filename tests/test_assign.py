@@ -160,7 +160,7 @@ def test_shared_ranking_matches_fresh_family():
     fam = piecewise_family()
     loads = [k / 4.0 for k in range(80)]
     interleaved = [x for pair in zip(loads[::3], loads[::-3]) for x in pair]
-    system = FluidSystem(alpha=THREE_CLASS_ALPHA, lam=8.0, mu=1.0, family=fam)
+    system = FluidSystem(alpha=THREE_CLASS_ALPHA, rho=8.0, mu=1.0, family=fam)
     reference = piecewise_family()
     for order in (loads[::-1], loads, interleaved):
         for rho in order:

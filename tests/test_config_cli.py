@@ -9,6 +9,7 @@ import pytest
 
 from poolsim.cli import build_parser, main
 from poolsim.config import ConfigError, load_config, parse_config
+from poolsim.model import SystemConfig
 from poolsim.policies import Slta
 from poolsim.sim import RunConfig, simulate
 
@@ -36,14 +37,21 @@ def write_config(tmp_path, doc=None, name="cfg.json"):
 # config parsing
 
 
-def test_parse_builds_systems_on_one_family():
-    cfg = parse_config(BASE_DOC)
-    assert cfg.offered_load() == pytest.approx(9.75)
-    assert cfg.family.m == 2
-    system = cfg.system(8)
-    assert system.n == 8 and system.lam == pytest.approx(9.75)
-    # every system shares the config's one slot ranking and marginal cache
-    assert cfg.system(n=8).family is cfg.system(n=16, rho=10.0).family is cfg.family
+def test_parse_builds_systems_on_one_family(tmp_path, monkeypatch):
+    from poolsim import cli
+
+    system, beta = parse_config(BASE_DOC)
+    assert system.rho == 9.75 and system.lam == pytest.approx(9.75)
+    assert system.family.m == 2 and beta is None
+    # every simulate cell shares the config's one slot ranking and marginal cache
+    cells = []
+    monkeypatch.setattr(cli, "_fan_out", lambda batch, threads: cells.extend(batch) or [])
+    argv = ["simulate", "--config", write_config(tmp_path), "--policy", "jlmu",
+            "--n", "8", "--n", "16", "--rho", "9.75", "--rho", "10"]
+    assert main(argv) == 0
+    systems = [cell[0] for cell in cells]
+    assert [(s.n, s.rho) for s in systems] == [(8, 9.75), (8, 10.0), (16, 9.75), (16, 10.0)]
+    assert len({id(s.family) for s in systems}) == 1
 
 
 REMOVED_FIELDS = {
@@ -248,6 +256,10 @@ def test_cli_bound_rejects_unreachable_loads(tmp_path, capsys):
     for argv in (["fluid", "--config", cfg], ["simulate", "--config", cfg, *RUN_FLAGS]):
         assert main(argv + ["--rho", "1e300"]) == 2
         assert "refusing" in capsys.readouterr().err
+        # a negative load is reported as the rho the flag sets, not as lam
+        assert main(argv + ["--rho", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "rho must be finite and >= 0, got -1.0" in err and "lam" not in err
 
 
 def test_cli_assign(tmp_path, capsys):
@@ -321,7 +333,8 @@ def test_cli_simulate_reads_sweep_warmup_beta_and_out(tmp_path):
     assert rows[0] == expected[0][0] == expected[1][0]
     assert sorted(rows[1:]) == sorted(expected[0][1:] + expected[1][1:])
     # beta has no flag: the SLTA rows are runs with Slta(beta=0.5)
-    cfg = load_config(config)
+    system, beta = load_config(config)
+    assert beta == 0.5
     header = rows[0].split(",")
     for line in rows[1:]:
         row = dict(zip(header, line.split(",")))
@@ -329,7 +342,9 @@ def test_cli_simulate_reads_sweep_warmup_beta_and_out(tmp_path):
             continue
         run = RunConfig(horizon=3.0, warmup=0.5, seed=int(row["seed"]),
                         replication=int(row["rep"]), init="optimal", selection_slot=1)
-        m = simulate(cfg.system(int(row["n"])), Slta(beta=0.5), run)
+        cell = SystemConfig(n=int(row["n"]), alpha=system.alpha, rho=system.rho,
+                            mu=system.mu, family=system.family)
+        m = simulate(cell, Slta(beta=0.5), run)
         assert (row["avg_u"], row["r_final"], row["switches"]) == (
             f"{m.avg_u:.9g}", str(m.r_final), str(m.switches)
         )
@@ -353,6 +368,21 @@ def test_cli_simulate_rejects_unknown_policy(tmp_path, capsys):
     )
     assert code == 2
     assert "config error: policy: unknown policy 'lru'" in capsys.readouterr().err
+
+
+def test_cli_simulate_checks_fixed_class_before_any_run(tmp_path, monkeypatch, capsys):
+    # a class past the config's class count is refused before any run starts
+    from poolsim import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a run started before the policies were checked")
+
+    monkeypatch.setattr(cli, "_run_cell", no_work)
+    argv = ["simulate", "--config", write_config(tmp_path), "--policy", "jlmu",
+            "--policy", "fixed:3", "--n", "400", "--T", "100"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: policy: fixed:3 needs class 3 but the system has 2" in err
 
 
 @pytest.mark.parametrize("flag", ["--policy", "--n"])

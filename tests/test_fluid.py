@@ -46,7 +46,7 @@ def test_sigma_of_empty_is_top_slot():
 
 def test_sigma_single_class_block_fill():
     fam = UtilityFamily((LogQuality(50.0),))
-    system = FluidSystem(alpha=(1.0,), lam=6.0, mu=1.0, family=fam)
+    system = FluidSystem(alpha=(1.0,), rho=6.0, mu=1.0, family=fam)
     tail = np.zeros((1, 8))
     tail[0, :6] = 1.0
     q = QVector(alpha=np.array([1.0]), tail=tail)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolsim.config import utility_from_dict
 from poolsim.model import (
     CappedLinear,
     Coordinate,
@@ -17,7 +18,6 @@ from poolsim.model import (
     UtilityFamily,
     occupancy_to_q,
     overall_utility,
-    utility_from_dict,
 )
 
 from conftest import (
@@ -408,22 +408,24 @@ def test_overall_utility_counts_value_at_zero():
 
 def test_system_config_validation():
     fam = two_class_family()
-    cfg = SystemConfig.from_rho(n=10, alpha=TWO_CLASS_ALPHA, rho=2.0, mu=0.5, family=fam)
+    cfg = SystemConfig(n=10, alpha=TWO_CLASS_ALPHA, rho=2.0, mu=0.5, family=fam)
     assert cfg.lam == pytest.approx(1.0)
     assert cfg.rho == pytest.approx(2.0)
     assert cfg.class_sizes == (5, 5)
 
     with pytest.raises(ValueError):
-        SystemConfig.from_rho(n=3, alpha=TWO_CLASS_ALPHA, rho=1.0, mu=1.0, family=fam)
+        SystemConfig(n=3, alpha=TWO_CLASS_ALPHA, rho=1.0, mu=1.0, family=fam)
     with pytest.raises(ValueError):
-        SystemConfig.from_rho(n=4, alpha=(0.6, 0.5), rho=1.0, mu=1.0, family=fam)
+        SystemConfig(n=4, alpha=(0.6, 0.5), rho=1.0, mu=1.0, family=fam)
     with pytest.raises(ValueError):
-        SystemConfig.from_rho(n=4, alpha=TWO_CLASS_ALPHA, rho=1.0, mu=0.0, family=fam)
+        SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, rho=1.0, mu=0.0, family=fam)
     with pytest.raises(ValueError):
-        SystemConfig.from_rho(n=4, alpha=(1.0,), rho=1.0, mu=1.0, family=fam)
-    for lam, mu in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        SystemConfig(n=4, alpha=(1.0,), rho=1.0, mu=1.0, family=fam)
+    # the last pair is finite, but its arrival rate rho * mu is not
+    for rho, mu in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan),
+                    (10.0, 1e308)):
         with pytest.raises(ValueError):
-            SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, lam=lam, mu=mu, family=fam)
+            SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, rho=rho, mu=mu, family=fam)
     # zero load is allowed; it models a draining system
-    cfg0 = SystemConfig.from_rho(n=4, alpha=TWO_CLASS_ALPHA, rho=0.0, mu=1.0, family=fam)
+    cfg0 = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, rho=0.0, mu=1.0, family=fam)
     assert cfg0.lam == 0.0

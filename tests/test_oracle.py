@@ -36,11 +36,11 @@ A, EPS = 1.0, 0.05
 
 def counterexample_system() -> SystemConfig:
     family = UtilityFamily((Linear(A * EPS), CappedLinear(A, 1)))
-    return SystemConfig.from_rho(n=2, alpha=TWO_CLASS_ALPHA, rho=0.5, mu=1.0, family=family)
+    return SystemConfig(n=2, alpha=TWO_CLASS_ALPHA, rho=0.5, mu=1.0, family=family)
 
 
 def log_quality_system() -> SystemConfig:
-    return SystemConfig.from_rho(
+    return SystemConfig(
         n=4, alpha=TWO_CLASS_ALPHA, rho=0.75, mu=1.0, family=two_class_family()
     )
 

@@ -39,7 +39,7 @@ def slot_of(decision):
 def bound_slta(family, alpha, occupancies, rank, beta=None):
     """Slta attached to a concrete state at the given learning rank."""
     state = pool_state(alpha, occupancies)
-    cfg = SystemConfig(n=state.n, alpha=alpha, mu=1.0, lam=1.0, family=family)
+    cfg = SystemConfig(n=state.n, alpha=alpha, mu=1.0, rho=1.0, family=family)
     policy = Slta(beta=beta)
     policy.bind(state, cfg, initial_rank=rank)
     return state, policy
@@ -47,7 +47,7 @@ def bound_slta(family, alpha, occupancies, rank, beta=None):
 
 def bound_jlmu(family, state):
     """Jlmu attached to a concrete state."""
-    cfg = SystemConfig(n=state.n, alpha=state.alpha, mu=1.0, lam=1.0, family=family)
+    cfg = SystemConfig(n=state.n, alpha=state.alpha, mu=1.0, rho=1.0, family=family)
     policy = Jlmu()
     policy.bind(state, cfg)
     return policy
@@ -228,7 +228,7 @@ def test_slta_routing_stays_at_or_above_boundary(rng):
         occs = [rng.integers(0, 3, size=2).tolist(), rng.integers(0, 3, size=2).tolist()]
         state = pool_state(TWO_CLASS_ALPHA, occs)
         policy = Slta()
-        cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, lam=1.0, family=fam)
+        cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=1.0, family=fam)
         try:
             policy.bind(state, cfg, initial_rank=3)
         except ValueError:
@@ -323,7 +323,7 @@ def test_learn_increments_when_one_yellow_left():
 
 def test_learn_never_fires_both_ways(rng):
     fam = two_class_family()
-    cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, lam=1.0, family=fam)
+    cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=1.0, family=fam)
     seen = set()
     for _ in range(120):
         occs = [rng.integers(0, 4, size=2).tolist(), rng.integers(0, 4, size=2).tolist()]
@@ -398,7 +398,7 @@ def test_fixed_class_validation():
     policy = FixedClassDispatch(3)
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     cfg = SystemConfig(
-        n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, lam=1.0, family=two_class_family()
+        n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=1.0, family=two_class_family()
     )
     with pytest.raises(ValueError):
         policy.bind(state, cfg)
@@ -411,6 +411,7 @@ def test_parse_policy():
     assert isinstance(slta, Slta)
     fixed = parse_policy("fixed:2")
     assert isinstance(fixed, FixedClassDispatch) and fixed.cls == 2
+    assert fixed.name == "fixed:2"  # named before any bind
     for bad in ("fixed:two", "fixed: 1", "fixed:+1", "fixed:0", "lru"):
         with pytest.raises(ValueError):
             parse_policy(bad)

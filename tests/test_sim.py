@@ -119,7 +119,7 @@ def test_zero_load_empty_start_is_silent():
 
 def test_zero_load_coupled_policies_agree():
     family = two_class_family()
-    config = SystemConfig(n=8, alpha=TWO_CLASS_ALPHA, mu=1.0, lam=0.0, family=family)
+    config = SystemConfig(n=8, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=0.0, family=family)
     run = RunConfig(horizon=5.0, warmup=0.0, seed=3)
     out = coupled_simulate(config, ["jlmu", "slta", "random"], run)
     assert {(m.avg_u, m.avg_s, m.events, m.arrivals) for m in out} == {(0.0, 0.0, 0, 0)}
