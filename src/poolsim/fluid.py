@@ -81,25 +81,16 @@ class IntegratorConfig:
 
     @classmethod
     def for_system(
-        cls,
-        system: FluidSystem,
-        horizon: float,
-        dt: float | None = None,
-        levels: int | None = None,
-        record_every: int = 1,
+        cls, system: FluidSystem, horizon: float, dt: float | None = None,
+        levels: int | None = None, record_every: int = 1,
     ) -> "IntegratorConfig":
         """Defaults: dt = 1e-3 / mu; depth = active-slot level + 10, and at
         least ceil(2 * rho / min alpha)."""
         if dt is None:
             dt = 1e-3 / system.mu
         if levels is None:
-            boundary = optimal_assignment(
-                system.family, system.alpha, system.rho
-            ).sigma_star
-            levels = max(
-                boundary.level + 10,
-                math.ceil(2.0 * system.rho / min(system.alpha)),
-            )
+            boundary = optimal_assignment(system.family, system.alpha, system.rho).sigma_star
+            levels = max(boundary.level + 10, math.ceil(2.0 * system.rho / min(system.alpha)))
         return cls(dt=dt, levels=levels, horizon=horizon, record_every=record_every)
 
 
@@ -133,71 +124,70 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     if q.depth > levels:
         extra = float(np.abs(q.tail[:, levels + 1 :]).max(initial=0.0))
         if extra > 0:
-            raise ValueError(
-                f"profile carries mass at level {q.depth} beyond truncation {levels}"
-            )
+            raise ValueError(f"profile carries mass at level {q.depth} beyond truncation {levels}")
     out = np.zeros((q.m, levels + 2))
     upto = min(q.depth, levels)
     out[:, : upto + 1] = q.tail[:, : upto + 1]
     return out
 
 
-def _active_rank(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Rank of the active slot of each padded profile in ``states``.
-
-    A slot is open when its gap to the level above exceeds ``SIGMA_TOL``.
-    Inside a class the rank grows with the level, so the smallest rank among
-    open slots is the best-ranked first open slot of any class. Reads
-    ``table.size + 1`` when that slot is ranked past the table.
+def _active_rank(table: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Rank of the active slot of each padded profile ``p``, read from its gaps
+    ``p[..., :-1] - p[..., 1:]``: a slot is open when its gap to the level
+    above exceeds ``SIGMA_TOL``. Inside a class the rank grows with the
+    level, so the smallest rank among open slots is the best-ranked first
+    open slot of any class. Reads ``table.size + 1`` when that slot is ranked
+    past the table, and ``table.size + 2`` when no slot is open, which
+    :func:`_check_open` refuses.
     """
-    closed = table.size + 2
-    ranks = np.where(states[..., :-2] - states[..., 1:-1] > SIGMA_TOL, table, closed)
-    ranks = ranks.min(axis=(-2, -1))
-    if ranks.max() == closed:
-        raise RuntimeError(
-            "no active slot within the truncated profile; increase the depth"
-        )
-    return ranks
+    is_open = gaps[..., :-1] > SIGMA_TOL
+    ranks = np.broadcast_to(table, is_open.shape) if is_open.ndim > 2 else table
+    return np.minimum.reduce(ranks, axis=(-2, -1), where=is_open, initial=table.size + 2)
+
+
+def _check_open(table: np.ndarray, rank: int) -> None:
+    if rank > table.size + 1:
+        raise RuntimeError("no active slot within the truncated profile; increase the depth")
 
 
 def _fill_at(
-    family: UtilityFamily, rank: int, levels: int
+    family: UtilityFamily, rank: int, table: np.ndarray
 ) -> tuple[Coordinate, list[int], np.ndarray]:
-    """The slot at ``rank``, the per-class depths filled by the slots ranked
-    above it, and the ``(m, levels)`` mask of those slots."""
+    """The slot at ``rank`` (read from ``table``), the per-class depths filled
+    by the slots ranked above it, and the ``(m, levels)`` mask of those slots."""
+    _check_open(table, rank)
+    levels = table.shape[1]
     depths = family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
         if depth >= levels:
-            raise RuntimeError(
-                f"class {cls} saturates past the truncation depth {levels}"
-            )
+            raise RuntimeError(f"class {cls} saturates past the truncation depth {levels}")
     mask = np.arange(1, levels + 1) <= np.asarray(depths)[:, None]
     return family.slot(rank), depths, mask
 
 
 def _flows(
-    state: np.ndarray,
-    fill: tuple[Coordinate, list[int], np.ndarray],
-    alpha: np.ndarray,
-    lam: float,
-    mu_levels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and inflow-rate arrays of a padded profile (last column zero).
+    state: np.ndarray, gaps: np.ndarray, fill: tuple, alpha_col: np.ndarray,
+    lam: float, mu_j: np.ndarray, drift: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Write the drift of a padded profile into the inner columns of ``drift``;
+    return each slot's inflow rate when saturated, and the active slot's inflow.
 
-    Level ``j`` drains at ``mu * j`` times its excess over level ``j + 1``;
-    ``mu_levels[j]`` is ``mu * j``. A saturated slot ``(i, j)`` takes in what
-    the level below it drains, and the active slot takes the rest of ``lam``.
+    Level ``j`` drains at ``mu_j[j - 1] = mu * j`` times its gap to level
+    ``j + 1``. A saturated slot ``(i, j)`` takes in what the level below it
+    drains, and the active slot takes the rest of ``lam``.
     """
     (cls, level), depths, mask = fill
-    rates = mu_levels[1:-1] * (alpha[:, None] - state[:, 2:])
-    inflow = np.zeros_like(state)
-    inflow[:, 1:-1] = np.where(mask, rates, 0.0)
+    rates = mu_j * (alpha_col - state[:, 2:])
+    drain = mu_j * gaps[:, 1:]
+    inner = drift[:, 1:-1]
+    np.subtract(0.0, drain, out=inner)
+    np.subtract(rates, drain, out=inner, where=mask)
     # Class by class: one pairwise sum over the masked rows would round differently.
-    above = sum(float(rates[ci, :depth].sum()) for ci, depth in enumerate(depths))
-    inflow[cls - 1, level] = lam - above
-    drift = inflow.copy()
-    drift[:, 1:-1] -= mu_levels[1:-1] * (state[:, 1:-1] - state[:, 2:])
-    return drift, inflow
+    above = 0.0
+    for ci, depth in enumerate(depths):
+        above += float(rates[ci, :depth].sum())
+    drift[cls - 1, level] = (lam - above) - drain[cls - 1, level - 1]
+    return rates, lam - above
 
 
 def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, Coordinate]:
@@ -211,10 +201,18 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     levels = q.depth + 1
     family = system.family
     padded = _pad(q, levels)
-    rank = int(_active_rank(family.rank_table(levels), padded))
-    fill = _fill_at(family, rank, levels)
-    mu_levels = system.mu * np.arange(levels + 2)
-    drift, inflow = _flows(padded, fill, np.asarray(system.alpha), system.lam, mu_levels)
+    gaps = padded[:, :-1] - padded[:, 1:]
+    table = family.rank_table(levels)
+    fill = _fill_at(family, int(_active_rank(table, gaps)), table)
+    (cls, level), _, mask = fill
+    drift = np.zeros_like(padded)
+    rates, active = _flows(
+        padded, gaps, fill, np.asarray(system.alpha)[:, None], system.lam,
+        system.mu * np.arange(1, levels + 1), drift,
+    )
+    inflow = np.zeros_like(padded)
+    inflow[:, 1:-1] = np.where(mask, rates, 0.0)
+    inflow[cls - 1, level] = active
     return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
 
 
@@ -225,16 +223,21 @@ def equilibrium_profile(system: FluidSystem) -> QVector:
 
 def _project_conserving(
     raw: np.ndarray, alpha: np.ndarray, pour_order: list[Coordinate]
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Feasibility projection that redistributes instead of discarding.
 
     Clamp to [0, alpha] and restore monotonicity across levels, then pour the
     clipped-off mass back into the best-ranked slots that still have room
     (that is where the exact dynamics would have routed it once the boundary
-    slot filled mid-step). Returns the projected state and the maximum
-    pointwise displacement. Mass that finds no room stays lost; the caller
-    checks the total against its own running target.
+    slot filled mid-step). Returns the projected state, its gaps and the
+    maximum pointwise displacement. Mass that finds no room stays lost; the
+    caller checks the total against its own running target. ``raw`` has
+    column 0 at ``alpha`` and a zero last column, so with no negative gap it
+    is feasible already and comes back itself, moved by 0.
     """
+    gaps = raw[:, :-1] - raw[:, 1:]
+    if gaps.min() >= 0.0:
+        return raw, gaps, 0.0
     target = float(raw[:, 1:].sum())
     proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
     proj[:, -1] = 0.0
@@ -262,13 +265,11 @@ def _project_conserving(
             delta += cut
             if delta >= -1e-18:
                 break
-    return proj, float(np.abs(proj - raw).max())
+    return proj, proj[:, :-1] - proj[:, 1:], float(np.abs(proj - raw).max())
 
 
 def integrate_fluid(
-    system: FluidSystem,
-    q0: QVector | None,
-    config: IntegratorConfig,
+    system: FluidSystem, q0: QVector | None, config: IntegratorConfig
 ) -> FluidPath:
     """Explicit trapezoid steps with a mass-conserving feasibility projection.
 
@@ -296,28 +297,31 @@ def integrate_fluid(
     family = system.family
     table = family.rank_table(levels)
     pour_order = [c for c in family.enumerate_ranked(table.size) if c.level <= levels]
-    mu_levels = system.mu * np.arange(levels + 2)
+    alpha_col = alpha[:, None]
+    mu_j = system.mu * np.arange(1, levels + 1)
     fills: dict[int, tuple] = {}
+    d1, d2 = np.zeros_like(q), np.zeros_like(q)
 
-    def drift_at(state: np.ndarray) -> np.ndarray:
-        rank = int(_active_rank(table, state))
+    def drift_at(state: np.ndarray, gaps: np.ndarray, out: np.ndarray) -> None:
+        rank = int(_active_rank(table, gaps))
         fill = fills.get(rank)
         if fill is None:
-            fill = fills[rank] = _fill_at(family, rank, levels)
-        return _flows(state, fill, alpha, lam, mu_levels)[0]
+            fill = fills[rank] = _fill_at(family, rank, table)
+        _flows(state, gaps, fill, alpha_col, lam, mu_j, out)
 
-    recorded = [q.copy()]
+    # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
+    # 0 there; no stage changes once formed, so records need no copy.
+    recorded = [q]
     rec_times = [0.0]
     max_tail = float(q[:, levels - 1 :].sum())
+    gaps = q[:, :-1] - q[:, 1:]
     for k in range(1, steps + 1):
-        d1 = drift_at(q)
+        drift_at(q, gaps, d1)
         pred_raw = q + dt * d1
-        pred_raw[:, -1] = 0.0
-        pred, _ = _project_conserving(pred_raw, alpha, pour_order)
-        d2 = drift_at(pred)
+        pred, pred_gaps, _ = _project_conserving(pred_raw, alpha, pour_order)
+        drift_at(pred, pred_gaps, d2)
         raw = q + (0.5 * dt) * (d1 + d2)
-        raw[:, -1] = 0.0
-        q, moved = _project_conserving(raw, alpha, pour_order)
+        q, gaps, moved = _project_conserving(raw, alpha, pour_order)
         if moved > move_cap:
             raise RuntimeError(
                 f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
@@ -327,7 +331,7 @@ def integrate_fluid(
         if tail > max_tail:
             max_tail = tail
         if k % config.record_every == 0 or k == steps:
-            recorded.append(q.copy())
+            recorded.append(q)
             rec_times.append(k * dt)
     if max_tail > TRUNCATION_WARN:
         warnings.warn(
@@ -337,11 +341,8 @@ def integrate_fluid(
             stacklevel=2,
         )
     return FluidPath(
-        times=np.asarray(rec_times),
-        states=np.asarray(recorded),
-        system=system,
-        config=config,
-        max_tail_mass=max_tail,
+        times=np.asarray(rec_times), states=np.asarray(recorded), system=system,
+        config=config, max_tail_mass=max_tail,
     )
 
 
@@ -381,9 +382,7 @@ class ReflectionReport:
     def max_residual(self) -> float:
         if not self.slots:
             return 0.0
-        return float(
-            max(self.flow_residuals.max(), self.state_residuals.max())
-        )
+        return float(max(self.flow_residuals.max(), self.state_residuals.max()))
 
 
 def verify_reflection_system(path: FluidPath) -> ReflectionReport:
@@ -416,8 +415,11 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     levels = states.shape[2] - 2
 
     family = system.family
-    ranks = _active_rank(family.rank_table(levels), states)
-    depth = int(ranks.max()) - 1 + REFLECTION_MARGIN
+    table = family.rank_table(levels)
+    ranks = _active_rank(table, states[..., :-1] - states[..., 1:])
+    top = int(ranks.max())
+    _check_open(table, top)
+    depth = top - 1 + REFLECTION_MARGIN
     slots = []
     for r in range(1, depth + 1):
         slot = family.slot(r)
@@ -475,6 +477,4 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
         flow_res[idx] = float(np.abs(w - push).max())
         state_res[idx] = float(np.abs(states[:, cls - 1, level] - reflected).max())
         w_prev = w
-    return ReflectionReport(
-        slots=slots, flow_residuals=flow_res, state_residuals=state_res
-    )
+    return ReflectionReport(slots=slots, flow_residuals=flow_res, state_residuals=state_res)

@@ -387,7 +387,7 @@ class QVector:
         self.tail = np.asarray(self.tail, dtype=np.float64)
         if self.tail.ndim != 2 or self.tail.shape[0] != self.alpha.shape[0]:
             raise ValueError("tail must be a (classes, depth+1) matrix")
-        if not np.allclose(self.tail[:, 0], self.alpha, rtol=0, atol=1e-12):
+        if not np.abs(self.tail[:, 0] - self.alpha).max(initial=0.0) <= 1e-12:
             raise ValueError("tail column 0 must equal the class fractions")
 
     @classmethod

@@ -59,6 +59,9 @@ _BLOCK = 1 << 14
 #: Tolerance on the average-utility upper bound; anything beyond this is a bug.
 BOUND_TOL = 1e-9
 
+#: Hard cap on the expected events of one run, so no config can make it hang.
+MAX_EVENTS = 10**8
+
 
 class BoundViolation(RuntimeError):
     """The realized average utility exceeded its theoretical ceiling."""
@@ -206,7 +209,9 @@ def simulate(
     and debugging only and slows the run down considerably.
 
     Raises :class:`BoundViolation` if the realized average utility lands above
-    the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``.
+    the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``,
+    and ``ValueError`` before any event if the run expects more than
+    ``MAX_EVENTS`` events, ``horizon * n * (lam + mu * rho)``.
     """
     if isinstance(policy, str):
         policy = parse_policy(policy)
@@ -224,6 +229,13 @@ def simulate(
     # The ceiling at the offered load depends on the config alone; taking it
     # first refuses a load past the ranked-slot limit before any event.
     bound_rho = upper_bound(family, config.alpha, config.rho)
+    # Arrivals and, near the offered load, departures each come at rate n * lam.
+    expected = horizon * n * (lam + mu * config.rho)
+    if not expected <= MAX_EVENTS:
+        raise ValueError(
+            f"a run of horizon {horizon} at n={n} expects {expected:.3g} events, more "
+            f"than {MAX_EVENTS}; refusing to simulate"
+        )
 
     state, base_rank = init_state(config, run.init)
     policy.bind(state, config, initial_rank=base_rank)

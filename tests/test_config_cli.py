@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,16 @@ def test_cli_bound_rejects_unreachable_loads(tmp_path, capsys):
         assert main(argv + ["--rho", "-1"]) == 2
         err = capsys.readouterr().err
         assert "rho must be finite and >= 0, got -1.0" in err and "lam" not in err
+
+
+@pytest.mark.parametrize("mu", [1e6, 1e300])
+def test_cli_simulate_refuses_runs_past_the_event_cap(tmp_path, capsys, mu):
+    # T * n * (lam + mu * rho) = 1.56e8 expected events at mu = 1e6, past 1e8
+    cfg = write_config(tmp_path, {**BASE_DOC, "mu": mu})
+    started = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--policy", "jlmu", "--n", "8", "--T", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "refusing to simulate" in capsys.readouterr().err
 
 
 def test_cli_assign(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from poolsim import fluid
 from poolsim.assign import optimal_assignment, validate_feasible
 from poolsim.fluid import (
     FluidPath,
@@ -108,6 +111,103 @@ def test_rhs_inflow_never_negative(rng):
         q = random_feasible_tail(rng, TWO_CLASS_ALPHA, 12)
         _, inflow, _ = fluid_rhs(system, q)
         assert inflow.min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# conserving projection
+
+
+def reference_project_conserving(raw, alpha, pour_order):
+    """The conserving projection without its feasible-stage shortcut: it
+    always clamps, pours and shaves, and returns ``(proj, moved)``."""
+    target = float(raw[:, 1:].sum())
+    proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
+    proj[:, -1] = 0.0
+    delta = target - float(proj[:, 1:].sum())
+    if delta > 1e-18:
+        for cls, level in pour_order:
+            ci = cls - 1
+            room = proj[ci, level - 1] - proj[ci, level]
+            if room <= 0.0:
+                continue
+            add = room if room < delta else delta
+            proj[ci, level] += add
+            delta -= add
+            if delta <= 1e-18:
+                break
+    elif delta < -1e-18:
+        for cls, level in reversed(pour_order):
+            ci = cls - 1
+            excess = proj[ci, level] - proj[ci, level + 1]
+            if excess <= 0.0:
+                continue
+            cut = excess if excess < -delta else -delta
+            proj[ci, level] -= cut
+            delta += cut
+            if delta >= -1e-18:
+                break
+    return proj, float(np.abs(proj - raw).max())
+
+
+def padded_profiles(rng, count, levels=20):
+    """Feasible padded profiles (column 0 alpha, last column 0), some with
+    flat runs, runs of zeros, and the last retained level occupied.
+
+    No entry is -0.0: the full projection's clamp turns -0.0 into +0.0, which
+    the shortcut would not. Integrator stages hold no -0.0: a stage is a
+    state plus a step, a sum is -0.0 only when both terms are, and a step is
+    -0.0 only when a negative drift times dt underflows. The
+    "start-with-negative-zeros" pin checks a start that holds -0.0.
+    """
+    alpha = np.asarray(TWO_CLASS_ALPHA)
+    for k in range(count):
+        out = np.zeros((2, levels + 2))
+        out[:, : levels + 1] = random_feasible_tail(rng, alpha, levels).tail
+        if k % 3 == 1:
+            out[:, 3:7] = out[:, 3:4]
+            out[0, 9:-1] = 0.0
+        if k % 3 == 2:
+            out[:, 1:-1] = alpha[:, None] * (rng.uniform(size=(2, levels)) < 0.5).cumprod(axis=1)
+        yield out
+
+
+def ranked_slots(system, levels):
+    table = system.family.rank_table(levels)
+    return [c for c in system.family.enumerate_ranked(table.size) if c.level <= levels]
+
+
+def test_feasible_stage_comes_back_unchanged(rng):
+    system = two_class_system(8, 9.75)
+    alpha = np.asarray(TWO_CLASS_ALPHA)
+    order = ranked_slots(system, 20)
+    for raw in padded_profiles(rng, 300):
+        proj, gaps, moved = fluid._project_conserving(raw, alpha, order)
+        reference, reference_moved = reference_project_conserving(raw.copy(), alpha, order)
+        assert moved == 0.0 == reference_moved
+        assert proj.tobytes() == raw.tobytes() == reference.tobytes()
+        assert gaps.tobytes() == (raw[:, :-1] - raw[:, 1:]).tobytes()
+
+
+def test_infeasible_stage_matches_the_full_projection(rng):
+    system = two_class_system(8, 9.75)
+    alpha = np.asarray(TWO_CLASS_ALPHA)
+    order = ranked_slots(system, 20)
+    branches = {"pour": 0, "shave": 0, "none": 0}
+    for base in padded_profiles(rng, 300):
+        # some entries moved by noise of one scale in 1e-15..1e-2 per profile
+        scale = 10.0 ** rng.uniform(-15.0, -2.0)
+        raw = base + rng.normal(0.0, scale, size=base.shape) * (rng.uniform(size=base.shape) < 0.3)
+        raw[:, 0] = alpha
+        raw[:, -1] = 0.0
+        if (raw[:, :-1] - raw[:, 1:]).min() >= 0.0:
+            continue
+        branches[projection_branch(raw, alpha)] += 1
+        proj, gaps, moved = fluid._project_conserving(raw, alpha, order)
+        reference, reference_moved = reference_project_conserving(raw, alpha, order)
+        assert proj.tobytes() == reference.tobytes()
+        assert moved == reference_moved > 0.0
+        assert gaps.tobytes() == (proj[:, :-1] - proj[:, 1:]).tobytes()
+    assert branches["pour"] > 50 and branches["shave"] > 50
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +390,125 @@ def test_reflection_residual_shrinks_with_dt():
     assert 0.35 <= fine / mid <= 0.65
 
 
+def test_reflection_needs_an_open_slot():
+    system = two_class_system(8, 9.75)
+    cfg = IntegratorConfig(dt=1e-3, levels=30, horizon=3e-3)
+    path = integrate_fluid(system, None, cfg)
+    path.states[-1, :, :-1] = np.asarray(TWO_CLASS_ALPHA)[:, None]
+    with pytest.raises(RuntimeError, match="no active slot"):
+        verify_reflection_system(path)
+
+
 def test_reflection_needs_uniform_grid():
     system = two_class_system(8, 9.75)
     cfg = IntegratorConfig.for_system(system, horizon=1.0, dt=2e-3, record_every=7)
     path = integrate_fluid(system, None, cfg)
     with pytest.raises(ValueError, match="uniform grid"):
         verify_reflection_system(path)
+
+
+# ---------------------------------------------------------------------------
+# pinned integrator output
+
+
+def criterion_6_start(draw: int) -> QVector:
+    """The ``draw``-th start of criterion 6's random-start generator."""
+    gen = np.random.default_rng(20260815)
+    alpha = np.asarray(TWO_CLASS_ALPHA)
+    for _ in range(draw):
+        while True:
+            if gen.uniform() < 0.5:
+                depth = int(gen.integers(6, 26))
+                ratios = gen.uniform(0.6, 1.0, size=(2, depth))
+                tail = np.hstack([alpha[:, None], alpha[:, None] * np.cumprod(ratios, axis=1)])
+                q = QVector(alpha=alpha, tail=tail)
+            else:
+                q = all_alpha_profile(alpha, int(gen.integers(3, 20)))
+            if q.mass() <= 19.5:
+                break
+    return q
+
+
+def negative_zeros(q: QVector, level: int) -> QVector:
+    """``q`` emptied from ``level`` on, with -0.0 in the emptied levels."""
+    tail = q.tail.copy()
+    tail[:, level:] = -0.0
+    return QVector(alpha=q.alpha, tail=tail)
+
+
+#: name -> (start, horizon, dt, levels or None for the default, record_every,
+#: SHA-256 of ``states.tobytes()``, ``max_tail_mass``). The bytes include the
+#: sign of every zero; the digests hold for IEEE doubles with numpy 2.4.
+PINNED_INTEGRATIONS = {
+    # 16 changes of the active rank
+    "empty": (
+        lambda: None, 2.0, 1e-3, None, 1,
+        "9ef3210ba6d098df1191bf6e688a69d850106f9fcb2f5d1b004ddd754339339c", 0.0,
+    ),
+    "all-alpha-12": (
+        lambda: all_alpha_profile(TWO_CLASS_ALPHA, 12), 2.0, 1e-3, None, 1,
+        "620416bcb070126160fe02a135784919d47c44ea1a55e7b986200197e7a53ddc", 0.0,
+    ),
+    # the first geometric start of criterion 6's generator (depth 19)
+    "criterion-6-draw-2": (
+        lambda: criterion_6_start(2), 2.0, 2e-3, None, 1,
+        "c3b0898598260e1888469c813cc2ec1c97fe7bb583c2fac2ac8fa6f0fa74e1bd", 0.0,
+    ),
+    # coarse steps: the projection both pours and shaves
+    "all-alpha-12-coarse": (
+        lambda: all_alpha_profile(TWO_CLASS_ALPHA, 12), 2.0, 2e-2, None, 1,
+        "48ee34d070980c551fb7fbbab57ca33b18617d2fce7aa7524337c9de5eda086d", 0.0,
+    ),
+    # -0.0 in the start's zero levels becomes +0.0 in the first stage
+    "start-with-negative-zeros": (
+        lambda: negative_zeros(criterion_6_start(2), 12), 1.0, 1e-3, None, 1,
+        "203644f133cf3108e5e84543593edd4b4015c3985d238697fb7314cf11ec73dc", 0.0,
+    ),
+    # a tight truncation: mass reaches the last levels, sparse recording
+    "empty-tight": (
+        lambda: None, 6.0, 2e-3, 13, 100,
+        "8e3caedbe977183375a5868a724be1901254e2cb01dc930e28d8bebdeb629154",
+        0.22583206946085108,
+    ),
+}
+
+
+def projection_branch(raw: np.ndarray, alpha: np.ndarray) -> str:
+    """Which branch the conserving projection of ``raw`` must take: the
+    clamp's mass change decides between pouring, shaving and neither."""
+    clamped = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
+    clamped[:, -1] = 0.0
+    delta = float(raw[:, 1:].sum()) - float(clamped[:, 1:].sum())
+    if delta > 1e-18:
+        return "pour"
+    if delta < -1e-18:
+        return "shave"
+    return "none"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INTEGRATIONS))
+def test_integrator_output_is_pinned(name, monkeypatch):
+    start, horizon, dt, levels, every, digest, max_tail = PINNED_INTEGRATIONS[name]
+    system = two_class_system(8, 9.75)
+    if levels is None:
+        cfg = IntegratorConfig.for_system(system, horizon=horizon, dt=dt, record_every=every)
+    else:
+        cfg = IntegratorConfig(dt=dt, levels=levels, horizon=horizon, record_every=every)
+    branches = {"pour": 0, "shave": 0, "none": 0}
+    project = fluid._project_conserving
+
+    def counting(raw, alpha, *rest):
+        branches[projection_branch(raw, alpha)] += 1
+        return project(raw, alpha, *rest)
+
+    monkeypatch.setattr(fluid, "_project_conserving", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = integrate_fluid(system, start(), cfg)
+    assert hashlib.sha256(path.states.tobytes()).hexdigest() == digest
+    assert path.max_tail_mass == max_tail
+    assert path.times.tolist() == [k * dt for k in range(0, cfg.steps + 1, every)]
+    assert sum(branches.values()) == 2 * cfg.steps
+    assert branches["pour"] > 0
+    if name == "all-alpha-12-coarse":
+        assert branches["shave"] > 0

@@ -277,6 +277,17 @@ def test_qvector_rejects_mismatched_base():
         QVector(alpha=np.array(TWO_CLASS_ALPHA), tail=tail)
 
 
+def test_qvector_checks_column_0_within_1e_12():
+    alpha = np.array(TWO_CLASS_ALPHA)
+    tail = np.array([[0.5, 0.2], [0.5, 0.1]])
+    tail[1, 0] += 5e-13
+    QVector(alpha=alpha, tail=tail)
+    for bad in (0.5 + 2e-12, 0.5 - 2e-12, math.nan):
+        tail[1, 0] = bad
+        with pytest.raises(ValueError, match="class fractions"):
+            QVector(alpha=alpha, tail=tail)
+
+
 def test_point_mass_tail():
     # 4 pools of one class, all holding 2 tasks
     state = pool_state((1.0,), [[2, 2, 2, 2]])

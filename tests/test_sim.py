@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+from poolsim import sim
 from poolsim.model import SystemConfig
 from poolsim.policies import Jlmu, parse_policy
 from poolsim.sim import (
+    MAX_EVENTS,
     BoundViolation,
     Metrics,
     RunConfig,
@@ -135,6 +137,27 @@ def test_unreachable_load_is_refused_before_any_event():
 
     with pytest.raises(ValueError, match="refusing"):
         simulate(config, "jlmu", RunConfig(horizon=0.01), hook=no_event)
+
+
+def test_run_past_the_event_cap_is_refused_before_any_event(monkeypatch):
+    # the largest acceptance run, n = 3200 over T = 30, expects about 1.9e6 events
+    largest = two_class_system(3200, 9.75)
+    assert 30.0 * largest.n * (largest.lam + largest.mu * largest.rho) < MAX_EVENTS
+
+    def no_event(*args):
+        raise AssertionError("an event ran before the run was refused")
+
+    # 1.6e8 expected events at mu = 1e6; 1.6e301 at mu = 1e300
+    for mu in (1e6, 1e300):
+        with pytest.raises(ValueError, match="refusing to simulate"):
+            simulate(two_class_system(8, 9.75, mu=mu), "jlmu", RunConfig(horizon=1.0),
+                     hook=no_event)
+    # the cap is inclusive: 10 * 19.5 * 5 = 975 expected events
+    monkeypatch.setattr(sim, "MAX_EVENTS", 975)
+    config = two_class_system(10, 9.75)
+    assert simulate(config, "jlmu", RunConfig(horizon=5.0)).events > 0
+    with pytest.raises(ValueError, match="expects 975"):
+        simulate(config, "jlmu", RunConfig(horizon=5.0 + 1e-9), hook=no_event)
 
 
 # ---------------------------------------------------------------------------
