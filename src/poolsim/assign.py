@@ -21,7 +21,7 @@ from .model import (
     QVector,
     UtilityFamily,
     _check_fractions,
-    overall_utility,
+    _tail_utility,
 )
 
 __all__ = [
@@ -87,41 +87,38 @@ def _boundary_walk(
     # prefix carries more than rho; double the count until one does.
     count = min(int(rho / widest) + 1, MAX_ENUMERATION)
     while True:
-        slots = family.enumerate_ranked(count)
         # A sequential running sum (cumsum does not pair terms), so each entry
         # is the float the slot-by-slot walk accumulates.
-        mass = np.cumsum(weights[[c.cls - 1 for c in slots]])
-        rank = int(np.searchsorted(mass, rho, side="right")) + 1
+        mass = np.cumsum(weights[family._slot_classes(count)])
+        rank = int(mass.searchsorted(rho, side="right")) + 1
         if rank <= count:
             break
         if count == MAX_ENUMERATION:
             raise _too_deep(rho)
         count = min(2 * count, MAX_ENUMERATION)
     cum = float(mass[rank - 2]) if rank > 1 else 0.0
-    return alpha, slots[rank - 1], rank, family.class_counts_before(rank), cum
+    return alpha, family.slot(rank), rank, family.class_counts_before(rank), cum
+
+
+def _greedy_fill(
+    family: UtilityFamily, alpha, rho: float
+) -> tuple[tuple[float, ...], Coordinate, int, np.ndarray, float]:
+    """The checked fractions, the boundary slot, its rank, the filled tail and
+    its overall utility. The residual ``rho`` minus the mass above the boundary
+    is kept as the exact float difference; nothing is rounded to whole pools."""
+    alpha, coord, rank, filled, cum = _boundary_walk(family, alpha, rho)
+    tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
+    for ci, a in enumerate(alpha):
+        tail[ci, : filled[ci] + 1] = a
+    tail[coord.cls - 1, coord.level] = rho - cum
+    return alpha, coord, rank, tail, _tail_utility(family, alpha, tail)
 
 
 def optimal_assignment(family: UtilityFamily, alpha, rho: float) -> OptimalAssignment:
-    """The maximizing tail profile at load ``rho`` and its utility.
-
-    The residual ``rho`` minus the mass above the boundary is kept as the exact
-    float difference; nothing is rounded to whole pools here.
-    """
-    alpha, coord, rank, filled, cum = _boundary_walk(family, alpha, rho)
-    residual = rho - cum
-    depth = max(max(filled), coord.level)
-    tail = np.zeros((len(alpha), depth + 1))
-    for ci, a in enumerate(alpha):
-        tail[ci, 0] = a
-        tail[ci, 1 : filled[ci] + 1] = a
-    tail[coord.cls - 1, coord.level] = residual
+    """The maximizing tail profile at load ``rho`` and its utility."""
+    alpha, coord, rank, tail, bound = _greedy_fill(family, alpha, rho)
     q = QVector(alpha=np.asarray(alpha, dtype=np.float64), tail=tail)
-    return OptimalAssignment(
-        sigma_star=coord,
-        sigma_index=rank,
-        q_star=q,
-        bound=overall_utility(family, q),
-    )
+    return OptimalAssignment(sigma_star=coord, sigma_index=rank, q_star=q, bound=bound)
 
 
 def upper_bound(family: UtilityFamily, alpha, load: float) -> float:
@@ -130,7 +127,7 @@ def upper_bound(family: UtilityFamily, alpha, load: float) -> float:
     Any load is accepted, so this can be evaluated at a realized time-average
     mass as well as at the nominal offered load.
     """
-    return optimal_assignment(family, alpha, load).bound
+    return _greedy_fill(family, alpha, load)[4]
 
 
 def validate_feasible(q: QVector, alpha, rho: float) -> None:

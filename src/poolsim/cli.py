@@ -39,7 +39,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .assign import optimal_assignment
 from .config import ConfigError, load_config
@@ -69,12 +69,15 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each of its chunks as it is formed, to stdout or ``out``."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            stream.writelines(chunks)
     except OSError as exc:
         raise ConfigError("out", f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -350,16 +353,19 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         q0 = equilibrium_profile(system)
     path = integrate_fluid(system, q0=q0, config=integ)
 
-    rows = []
-    for k, t in enumerate(path.times):
-        q = path.profile(k)
-        mass = float(q.mass())
-        pairs = q.to_pairs(1e-12)
-        for c, l, v in pairs:
-            rows.append([float(t), c, l, v, mass])
-        if not pairs:
-            rows.append([float(t), 0, 0, 0.0, mass])
-    _write_text(_csv(rows, ("t", "cls", "level", "q", "mass")), args.out)
+    def rows() -> Iterator[str]:
+        # Formed one record at a time: the mass sums the slice QVector.mass sums,
+        # and the levels listed are those QVector.to_pairs(1e-12) lists.
+        yield "t,cls,level,q,mass\n"
+        for t, state in zip(path.times.tolist(), path.states):
+            levels = state[:, 1:-1]
+            head, mass = _fmt(t), _fmt(float(levels.sum()))
+            listed = [f"{head},{ci},{j},{_fmt(v)},{mass}\n"
+                      for ci, row in enumerate(levels.tolist(), 1)
+                      for j, v in enumerate(row, 1) if v > 1e-12]
+            yield "".join(listed) or f"{head},0,0,{_fmt(0.0)},{mass}\n"
+
+    _write_text(rows(), args.out)
 
     if args.verify_reflection:
         report = verify_reflection_system(path)

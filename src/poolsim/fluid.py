@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assign import optimal_assignment
-from .model import Coordinate, FluidSystem, QVector, UtilityFamily
+from .model import Coordinate, FluidSystem, QVector
 
 __all__ = [
     "IntegratorConfig",
@@ -140,7 +140,7 @@ def _active_rank(table: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     past the table, and ``table.size + 2`` when no slot is open, which
     :func:`_check_open` refuses.
     """
-    is_open = gaps[..., :-1] > SIGMA_TOL
+    is_open = (gaps > SIGMA_TOL)[..., :-1]
     ranks = np.broadcast_to(table, is_open.shape) if is_open.ndim > 2 else table
     return np.minimum.reduce(ranks, axis=(-2, -1), where=is_open, initial=table.size + 2)
 
@@ -151,42 +151,53 @@ def _check_open(table: np.ndarray, rank: int) -> None:
 
 
 def _fill_at(
-    family: UtilityFamily, rank: int, table: np.ndarray
-) -> tuple[Coordinate, list[int], np.ndarray]:
+    system: FluidSystem, rank: int, table: np.ndarray
+) -> tuple[Coordinate, list[int], np.ndarray, np.ndarray, np.ndarray]:
     """The slot at ``rank`` (read from ``table``), the per-class depths filled
-    by the slots ranked above it, and the ``(m, levels)`` mask of those slots."""
+    by the slots ranked above it, and three arrays along the flat row
+    ``p.ravel()[1:-1]`` of a padded profile: ``mu * j`` at level ``j`` (0 in
+    columns 0 and -1); the same on the slots ranked above, 0 elsewhere; and
+    their class fraction, 1e300 elsewhere, so that the rate there,
+    ``0 * (1e300 - q)``, is +0.0 even on a level above alpha."""
     _check_open(table, rank)
     levels = table.shape[1]
-    depths = family.class_counts_before(rank)
+    depths = system.family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
         if depth >= levels:
             raise RuntimeError(f"class {cls} saturates past the truncation depth {levels}")
-    mask = np.arange(1, levels + 1) <= np.asarray(depths)[:, None]
-    return family.slot(rank), depths, mask
+    mu_j = np.zeros((system.m, levels + 2))
+    mu_j[:, 1:-1] = system.mu * np.arange(1, levels + 1)
+    mu_j = mu_j.ravel()
+    mu_fill, alpha = np.zeros_like(mu_j), np.full_like(mu_j, 1e300)
+    for ci, (a, depth) in enumerate(zip(system.alpha, depths)):
+        filled = slice(ci * (levels + 2) + 1, ci * (levels + 2) + depth + 1)
+        mu_fill[filled], alpha[filled] = mu_j[filled], a
+    return system.family.slot(rank), depths, mu_j[1:-1], mu_fill[1:-1], alpha[1:-1]
 
 
 def _flows(
-    state: np.ndarray, gaps: np.ndarray, fill: tuple, alpha_col: np.ndarray,
-    lam: float, mu_j: np.ndarray, drift: np.ndarray,
+    state: np.ndarray, fill: tuple, lam: float, inner: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Write the drift of a padded profile into the inner columns of ``drift``;
-    return each slot's inflow rate when saturated, and the active slot's inflow.
+    """Write the drift of a padded profile into ``inner``, along its flat row
+    ``p.ravel()[1:-1]``, whose slices are cheap contiguous operands; return
+    each saturated slot's inflow rate along that row (0 elsewhere), and the
+    active slot's inflow. The drift stays 0 in columns 0 and -1.
 
-    Level ``j`` drains at ``mu_j[j - 1] = mu * j`` times its gap to level
-    ``j + 1``. A saturated slot ``(i, j)`` takes in what the level below it
-    drains, and the active slot takes the rest of ``lam``.
+    Level ``j`` drains at ``mu * j`` times its gap to level ``j + 1``. A
+    saturated slot ``(i, j)`` takes in what the level below it drains, and
+    the active slot takes the rest of ``lam``.
     """
-    (cls, level), depths, mask = fill
-    rates = mu_j * (alpha_col - state[:, 2:])
-    drain = mu_j * gaps[:, 1:]
-    inner = drift[:, 1:-1]
-    np.subtract(0.0, drain, out=inner)
-    np.subtract(rates, drain, out=inner, where=mask)
+    (cls, level), depths, mu_j, mu_fill, alpha = fill
+    n, flat = state.shape[1], state.ravel()
+    rates = mu_fill * (alpha - flat[2:])
+    drain = mu_j * (flat[1:-1] - flat[2:])
+    np.subtract(rates, drain, out=inner)
     # Class by class: one pairwise sum over the masked rows would round differently.
     above = 0.0
     for ci, depth in enumerate(depths):
-        above += float(rates[ci, :depth].sum())
-    drift[cls - 1, level] = (lam - above) - drain[cls - 1, level - 1]
+        above += float(np.add.reduce(rates[ci * n : ci * n + depth]))
+    slot = (cls - 1) * n + level - 1
+    inner[slot] = (lam - above) - drain[slot]
     return rates, lam - above
 
 
@@ -199,19 +210,14 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     inflows total ``lam`` by construction and the drain terms telescope.
     """
     levels = q.depth + 1
-    family = system.family
     padded = _pad(q, levels)
-    gaps = padded[:, :-1] - padded[:, 1:]
-    table = family.rank_table(levels)
-    fill = _fill_at(family, int(_active_rank(table, gaps)), table)
-    (cls, level), _, mask = fill
+    table = system.family.rank_table(levels)
+    fill = _fill_at(system, int(_active_rank(table, padded[:, :-1] - padded[:, 1:])), table)
+    cls, level = fill[0]
     drift = np.zeros_like(padded)
-    rates, active = _flows(
-        padded, gaps, fill, np.asarray(system.alpha)[:, None], system.lam,
-        system.mu * np.arange(1, levels + 1), drift,
-    )
+    rates, active = _flows(padded, fill, system.lam, drift.ravel()[1:-1])
     inflow = np.zeros_like(padded)
-    inflow[:, 1:-1] = np.where(mask, rates, 0.0)
+    inflow.ravel()[1:-1] = rates
     inflow[cls - 1, level] = active
     return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
 
@@ -236,34 +242,25 @@ def _project_conserving(
     is feasible already and comes back itself, moved by 0.
     """
     gaps = raw[:, :-1] - raw[:, 1:]
-    if gaps.min() >= 0.0:
+    if np.minimum.reduce(gaps, axis=None) >= 0.0:
         return raw, gaps, 0.0
     target = float(raw[:, 1:].sum())
     proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
     proj[:, -1] = 0.0
     delta = target - float(proj[:, 1:].sum())
-    if delta > 1e-18:
-        for cls, level in pour_order:
+    if abs(delta) > 1e-18:
+        # Pour lost mass into the best-ranked slots with room; shave mass the
+        # clamp added (clipping negatives) off the worst-ranked ones.
+        step, left = (1, delta) if delta > 0.0 else (-1, -delta)
+        for cls, level in pour_order if step > 0 else reversed(pour_order):
             ci = cls - 1
-            room = proj[ci, level - 1] - proj[ci, level]
+            room = step * (proj[ci, level - step] - proj[ci, level])
             if room <= 0.0:
                 continue
-            add = room if room < delta else delta
-            proj[ci, level] += add
-            delta -= add
-            if delta <= 1e-18:
-                break
-    elif delta < -1e-18:
-        # Clipping negatives added mass; shave it off the worst-ranked slots.
-        for cls, level in reversed(pour_order):
-            ci = cls - 1
-            excess = proj[ci, level] - proj[ci, level + 1]
-            if excess <= 0.0:
-                continue
-            cut = excess if excess < -delta else -delta
-            proj[ci, level] -= cut
-            delta += cut
-            if delta >= -1e-18:
+            move = room if room < left else left
+            proj[ci, level] += step * move
+            left -= move
+            if left <= 1e-18:
                 break
     return proj, proj[:, :-1] - proj[:, 1:], float(np.abs(proj - raw).max())
 
@@ -282,7 +279,9 @@ def integrate_fluid(
     boundary crossings. If a projection ever moves the state by more than
     ``10 * dt * lam`` the step size is declared too coarse and the run aborts.
     Mass above the last two retained levels is monitored; if it ever exceeds
-    1e-8 a truncation warning is issued.
+    1e-8 a truncation warning is issued. A step reads nothing but the state,
+    so once a step returns its state unchanged, byte for byte (-0.0 is not
+    +0.0), no step is taken after it and that state fills the later records.
     """
     if q0 is None:
         q0 = QVector.zeros(system.alpha, 1)
@@ -297,39 +296,41 @@ def integrate_fluid(
     family = system.family
     table = family.rank_table(levels)
     pour_order = [c for c in family.enumerate_ranked(table.size) if c.level <= levels]
-    alpha_col = alpha[:, None]
-    mu_j = system.mu * np.arange(1, levels + 1)
     fills: dict[int, tuple] = {}
     d1, d2 = np.zeros_like(q), np.zeros_like(q)
 
-    def drift_at(state: np.ndarray, gaps: np.ndarray, out: np.ndarray) -> None:
+    def drift_at(state: np.ndarray, gaps: np.ndarray, inner: np.ndarray) -> None:
         rank = int(_active_rank(table, gaps))
         fill = fills.get(rank)
         if fill is None:
-            fill = fills[rank] = _fill_at(family, rank, table)
-        _flows(state, gaps, fill, alpha_col, lam, mu_j, out)
+            fill = fills[rank] = _fill_at(system, rank, table)
+        _flows(state, fill, lam, inner)
 
     # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
     # 0 there; no stage changes once formed, so records need no copy.
     recorded = [q]
     rec_times = [0.0]
-    max_tail = float(q[:, levels - 1 :].sum())
+    max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
     gaps = q[:, :-1] - q[:, 1:]
+    inner1, inner2 = d1.ravel()[1:-1], d2.ravel()[1:-1]
+    still = False
     for k in range(1, steps + 1):
-        drift_at(q, gaps, d1)
-        pred_raw = q + dt * d1
-        pred, pred_gaps, _ = _project_conserving(pred_raw, alpha, pour_order)
-        drift_at(pred, pred_gaps, d2)
-        raw = q + (0.5 * dt) * (d1 + d2)
-        q, gaps, moved = _project_conserving(raw, alpha, pour_order)
-        if moved > move_cap:
-            raise RuntimeError(
-                f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
-                f"dt={dt} is too large for these dynamics"
-            )
-        tail = float(q[:, levels - 1 :].sum())
-        if tail > max_tail:
-            max_tail = tail
+        if not still:
+            drift_at(q, gaps, inner1)
+            pred, pred_gaps, _ = _project_conserving(q + dt * d1, alpha, pour_order)
+            drift_at(pred, pred_gaps, inner2)
+            raw = q + (0.5 * dt) * (d1 + d2)
+            new, gaps, moved = _project_conserving(raw, alpha, pour_order)
+            if moved > move_cap:
+                raise RuntimeError(
+                    f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
+                    f"dt={dt} is too large for these dynamics"
+                )
+            still = new.tobytes() == q.tobytes()
+            q = new
+            tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
+            if tail > max_tail:
+                max_tail = tail
         if k % config.record_every == 0 or k == steps:
             recorded.append(q)
             rec_times.append(k * dt)

@@ -173,6 +173,7 @@ class UtilityFamily:
         # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
         self._rank_tables: dict[int, np.ndarray] = {}
+        self._classes = np.zeros(0, dtype=np.intp)
 
     @property
     def m(self) -> int:
@@ -248,6 +249,12 @@ class UtilityFamily:
             raise ValueError(f"refusing to enumerate more than {MAX_ENUMERATION} slots")
         self._extend(count)
         return self._slots[:count]
+
+    def _slot_classes(self, count: int) -> np.ndarray:
+        """0-based classes of the best ``count`` slots, sliced from a cached array."""
+        if len(self._classes) < count:
+            self._classes = np.array([c.cls - 1 for c in self.enumerate_ranked(count)], np.intp)
+        return self._classes[:count]
 
     def class_counts_before(self, rank: int) -> list[int]:
         """Per-class slot counts among ranks 1..rank-1 (how deep each class goes)."""
@@ -665,14 +672,17 @@ def overall_utility(family: UtilityFamily, q: QVector) -> float:
     occupancy-weighted utility, so this equals
     ``sum_i sum_j u_i(j) * (fraction of pools of class i at exactly j tasks)``.
     """
-    total = 0.0
-    for ci in range(q.m):
-        cls = ci + 1
-        total += family.value(cls, 0) * float(q.alpha[ci])
-        row = q.tail[ci]
-        if q.depth >= 1:
-            margs = family.marginals_upto(cls, q.depth)
-            # row[j] multiplies the marginal of the step (j-1) -> j
-            total += float(np.dot(margs, row[1:]))
-    return total
+    return _tail_utility(family, q.alpha, q.tail)
 
+
+def _tail_utility(family: UtilityFamily, alpha, tail: np.ndarray) -> float:
+    """:func:`overall_utility` of the profile with fractions ``alpha`` and ``tail``."""
+    total = 0.0
+    depth = tail.shape[1] - 1
+    for ci, a in enumerate(alpha):
+        cls = ci + 1
+        total += family.value(cls, 0) * float(a)
+        if depth >= 1:
+            # tail[ci, j] multiplies the marginal of the step (j-1) -> j
+            total += float(np.dot(family.marginals_upto(cls, depth), tail[ci, 1:]))
+    return total

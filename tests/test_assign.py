@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,23 @@ def test_bound_matches_two_pool_brute_force():
     assert best == pytest.approx(2 * upper_bound(fam, TWO_CLASS_ALPHA, 10.0), rel=1e-12)
     splits = [fam.value(1, x) + fam.value(2, 20 - x) for x in range(21)]
     assert splits.index(max(splits)) == 8
+
+
+def test_bound_is_the_utility_of_the_fill_bit_for_bit():
+    # upper_bound reads the fill without building its profile; the float must
+    # be the one the utility of that profile gives
+    gen = np.random.default_rng(15)
+    for fam, alpha in (
+        (two_class_family(), TWO_CLASS_ALPHA),
+        (piecewise_family(), THREE_CLASS_ALPHA),
+    ):
+        loads = [0.0, *(k / 100.0 for k in range(1, 2001)), *gen.uniform(0.0, 30.0, 500)]
+        for rho in loads:
+            fill = optimal_assignment(fam, alpha, rho).q_star
+            assert upper_bound(fam, alpha, rho) == overall_utility(fam, fill)
+    message = "load 10000000.0 needs more than 1000000 ranked slots; refusing to walk further"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        upper_bound(two_class_family(), TWO_CLASS_ALPHA, 1e7)
 
 
 def test_bound_dominates_random_feasible_profiles(rng):

@@ -113,6 +113,23 @@ def test_rhs_inflow_never_negative(rng):
         assert inflow.min() >= -1e-12
 
 
+def test_rhs_zeros_are_positive_off_the_fill(rng):
+    # Off the fill a rate is 0 times (a number above every level), +0.0 as a
+    # plain 0 is, also on levels above their class fraction: a level-1 entry
+    # above alpha, and runs of equal entries above it off the fill.
+    system = two_class_system(8, 9.75)
+    profiles = []
+    for k in range(200):
+        tail = random_feasible_tail(rng, TWO_CLASS_ALPHA, 14).tail
+        ci, level = k % 2, int(rng.integers(1, 12))
+        tail[ci, level : level + 2] = 0.5 + rng.uniform(0.0, 1.0)
+        profiles.append(tail)
+    for tail in profiles:
+        drift, inflow, _ = fluid_rhs(system, QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail))
+        for values in (drift, inflow):
+            assert not np.any((values == 0.0) & np.signbit(values))
+
+
 # ---------------------------------------------------------------------------
 # conserving projection
 
@@ -512,3 +529,91 @@ def test_integrator_output_is_pinned(name, monkeypatch):
     assert branches["pour"] > 0
     if name == "all-alpha-12-coarse":
         assert branches["shave"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point stop
+
+
+def padded_profile(q: QVector, levels: int) -> np.ndarray:
+    out = np.zeros((q.m, levels + 2))
+    out[:, : q.depth + 1] = q.tail
+    return out
+
+
+def counted_integration(monkeypatch, system, start, cfg):
+    """The integrated path and the number of projections it ran."""
+    calls = []
+    project = fluid._project_conserving
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(fluid, "_project_conserving", counting)
+    return integrate_fluid(system, start, cfg), len(calls)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_optimal_start_takes_one_step(every, monkeypatch):
+    system = two_class_system(8, 9.75)
+    q_star = equilibrium_profile(system)
+    cfg = IntegratorConfig.for_system(system, horizon=1.0, dt=1e-3, record_every=every)
+    path, projections = counted_integration(monkeypatch, system, q_star, cfg)
+    want = padded_profile(q_star, cfg.levels).tobytes()
+    assert path.times.tolist() == [k * 1e-3 for k in (*range(0, 1000, every), 1000)]
+    assert all(state.tobytes() == want for state in path.states)
+    # every one of the 1000 steps returns q* as it is; only the first is taken
+    assert projections == 2
+
+
+def test_fixed_point_is_judged_on_bytes(monkeypatch):
+    # -0.0 in q*'s empty levels: the first step makes them +0.0, a state equal
+    # as values but not as bytes, so the second step is taken as well
+    system = two_class_system(8, 9.75)
+    q_star = equilibrium_profile(system)
+    cfg = IntegratorConfig.for_system(system, horizon=1.0, dt=1e-3)
+    tail = padded_profile(q_star, cfg.levels)[:, :-1]
+    tail[tail == 0.0] = -0.0
+    start = QVector(alpha=q_star.alpha, tail=tail)
+    path, projections = counted_integration(monkeypatch, system, start, cfg)
+    want = padded_profile(q_star, cfg.levels)
+    assert np.array_equal(path.states[0], want)
+    assert path.states[0].tobytes() != want.tobytes()
+    assert all(state.tobytes() == want.tobytes() for state in path.states[1:])
+    assert projections == 4
+
+
+def nudged_optimal_start() -> QVector:
+    """q* with 1e-12 more mass on its boundary slot (2, 12)."""
+    q_star = equilibrium_profile(two_class_system(8, 9.75))
+    tail = q_star.tail.copy()
+    tail[1, 12] += 1e-12
+    return QVector(alpha=q_star.alpha, tail=tail)
+
+
+#: name -> (start, horizon, dt, SHA-256 of ``states.tobytes()`` recorded every
+#: step, as computed by the integrator that takes every step, the first step
+#: that returns its input unchanged).
+MID_RUN_FIXED_POINTS = {
+    "empty-coarse": (
+        lambda: None, 40.0, 2e-2,
+        "c5badaf622d71c0c317ac25eaf8cb7413a1342e53ed8cd8b3eab616eea1a5e92", 1837,
+    ),
+    "nudged-optimal": (
+        nudged_optimal_start, 4.0, 1e-3,
+        "b83b7b6ebf0a949f7040a680471548b24384c870ca1d600277704429c775bb67", 3455,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MID_RUN_FIXED_POINTS))
+def test_fixed_point_reached_mid_run_ends_the_stepping(name, monkeypatch):
+    start, horizon, dt, digest, repeat = MID_RUN_FIXED_POINTS[name]
+    system = two_class_system(8, 9.75)
+    cfg = IntegratorConfig.for_system(system, horizon=horizon, dt=dt)
+    path, projections = counted_integration(monkeypatch, system, start(), cfg)
+    assert hashlib.sha256(path.states.tobytes()).hexdigest() == digest
+    assert path.states[repeat - 1].tobytes() != path.states[repeat - 2].tobytes()
+    assert path.states[repeat - 1].tobytes() == path.states[-1].tobytes()
+    assert projections == 2 * repeat < 2 * cfg.steps
