@@ -62,15 +62,18 @@ def _too_deep(rho: float) -> ValueError:
     )
 
 
-def _boundary_walk(
+def _greedy_fill(
     family: UtilityFamily, alpha, rho: float
-) -> tuple[tuple[float, ...], Coordinate, int, list[int], float]:
-    """Walk the ranking until the cumulative class mass first passes ``rho``.
+) -> tuple[tuple[float, ...], Coordinate, int, np.ndarray, float]:
+    """Walk the ranking until the cumulative class mass first passes ``rho``,
+    and fill every slot above that boundary.
 
     Returns the checked class fractions, the boundary slot, its rank, the
-    per-class count of fully filled levels, and the mass accumulated strictly
-    above the boundary. The mass is a running sum in rank order, recomputed per
-    call because it depends on ``alpha``; only the ranking itself is cached.
+    filled tail and its overall utility. The mass is a running sum in rank
+    order, recomputed per call because it depends on ``alpha``; only the
+    ranking itself is cached. The boundary slot holds the residual ``rho``
+    minus the mass above it, kept as the exact float difference; nothing is
+    rounded to whole pools.
     """
     alpha = _check_fractions(alpha)
     if len(alpha) != family.m:
@@ -97,16 +100,7 @@ def _boundary_walk(
             raise _too_deep(rho)
         count = min(2 * count, MAX_ENUMERATION)
     cum = float(mass[rank - 2]) if rank > 1 else 0.0
-    return alpha, family.slot(rank), rank, family.class_counts_before(rank), cum
-
-
-def _greedy_fill(
-    family: UtilityFamily, alpha, rho: float
-) -> tuple[tuple[float, ...], Coordinate, int, np.ndarray, float]:
-    """The checked fractions, the boundary slot, its rank, the filled tail and
-    its overall utility. The residual ``rho`` minus the mass above the boundary
-    is kept as the exact float difference; nothing is rounded to whole pools."""
-    alpha, coord, rank, filled, cum = _boundary_walk(family, alpha, rho)
+    coord, filled = family.slot(rank), family.class_counts_before(rank)
     tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
     for ci, a in enumerate(alpha):
         tail[ci, : filled[ci] + 1] = a

@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from .assign import optimal_assignment
 from .config import ConfigError, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
-from .model import FluidSystem, LogQuality, SystemConfig, UtilityFamily
+from .model import FluidSystem, LogQuality, QVector, SystemConfig, UtilityFamily
 from .policies import FixedClassDispatch, parse_policy
 from .sim import Metrics, RunConfig, batch_means, coupled_simulate
 
@@ -121,42 +121,37 @@ def _load_at_rho(args: argparse.Namespace) -> FluidSystem:
 # assignment commands
 
 
-def _assignment_payload(system: FluidSystem) -> dict:
+def _assignment(args: argparse.Namespace) -> tuple[dict, QVector]:
+    """The greedy fill at the command's load: its summary keys and its profile."""
+    system = _load_at_rho(args)
     assign = optimal_assignment(system.family, system.alpha, system.rho)
-    return {
+    summary = {
         "rho": system.rho,
         "sigma_star": [assign.sigma_star.cls, assign.sigma_star.level],
         "rank": assign.sigma_index,
         "residual": assign.residual,
         "bound": assign.bound,
-        "q_star": [[c, l, v] for c, l, v in assign.q_star.to_pairs()],
     }
+    return summary, assign.q_star
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    payload = _assignment_payload(_load_at_rho(args))
-    del payload["q_star"]
-    _write_text(_json_text(payload), args.out)
+    summary, _ = _assignment(args)
+    _write_text(_json_text(summary), args.out)
     return 0
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    system = _load_at_rho(args)
-    payload = _assignment_payload(system)
-    mass = sum(v for _, _, v in payload["q_star"])
-    payload["mass"] = mass
-    payload["class_mass"] = [
-        sum(v for c, _, v in payload["q_star"] if c == ci + 1)
-        for ci in range(system.m)
-    ]
+    payload, q_star = _assignment(args)
+    payload["q_star"] = [[c, l, v] for c, l, v in q_star.to_pairs()]
+    payload["mass"] = q_star.mass()
+    payload["class_mass"] = q_star.class_mass().tolist()
     _write_text(_json_text(payload), args.out)
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     system, _ = _load(args)
-    if args.count < 1:
-        raise ConfigError("count", f"must be >= 1, got {args.count}")
     family = system.family
     slots = family.enumerate_ranked(args.count)
     payload = [
@@ -211,8 +206,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 policy.check_classes(config.m)
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
-    if args.reps < 1:
-        raise ConfigError("reps", f"must be >= 1, got {args.reps}")
 
     cells = []
     for n in args.n:
@@ -241,9 +234,6 @@ def table1_system(n: int, rho: float) -> SystemConfig:
 def cmd_table1(args: argparse.Namespace) -> int:
     scale = args.scale or list(TABLE1_SCALE)
     rhos = args.rho or list(TABLE1_RHOS)
-    seed = args.seed if args.seed is not None else 0
-    if args.reps < 1:
-        raise ConfigError("reps", f"must be >= 1, got {args.reps}")
     keys = []
     cells = []
     for n in scale:
@@ -251,7 +241,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             system = table1_system(n, rho)
             for rep in range(args.reps):
                 run = RunConfig(
-                    horizon=args.T, seed=seed, replication=rep, init="optimal",
+                    horizon=args.T, seed=args.seed, replication=rep, init="optimal",
                 )
                 keys.append((n, rho, rep))
                 cells.append((system, run, ("jlmu", "slta"), None))
@@ -296,7 +286,6 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
         raise ConfigError("rho", f"must be > 0, got {rho}")
     if args.reps < 2:
         raise ConfigError("reps", "need at least 2 replications for error bars")
-    seed = args.seed if args.seed is not None else 0
 
     # Two pools, one per class; total arrival rate rho * mu splits as n * lam.
     family = UtilityFamily((Linear(a * eps), CappedLinear(a, 1)))
@@ -305,7 +294,7 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
     sums: dict[str, list[float]] = {"jlmu": [], "fixed:2": []}
     wins = 0
     for rep in range(args.reps):
-        run = RunConfig(horizon=args.T, seed=seed, replication=rep, init="empty")
+        run = RunConfig(horizon=args.T, seed=args.seed, replication=rep, init="empty")
         pair = coupled_simulate(system, ["jlmu", "fixed:2"], run)
         agg = {m.policy: 2.0 * m.avg_u for m in pair}
         sums["jlmu"].append(agg["jlmu"])
@@ -317,7 +306,7 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
     fx_mean, fx_se = batch_means(sums["fixed:2"])
     report = {
         "a": a, "eps": eps, "rho": rho, "horizon": args.T,
-        "reps": args.reps,
+        "reps": args.reps, "seed": args.seed,
         "closed_form_fixed2": a * (1.0 - math.exp(-rho)),
         # Greedy dispatch makes the capped pool an Erlang loss system, busy
         # with probability rho / (rho + 1); the linear pool gets the overflow,
@@ -327,7 +316,6 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
         "jlmu_mean": jl_mean, "jlmu_se": jl_se,
         "fixed2_beats_jlmu": wins,
     }
-    report["seed"] = seed
     _write_text(_json_text(report), args.out)
     return 0
 
@@ -385,8 +373,9 @@ def cmd_fluid(args: argparse.Namespace) -> int:
 # parser plumbing
 
 
-def _worker_count(text: str) -> int:
-    """``--threads`` value: a whole number of worker processes, at least 1."""
+def _positive_int(text: str) -> int:
+    """A count flag's value (``--threads``, ``--reps``, ``--count``): a whole
+    number, at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -405,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="experiment config (JSON)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    seed.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path (default: stdout)")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=_worker_count, default=1,
+    threads.add_argument("--threads", type=_positive_int, default=1,
                          help="worker processes for replication fan-out")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_assign)
 
     p = sub.add_parser("rank", parents=[config, out], help="best-first slot enumeration")
-    p.add_argument("--count", "-k", type=int, default=20, help="slots to print")
+    p.add_argument("--count", "-k", type=_positive_int, default=20, help="slots to print")
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("simulate", parents=[config, out, threads],
@@ -434,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base RNG seed (default 0); repeatable")
     p.add_argument("--T", type=float, default=100.0, help="run horizon")
     p.add_argument("--warmup", type=float, default=None)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive_int, default=1)
     p.add_argument("--n", type=int, action="append", required=True,
                    help="pool count; repeatable")
     p.add_argument("--rho", type=float, action="append",
@@ -457,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="canned scaling matrix (two-class benchmark)")
     p.add_argument("--scale", type=int, nargs="+", default=None, help="pool counts")
     p.add_argument("--rho", type=float, nargs="+", default=None)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--T", type=float, default=TABLE1_HORIZON)
     p.set_defaults(handler=cmd_table1)
 

@@ -382,8 +382,9 @@ class QVector:
     """Tail occupancy profile: ``tail[i-1, j]`` is the fraction of all pools that
     are of class ``i`` and hold at least ``j`` tasks.
 
-    Column 0 equals ``alpha`` by definition. Entries beyond the stored depth
-    are zero. Feasible profiles are non-increasing along each row.
+    Column 0 equals ``alpha`` by definition, and every entry is finite.
+    Entries beyond the stored depth are zero. Feasible profiles are
+    non-increasing along each row.
     """
 
     alpha: np.ndarray
@@ -396,6 +397,8 @@ class QVector:
             raise ValueError("tail must be a (classes, depth+1) matrix")
         if not np.abs(self.tail[:, 0] - self.alpha).max(initial=0.0) <= 1e-12:
             raise ValueError("tail column 0 must equal the class fractions")
+        if not np.isfinite(self.tail).all():
+            raise ValueError("tail entries must be finite")
 
     @classmethod
     def zeros(cls, alpha: Sequence[float], depth: int) -> "QVector":

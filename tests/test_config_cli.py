@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from poolsim.assign import optimal_assignment
 from poolsim.cli import build_parser, main
 from poolsim.config import ConfigError, load_config, parse_config
 from poolsim.model import SystemConfig
@@ -283,6 +284,23 @@ def test_cli_assign(tmp_path, capsys):
     assert pairs[(1, 8)] == pytest.approx(0.5)
 
 
+def test_cli_assign_masses_are_the_profile_sums(tmp_path, capsys):
+    # at fractions that are not dyadic, summing the listed entries in order
+    # rounds otherwise; the reported masses are QVector's own sums, bit for bit
+    doc = {**BASE_DOC, "classes": [
+        {"fraction": 0.3, "utility": {"kind": "log_quality", "r": 20.0}},
+        {"fraction": 0.7, "utility": {"kind": "log_quality", "r": 30.0}},
+    ], "rho": 20.0}
+    assert main(["assign", "--config", write_config(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    system, _ = parse_config(doc)
+    q_star = optimal_assignment(system.family, system.alpha, system.rho).q_star
+    assert out["mass"] == q_star.mass() != sum(v for _, _, v in out["q_star"])
+    assert out["class_mass"] == q_star.class_mass().tolist() != [
+        sum(v for c, _, v in out["q_star"] if c == cls) for cls in (1, 2)
+    ]
+
+
 def test_cli_rank(tmp_path, capsys):
     code = main(["rank", "--config", write_config(tmp_path), "--count", "3"])
     assert code == 0
@@ -422,8 +440,10 @@ def test_cli_simulate_rejects_reps_below_one(tmp_path, capsys, reps):
     out = tmp_path / "metrics.csv"
     argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS, "--T", "1.0",
             "--reps", reps]
-    assert main(argv + ["--out", str(out)]) == 2
-    assert "reps" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert "--reps: must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,16 +451,32 @@ def test_cli_simulate_rejects_reps_below_one(tmp_path, capsys, reps):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["table1", "--scale", "4", "--reps", "1", "--T", "1"],
-        ["simulate", "--config", "c.json", "--policy", "jlmu", "--n", "4"],
+        ["table1", "--scale", "4", "--reps", "1", "--T", "1", "--threads"],
+        ["simulate", "--config", "c.json", "--policy", "jlmu", "--n", "4", "--threads"],
+        ["simulate", "--config", "c.json", "--policy", "jlmu", "--n", "4", "--reps"],
+        ["table1", "--scale", "4", "--T", "1", "--reps"],
+        ["rank", "--config", "c.json", "--count"],
     ],
 )
 def test_cli_rejects_threads_below_one(argv, threads, capsys):
-    # refused while parsing, before any config is read or any run starts
+    # every count flag ends its argv here, and one parser type refuses it
+    # before any config is read or any run starts
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--threads", threads])
+        main(argv + [threads])
     assert info.value.code == 2
-    assert "--threads: must be >= 1" in capsys.readouterr().err
+    assert re.search(rf"argument {argv[-1]}\S*: must be >= 1", capsys.readouterr().err)
+
+
+def test_fan_out_over_processes_keeps_the_bytes(tmp_path, monkeypatch):
+    # a real process pool, whatever the host's cpu count
+    from poolsim import cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["table1", "--scale", "4", "8", "--reps", "2", "--T", "1", "--seed", "3"]
+    outs = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
+    for threads, out in zip(("1", "2"), outs):
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_fan_out_clamps_workers(monkeypatch):

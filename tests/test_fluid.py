@@ -56,6 +56,37 @@ def test_sigma_single_class_block_fill():
     assert fluid_rhs(system, q)[2] == Coordinate(1, 6)
 
 
+@pytest.mark.parametrize("gap, active", [(5e-8, Coordinate(2, 1)), (5e-10, Coordinate(1, 1))])
+def test_slot_opens_past_sigma_tol(gap, active):
+    # the top slot (2, 1) is open only while its gap below alpha exceeds
+    # SIGMA_TOL = 1e-9; closed, the next slot (1, 1) is active
+    system = two_class_system(8, 9.75)
+    tail = np.zeros((2, 4))
+    tail[:, 0] = TWO_CLASS_ALPHA
+    tail[1, 1] = TWO_CLASS_ALPHA[1] - gap
+    q = QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail)
+    assert fluid_rhs(system, q)[2] == active
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, level", [(2, 2), (1, 1)])
+def test_non_finite_starts_are_refused(cls, level, bad):
+    # refused where the profile is built, not a step later as a depth problem
+    system = two_class_system(8, 9.75)
+    config = IntegratorConfig.for_system(system, horizon=1.0)
+
+    def start():
+        tail = np.zeros((2, 4))
+        tail[:, 0] = TWO_CLASS_ALPHA
+        tail[cls - 1, level] = bad
+        return QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail)
+
+    with pytest.raises(ValueError, match="finite"):
+        integrate_fluid(system, start(), config)
+    with pytest.raises(ValueError, match="finite"):
+        fluid_rhs(system, start())
+
+
 def test_sigma_needs_an_open_gap():
     # every retained level full: no slot within the truncation is open
     system = two_class_system(8, 9.75)

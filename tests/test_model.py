@@ -1,4 +1,5 @@
 import math
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_rank_tie_break_is_dictionary_order():
     assert not fam.rank_precedes(Coordinate(1, 3), Coordinate(2, 3))
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        UtilityFamily((Linear(1.0), Linear(1.0))),
+        UtilityFamily((Tabulated(QUAD_VALUES), Tabulated(QUAD_VALUES))),
+        piecewise_family(),
+    ],
+    ids=["linear-pair", "equal-tables", "piecewise"],
+)
+def test_cached_ranking_sorts_by_rank_precedes(family):
+    # assign, fluid and SLTA read the cached walk, not rank_precedes: on
+    # families full of ties both must order the slots the same way
+    k = 60
+    candidates = [Coordinate(c, j) for c in range(1, family.m + 1) for j in range(1, k + 1)]
+
+    def later(a, b):
+        return family.rank_precedes(a, b) - family.rank_precedes(b, a)
+
+    assert family.enumerate_ranked(k) == sorted(candidates, key=cmp_to_key(later))[:k]
+
+
 def test_rank_crossover_between_flat_and_falling_marginals():
     fam = piecewise_family()
     # 1.5 (capped class at level 1) against 1.55 (quadratic class at level 5)
@@ -269,6 +291,16 @@ def test_qvector_basics():
     assert q.mass() == pytest.approx(1.0)
     assert q.class_mass() == pytest.approx([0.75, 0.25])
     assert (1, 2, 0.25) in q.to_pairs()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, level", [(2, 2), (1, 1)])
+def test_qvector_rejects_non_finite_entries(cls, level, bad):
+    tail = np.zeros((2, 4))
+    tail[:, 0] = TWO_CLASS_ALPHA
+    tail[cls - 1, level] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QVector(alpha=np.array(TWO_CLASS_ALPHA), tail=tail)
 
 
 def test_qvector_rejects_mismatched_base():

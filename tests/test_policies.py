@@ -4,6 +4,7 @@ import pytest
 
 from poolsim.model import (
     Coordinate,
+    Linear,
     LogQuality,
     OccupancyState,
     SystemConfig,
@@ -66,6 +67,13 @@ def test_jlmu_empty_two_class():
     fam = two_class_family()
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     assert jlmu_pick(fam, state) == Coordinate(2, 1)
+
+
+def test_jlmu_exact_tie_goes_to_the_smaller_class():
+    # equal marginals everywhere: the dictionary-smaller slot (1, 1) wins
+    fam = UtilityFamily((Linear(1.0), Linear(1.0)))
+    state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
+    assert jlmu_pick(fam, state) == Coordinate(1, 1)
 
 
 def test_jlmu_is_jsq_with_one_class():

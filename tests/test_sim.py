@@ -361,6 +361,15 @@ def test_trajectory_grid_is_respected():
         assert q.get(1, 0) == pytest.approx(0.5)
 
 
+def test_snapshot_at_the_horizon_is_taken():
+    # no event falls at the horizon itself, so the last snapshot is taken
+    # after the loop
+    config = two_class_system(4, 2.0)
+    run = RunConfig(horizon=2.0, warmup=0.0, sample_times=(0.5, 1.0, 2.0))
+    metrics = simulate(config, "jlmu", run)
+    assert [t for t, _ in metrics.trajectory] == [0.5, 1.0, 2.0]
+
+
 def test_rank_history_tracks_switches():
     config = two_class_system(20, 9.75)
     metrics = simulate(config, "slta", RunConfig(horizon=40.0, seed=2))
