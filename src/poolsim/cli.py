@@ -168,11 +168,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _metric_row(m: Metrics) -> list:
-    return [
-        m.policy, m.n, m.rho, m.seed, m.replication, m.avg_u, m.avg_s,
-        m.empirical_bound, m.bound_rho, m.r_final, m.switches, m.events,
-        m.wall_ms,
-    ]
+    # The ``rep`` column is the ``replication`` attribute; the rest share their names.
+    return [getattr(m, "replication" if col == "rep" else col) for col in METRIC_COLUMNS]
 
 
 #: One run cell: a system, a run, the policy names to couple, and SLTA's beta.
@@ -197,6 +194,16 @@ def _fan_out(cells: list[Cell], threads: int) -> list[list[Metrics]]:
         return list(pool.map(_run_cell, cells))
 
 
+def _runs(systems: Iterable[SystemConfig], seeds: Sequence[int], reps: int,
+          names: Sequence[str], beta: float | None, threads: int,
+          **run: Any) -> list[list[Metrics]]:
+    """The coupled runs of ``names`` for each system, seed and replication, in
+    that order; ``run`` holds the other :class:`RunConfig` fields."""
+    cells = [(system, RunConfig(seed=seed, replication=rep, **run), names, beta)
+             for system in systems for seed in seeds for rep in range(reps)]
+    return _fan_out(cells, threads)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, beta = _load(args)
     for name in args.policy:
@@ -207,20 +214,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
 
-    cells = []
-    for n in args.n:
-        for rho in args.rho or [config.rho]:
-            system = SystemConfig(
-                n=n, alpha=config.alpha, rho=rho, mu=config.mu, family=config.family
-            )
-            for seed in args.seed or [0]:
-                for rep in range(args.reps):
-                    run = RunConfig(
-                        horizon=args.T, warmup=args.warmup, seed=seed,
-                        replication=rep, init=args.init,
-                    )
-                    cells.append((system, run, args.policy, beta))
-    rows = [_metric_row(m) for runs in _fan_out(cells, args.threads) for m in runs]
+    systems = [SystemConfig(n=n, alpha=config.alpha, rho=rho, mu=config.mu, family=config.family)
+               for n in args.n for rho in args.rho or [config.rho]]
+    runs = _runs(systems, args.seed or [0], args.reps, args.policy, beta, args.threads,
+                 horizon=args.T, warmup=args.warmup, init=args.init)
+    rows = [_metric_row(m) for cell in runs for m in cell]
     _write_text(_csv(rows, METRIC_COLUMNS), args.out)
     return 0
 
@@ -234,22 +232,14 @@ def table1_system(n: int, rho: float) -> SystemConfig:
 def cmd_table1(args: argparse.Namespace) -> int:
     scale = args.scale or list(TABLE1_SCALE)
     rhos = args.rho or list(TABLE1_RHOS)
-    keys = []
-    cells = []
-    for n in scale:
-        for rho in rhos:
-            system = table1_system(n, rho)
-            for rep in range(args.reps):
-                run = RunConfig(
-                    horizon=args.T, seed=args.seed, replication=rep, init="optimal",
-                )
-                keys.append((n, rho, rep))
-                cells.append((system, run, ("jlmu", "slta"), None))
+    runs = _runs([table1_system(n, rho) for n in scale for rho in rhos], [args.seed],
+                 args.reps, ("jlmu", "slta"), None, args.threads,
+                 horizon=args.T, init="optimal")
     # (n, rho, rep) -> (ceiling at the realized mass, jlmu, slta); simulate
     # has already refused any run above its ceiling.
     per_rep = {
-        key: (slta.empirical_bound, jlmu.avg_u, slta.avg_u)
-        for key, (jlmu, slta) in zip(keys, _fan_out(cells, args.threads))
+        (slta.n, slta.rho, slta.replication): (slta.empirical_bound, jlmu.avg_u, slta.avg_u)
+        for jlmu, slta in runs
     }
 
     header = ["n", "rep"]
@@ -291,19 +281,12 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
     family = UtilityFamily((Linear(a * eps), CappedLinear(a, 1)))
     system = SystemConfig(n=2, alpha=(0.5, 0.5), rho=rho / 2.0, mu=1.0, family=family)
 
-    sums: dict[str, list[float]] = {"jlmu": [], "fixed:2": []}
-    wins = 0
-    for rep in range(args.reps):
-        run = RunConfig(horizon=args.T, seed=args.seed, replication=rep, init="empty")
-        pair = coupled_simulate(system, ["jlmu", "fixed:2"], run)
-        agg = {m.policy: 2.0 * m.avg_u for m in pair}
-        sums["jlmu"].append(agg["jlmu"])
-        sums["fixed:2"].append(agg["fixed:2"])
-        if agg["jlmu"] < agg["fixed:2"]:
-            wins += 1
-
-    jl_mean, jl_se = batch_means(sums["jlmu"])
-    fx_mean, fx_se = batch_means(sums["fixed:2"])
+    runs = _runs([system], [args.seed], args.reps, ("jlmu", "fixed:2"), None, 1,
+                 horizon=args.T, init="empty")
+    # (jlmu, fixed:2) utility per replication, summed over the two pools.
+    utils = [(2.0 * jlmu.avg_u, 2.0 * fixed.avg_u) for jlmu, fixed in runs]
+    jl_mean, jl_se = batch_means(jl for jl, _ in utils)
+    fx_mean, fx_se = batch_means(fx for _, fx in utils)
     report = {
         "a": a, "eps": eps, "rho": rho, "horizon": args.T,
         "reps": args.reps, "seed": args.seed,
@@ -314,7 +297,7 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
         "jlmu_mean_formula": a * (eps * rho * rho / (rho + 1.0) + rho / (rho + 1.0)),
         "fixed2_mean": fx_mean, "fixed2_se": fx_se,
         "jlmu_mean": jl_mean, "jlmu_se": jl_se,
-        "fixed2_beats_jlmu": wins,
+        "fixed2_beats_jlmu": sum(jl < fx for jl, fx in utils),
     }
     _write_text(_json_text(report), args.out)
     return 0
@@ -328,11 +311,8 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     # The mean-field model needs no pool count.
     system = _load_at_rho(args)
     integ = IntegratorConfig.for_system(system, horizon=args.T, dt=args.dt, levels=args.levels)
-    record = args.record_every if args.record_every is not None else max(
-        1, int(round(integ.horizon / integ.dt / 400))
-    )
-    if args.verify_reflection:
-        record = 1  # the reflection check needs every step
+    # The reflection check needs every step; otherwise about 400 records.
+    record = 1 if args.verify_reflection else max(1, round(integ.horizon / integ.dt / 400))
     integ = replace(integ, record_every=record)
 
     if args.init == "empty":
@@ -437,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--record-every", type=int, default=None)
     p.add_argument("--verify-reflection", action="store_true",
                    help="rebuild the path from its reflected free process and report residuals")
     p.set_defaults(handler=cmd_fluid)

@@ -109,8 +109,7 @@ class FluidPath:
     max_tail_mass: float = 0.0
 
     def profile(self, k: int) -> QVector:
-        tail = self.states[k][:, :-1].copy()
-        return QVector(alpha=np.asarray(self.system.alpha), tail=tail)
+        return QVector(alpha=self.system.alpha, tail=self.states[k][:, :-1])
 
     def mass(self) -> np.ndarray:
         """Total mass per recorded time."""

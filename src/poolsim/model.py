@@ -384,21 +384,26 @@ class QVector:
 
     Column 0 equals ``alpha`` by definition, and every entry is finite.
     Entries beyond the stored depth are zero. Feasible profiles are
-    non-increasing along each row.
+    non-increasing along each row. Both arrays are copies that cannot be
+    written in place, and a pickled profile is rebuilt through these checks.
     """
 
     alpha: np.ndarray
     tail: np.ndarray
 
     def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.tail = np.asarray(self.tail, dtype=np.float64)
+        self.alpha = np.array(self.alpha, dtype=np.float64)
+        self.tail = np.array(self.tail, dtype=np.float64)
+        self.alpha.flags.writeable = self.tail.flags.writeable = False
         if self.tail.ndim != 2 or self.tail.shape[0] != self.alpha.shape[0]:
             raise ValueError("tail must be a (classes, depth+1) matrix")
         if not np.abs(self.tail[:, 0] - self.alpha).max(initial=0.0) <= 1e-12:
             raise ValueError("tail column 0 must equal the class fractions")
         if not np.isfinite(self.tail).all():
             raise ValueError("tail entries must be finite")
+
+    def __reduce__(self):
+        return QVector, (self.alpha, self.tail)
 
     @classmethod
     def zeros(cls, alpha: Sequence[float], depth: int) -> "QVector":

@@ -79,8 +79,8 @@ class RunConfig:
     ``warmup`` defaults to 0 when starting from the rounded optimal profile and
     to ``5 / mu`` when starting empty (resolved against the system in
     :func:`simulate`). ``sample_times`` asks for tail-profile snapshots on a
-    grid; ``batches`` asks for per-batch averages of the mass, for batch-means
-    error bars.
+    grid in [0, horizon]; ``batches`` asks for per-batch averages of the mass,
+    for batch-means error bars.
     """
 
     horizon: float
@@ -106,8 +106,8 @@ class RunConfig:
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
             times = self.sample_times
-            if not all(math.isfinite(t) for t in times):
-                raise ValueError("sample_times must be finite")
+            if not all(0 <= t <= self.horizon for t in times):
+                raise ValueError(f"sample_times must lie in [0, {self.horizon}]")
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("sample_times must be strictly increasing")
 

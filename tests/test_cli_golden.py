@@ -38,7 +38,7 @@ THREE_CLASS = {
     "beta": 0.4,
 }
 
-#: name -> (config, arguments after ``--config``); the command is the name up to "_".
+#: name -> (config or None, arguments); the command is the name up to "_".
 CASES = {
     "bound": (TWO_CLASS, []),
     "bound_rho": (TWO_CLASS, ["--rho", "10"]),
@@ -52,6 +52,15 @@ CASES = {
          "--n", "40", "--rho", "9.75", "--rho", "6", "--T", "5", "--seed", "3",
          "--init", "optimal"],
     ),
+    # A sweep over all four axes pins the row order: n, then rho, seed and rep.
+    "simulate_sweep": (
+        THREE_CLASS,
+        ["--policy", "slta", "--policy", "random", "--n", "4", "--n", "8", "--rho", "3",
+         "--rho", "5", "--seed", "1", "--seed", "9", "--reps", "2", "--T", "4",
+         "--warmup", "0.5"],
+    ),
+    "table1": (None, ["--scale", "8", "16", "--reps", "3", "--T", "5", "--seed", "2"]),
+    "suboptimal": (None, ["--T", "200", "--reps", "5", "--seed", "4"]),
 }
 
 #: SHA-256 of each case's output.
@@ -63,16 +72,21 @@ DIGESTS = {
     "fluid_reflection": "588ba9f7243c54b6f59c175e502ffe38e3f54d1c18cde97fa23b924a13c399d1",
     "fluid_qstar": "c078ece0e706ac83f088009b8a599fd09fd4471a9db96c00b819b9dd2ff4abc9",
     "simulate": "ddbb48257274828f2e9e55078151c1e15609b330331195b027088a88f614359c",
+    "simulate_sweep": "9bfe31dc43b7ddba4d632963bbd9c5e4290700c9d8506eaa34e0481b81b6b1ae",
+    "table1": "4a9a0871d1674fa4e66b9abd7c97f94a07f7b4797d3d05b710a0b365dd1cdbda",
+    "suboptimal": "1272612404bc89eee76065ed705fc3cc3a512de501602b124ccf0432982358f2",
 }
 
 
 def _output(name: str, tmp_path, capsys) -> str:
     doc, args = CASES[name]
-    config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(doc))
     command = name.split("_")[0]
+    if doc is not None:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        args = ["--config", str(config), *args]
     capsys.readouterr()
-    assert main([command, "--config", str(config), *args]) == 0
+    assert main([command, *args]) == 0
     text = capsys.readouterr().out
     if command == "simulate":
         lines = text.splitlines(keepends=True)

@@ -99,6 +99,9 @@ def test_parse_error_paths():
         ({**BASE_DOC, "classes": []}, "classes"),
         ({**BASE_DOC, "classes": bad_classes}, "classes[0].utility"),
         ({**BASE_DOC, "mu": 0.0}, "mu"),
+        ({**BASE_DOC, "rho": -0.5}, "rho"),
+        ({**BASE_DOC, "beta": 0}, "beta"),
+        ({**BASE_DOC, "beta": 1.5}, "beta"),
         ({**BASE_DOC, "surprise": 1}, "surprise"),
     ]
     # utility fields follow the config's number rules: no bools, strings,
@@ -120,6 +123,12 @@ def test_parse_error_paths():
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
         assert needle in str(err.value), f"expected {needle!r} in {err.value}"
+
+
+def test_parse_takes_the_closed_ends_of_rho_and_beta():
+    # rho = 0 is a draining system, and beta = 1 a quota of every pool
+    system, beta = parse_config({**BASE_DOC, "rho": 0, "beta": 1})
+    assert (system.rho, beta) == (0, 1)
 
 
 def test_missing_load_is_rejected():
@@ -562,6 +571,17 @@ def test_cli_suboptimal_report(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_suboptimal_refuses_one_rep_before_any_run(monkeypatch, capsys):
+    from poolsim import cli
+
+    def no_runs(*args):
+        raise AssertionError("suboptimal ran before checking --reps")
+
+    monkeypatch.setattr(cli, "coupled_simulate", no_runs)
+    assert main(["suboptimal", "--reps", "1", "--T", "1"]) == 2
+    assert "reps" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI: fluid command
 
@@ -660,7 +680,8 @@ def test_cli_requires_a_config(capsys):
         for command in ("bound", "assign", "rank", "fluid")
         for flag in ("--seed", "--threads")
     ]
-    + [("table1", "--config"), ("suboptimal", "--config"), ("suboptimal", "--threads")],
+    + [("table1", "--config"), ("suboptimal", "--config"), ("suboptimal", "--threads"),
+       ("fluid", "--record-every")],
 )
 def test_cli_refuses_flags_the_command_does_not_read(command, flag, capsys):
     with pytest.raises(SystemExit) as info:

@@ -151,7 +151,7 @@ def test_rhs_zeros_are_positive_off_the_fill(rng):
     system = two_class_system(8, 9.75)
     profiles = []
     for k in range(200):
-        tail = random_feasible_tail(rng, TWO_CLASS_ALPHA, 14).tail
+        tail = random_feasible_tail(rng, TWO_CLASS_ALPHA, 14).tail.copy()
         ci, level = k % 2, int(rng.integers(1, 12))
         tail[ci, level : level + 2] = 0.5 + rng.uniform(0.0, 1.0)
         profiles.append(tail)
@@ -357,6 +357,14 @@ def test_tight_truncation_warns():
     with pytest.warns(RuntimeWarning, match="increase levels"):
         path = integrate_fluid(system, None, cfg)
     assert path.max_tail_mass > 1e-8
+    # 5e-8 on class 1's levels 1-9 puts five times the 1e-8 threshold in the
+    # last truncated levels at levels = 10, so the start alone warns
+    tail = np.zeros((2, 10))
+    tail[:, 0] = TWO_CLASS_ALPHA
+    tail[0, 1:] = 5e-8
+    cfg = IntegratorConfig(dt=1e-3, levels=10, horizon=0.01)
+    with pytest.warns(RuntimeWarning, match="increase levels"):
+        integrate_fluid(system, QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail), cfg)
 
 
 # ---------------------------------------------------------------------------

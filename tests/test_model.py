@@ -1,4 +1,5 @@
 import math
+import pickle
 from functools import cmp_to_key
 
 import numpy as np
@@ -301,6 +302,22 @@ def test_qvector_rejects_non_finite_entries(cls, level, bad):
     tail[cls - 1, level] = bad
     with pytest.raises(ValueError, match="finite"):
         QVector(alpha=np.array(TWO_CLASS_ALPHA), tail=tail)
+
+
+def test_qvector_owns_read_only_copies():
+    alpha = np.array(TWO_CLASS_ALPHA)
+    tail = np.array([[0.5, 0.2], [0.5, 0.1]])
+    q = QVector(alpha=alpha, tail=tail)
+    with pytest.raises(ValueError, match="read-only"):
+        q.tail[0, 1] = math.nan
+    with pytest.raises(ValueError, match="read-only"):
+        q.alpha[0] = math.nan
+    alpha[0], tail[0, 1] = math.nan, math.nan
+    assert q.alpha[0] == 0.5 and q.tail[0, 1] == 0.2
+    # A profile that crosses a process boundary stays read-only.
+    back = pickle.loads(pickle.dumps(q))
+    assert not back.alpha.flags.writeable and not back.tail.flags.writeable
+    np.testing.assert_array_equal(back.tail, q.tail)
 
 
 def test_qvector_rejects_mismatched_base():

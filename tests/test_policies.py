@@ -320,6 +320,12 @@ def test_learn_decrements_at_exact_quota():
     green, _ = token_counts(state, policy.thresholds, policy.boundary)
     assert sum(green) == 2  # equals n * beta exactly
     assert policy.decide(state, 0.5)[2] == -1
+    # beta = 1 binds with quota n = 4, above the 2 green tokens
+    state, policy = bound_slta(fam, TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 2, beta=1.0)
+    assert policy.decide(state, 0.5)[2] == 0
+    for beta in (0.0, 1.5):
+        with pytest.raises(ValueError, match="beta"):
+            bound_slta(fam, TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 2, beta=beta)
 
 
 def test_learn_increments_when_one_yellow_left():

@@ -48,8 +48,9 @@ def test_run_config_validation():
         RunConfig(horizon=10.0, warmup=10.0)
     with pytest.raises(ValueError):
         RunConfig(horizon=10.0, init="steady")
-    with pytest.raises(ValueError):
-        RunConfig(horizon=10.0, sample_times=(1.0, 1.0))
+    for times in ((1.0, 1.0), (-1.0, 0.5), (0.5, 10.5)):
+        with pytest.raises(ValueError):
+            RunConfig(horizon=10.0, sample_times=times)
     with pytest.raises(ValueError):
         RunConfig(horizon=10.0, batches=-1)
 

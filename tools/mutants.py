@@ -1,0 +1,153 @@
+"""Mutation check of the unit suite.
+
+Each mutant below changes one line of ``src/poolsim``. The runner copies
+``src/``, ``tests/`` and ``README.md`` to a temporary directory, checks that
+every mutant's text occurs exactly once there, and runs the unit suite (all of
+``tests/`` but the acceptance battery) once unmutated and then once per mutant,
+with ``-x`` and a time limit. A mutant the suite fails on is killed; one it
+passes survived. An equivalent mutant, which no input can tell from the
+original, carries its argument and is expected to survive::
+
+    python tools/mutants.py
+
+Exits 1 when a mutant is not killed, or an equivalent one not survived.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# Seconds allowed for one suite run; the slowest mutant to die takes about 90 s.
+TIMEOUT = 300.0
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in ``path``
+    new: str
+    equivalent: str = ""  # why no input can kill it
+
+
+CLI, CONFIG, MODEL = "src/poolsim/cli.py", "src/poolsim/config.py", "src/poolsim/model.py"
+ASSIGN, FLUID = "src/poolsim/assign.py", "src/poolsim/fluid.py"
+POLICIES, SIM = "src/poolsim/policies.py", "src/poolsim/sim.py"
+
+MUTANTS = [
+    # model and assign
+    Mutant("ranking-tie", MODEL, "if d > best_d:", "if d >= best_d:"),
+    Mutant("fluid-system-rho-zero", MODEL, "and self.rho >= 0)", "and self.rho > 0)"),
+    Mutant("qvector-writeable", MODEL,
+           "        self.alpha.flags.writeable = self.tail.flags.writeable = False\n", ""),
+    Mutant("fill-searchsorted-side", ASSIGN, 'searchsorted(rho, side="right")',
+           'searchsorted(rho, side="left")'),
+    # config
+    Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
+    Mutant("config-rho-zero", CONFIG, "    if rho < 0:", "    if rho <= 0:"),
+    Mutant("json-bool-refusal", CONFIG,
+           "    if isinstance(value, bool) or not isinstance(value, (int, float)):",
+           "    if not isinstance(value, (int, float)):"),
+    # policies
+    Mutant("jlmu-tie", POLICIES, "if d > best_d:", "if d >= best_d:"),
+    Mutant("slta-beta-one", POLICIES, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
+    Mutant("slta-push-threshold", POLICIES, "if prev_occ + 1 == self._thr[ci]:",
+           "if prev_occ == self._thr[ci]:"),
+    Mutant("slta-quota", POLICIES, "total_green >= self._quota", "total_green > self._quota"),
+    Mutant("slta-fallback-pool", POLICIES, "                pool = prev_green\n",
+           "                pool = total_green\n",
+           equivalent="the branch runs when total_green - prev_green == 0, so the two "
+                      "are equal there"),
+    # sim
+    Mutant("warmup-zero", SIM, "not 0 <= self.warmup < self.horizon",
+           "not 0 < self.warmup < self.horizon"),
+    Mutant("sample-times-horizon", SIM, "if not all(0 <= t <= self.horizon for t in times):",
+           "if not all(0 <= t for t in times):"),
+    Mutant("max-events-estimate", SIM, "expected = horizon * n * (lam + mu * config.rho)",
+           "expected = horizon * n * lam"),
+    Mutant("last-batch-share", SIM, "while edge < te and b < batches - 1:",
+           "while edge < te and b < batches - 2:"),
+    Mutant("arrival-draw", SIM, "is_arrival = kind * rate < arr_rate",
+           "is_arrival = kind * rate <= arr_rate",
+           equivalent="the two differ only when the uniform draw times the total rate "
+                      "equals the arrival rate exactly, an event of probability zero"),
+    Mutant("departure-weight", SIM, "v += 1\n                    k -= v * row[v]",
+           "v += 1\n                    k -= row[v]"),
+    Mutant("horizon-snapshot", SIM, "sample_times[si] <= horizon", "sample_times[si] < horizon"),
+    # fluid
+    Mutant("sigma-tol", FLUID, "SIGMA_TOL = 1e-9", "SIGMA_TOL = 1e-7"),
+    Mutant("truncation-warning", FLUID, "if max_tail > TRUNCATION_WARN:",
+           "if max_tail > TRUNCATION_WARN * 10:"),
+    Mutant("pour-order", FLUID, "in pour_order if step > 0 else reversed(pour_order):",
+           "in reversed(pour_order) if step > 0 else pour_order:"),
+    Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
+    # cli
+    Mutant("count-flag-floor", CLI, "    if value < 1:", "    if value < 0:"),
+    Mutant("suboptimal-reps", CLI, "if args.reps < 2:", "if args.reps < 1:"),
+    Mutant("run-order", CLI, "for system in systems for seed in seeds for rep in range(reps)",
+           "for system in systems for rep in range(reps) for seed in seeds"),
+]
+
+
+def run_suite(tree: Path) -> tuple[str, float]:
+    """Run the unit suite in ``tree``: passed, failed or timed out, and seconds."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "tests", "--ignore=tests/test_acceptance.py"]
+    started = time.perf_counter()
+    # A session of its own, so that a timeout also ends the suite's workers.
+    with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        try:
+            code = proc.wait(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timed out", time.perf_counter() - started
+    return ("passed" if code == 0 else "failed"), time.perf_counter() - started
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="poolsim-mutants-") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+        shutil.copy2(ROOT / "README.md", tree / "README.md")
+        for m in MUTANTS:
+            count = (tree / m.path).read_text().count(m.old)
+            if count != 1:
+                print(f"{m.name}: its text occurs {count} times in {m.path}, not once",
+                      file=sys.stderr)
+                return 2
+
+        outcome, seconds = run_suite(tree)
+        print(f"{'unmutated':<22} {outcome:<10} {seconds:6.1f} s", flush=True)
+        if outcome != "passed":
+            print("the unmutated suite must pass", file=sys.stderr)
+            return 2
+        wrong = 0
+        for m in MUTANTS:
+            target = tree / m.path
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            result, seconds = run_suite(tree)
+            target.write_text(original)
+            outcome = {"passed": "survived", "failed": "killed"}.get(result, result)
+            note = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
+            print(f"{m.name:<22} {outcome:<10} {seconds:6.1f} s{note}", flush=True)
+            wrong += outcome != ("survived" if m.equivalent else "killed")
+    print(f"{len(MUTANTS)} mutants, {wrong} not as expected")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
