@@ -70,10 +70,9 @@ def _greedy_fill(
 
     Returns the checked class fractions, the boundary slot, its rank, the
     filled tail and its overall utility. The mass is a running sum in rank
-    order, recomputed per call because it depends on ``alpha``; only the
-    ranking itself is cached. The boundary slot holds the residual ``rho``
-    minus the mass above it, kept as the exact float difference; nothing is
-    rounded to whole pools.
+    order, read off the family's cache for ``alpha``. The boundary slot holds
+    the residual ``rho`` minus the mass above it, kept as the exact float
+    difference; nothing is rounded to whole pools.
     """
     alpha = _check_fractions(alpha)
     if len(alpha) != family.m:
@@ -85,14 +84,12 @@ def _greedy_fill(
     widest = max(alpha)
     if rho >= MAX_ENUMERATION * widest:
         raise _too_deep(rho)
-    weights = np.asarray(alpha)
     # Every slot carries at most the widest class fraction, so no shorter
     # prefix carries more than rho; double the count until one does.
     count = min(int(rho / widest) + 1, MAX_ENUMERATION)
     while True:
-        # A sequential running sum (cumsum does not pair terms), so each entry
-        # is the float the slot-by-slot walk accumulates.
-        mass = np.cumsum(weights[family._slot_classes(count)])
+        # Each entry is the float the slot-by-slot walk accumulates.
+        mass = family.ranked_mass(alpha, count)
         rank = int(mass.searchsorted(rho, side="right")) + 1
         if rank <= count:
             break

@@ -232,6 +232,9 @@ def table1_system(n: int, rho: float) -> SystemConfig:
 def cmd_table1(args: argparse.Namespace) -> int:
     scale = args.scale or list(TABLE1_SCALE)
     rhos = args.rho or list(TABLE1_RHOS)
+    for flag, values in (("scale", scale), ("rho", rhos)):
+        if len(set(values)) < len(values):
+            raise ConfigError(flag, f"repeats a value in {values}; each must be given once")
     runs = _runs([table1_system(n, rho) for n in scale for rho in rhos], [args.seed],
                  args.reps, ("jlmu", "slta"), None, args.threads,
                  horizon=args.T, init="optimal")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -42,8 +43,18 @@ TRUNCATION_WARN = 1e-8
 #: Ranks past the deepest active rank that the reflection check also covers.
 REFLECTION_MARGIN = 2
 
+#: The rank :func:`_active_rank` reads when no slot is open.
+NO_SLOT = np.iinfo(np.int64).max
+
 #: Hard cap on the steps one integration may take, so no horizon can make it hang.
 MAX_STEPS = 10**6
+
+#: Caps on the cells one integration steps, ``steps * m * (levels + 2)``, and
+#: records. On a 2-core x86 host the first allows 12 to 15 s of stepping (the
+#: step cap at depth 39, or 2500 steps at depth 40,000), the second 80 MB of
+#: records, which a reflection check holds in a 215 MB peak.
+MAX_CELLS = 2 * 10**8
+MAX_RECORDED_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -130,48 +141,53 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
+def _rank_table(system: FluidSystem, levels: int) -> np.ndarray:
+    """The family's rank table with a column of ``NO_SLOT`` added, which lines
+    it up with the gaps of a padded profile and never opens."""
+    table = system.family.rank_table(levels)
+    return np.hstack([table, np.full((system.m, 1), NO_SLOT)])
+
+
 def _active_rank(table: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Rank of the active slot of each padded profile ``p``, read from its gaps
-    ``p[..., :-1] - p[..., 1:]``: a slot is open when its gap to the level
-    above exceeds ``SIGMA_TOL``. Inside a class the rank grows with the
-    level, so the smallest rank among open slots is the best-ranked first
-    open slot of any class. Reads ``table.size + 1`` when that slot is ranked
-    past the table, and ``table.size + 2`` when no slot is open, which
-    :func:`_check_open` refuses.
+    ``p[..., :-1] - p[..., 1:]`` and a table from :func:`_rank_table`: a slot
+    is open when its gap to the level above exceeds ``SIGMA_TOL``. Inside a
+    class the rank grows with the level, so the smallest rank among open
+    slots is the best-ranked first open slot of any class. Reads
+    ``m * levels + 1`` when that slot is ranked past the table, and
+    ``NO_SLOT`` when no slot is open, which :func:`_check_open` refuses.
     """
-    is_open = (gaps > SIGMA_TOL)[..., :-1]
-    ranks = np.broadcast_to(table, is_open.shape) if is_open.ndim > 2 else table
-    return np.minimum.reduce(ranks, axis=(-2, -1), where=is_open, initial=table.size + 2)
+    ranks = np.broadcast_to(table, gaps.shape) if gaps.ndim > 2 else table
+    return np.minimum.reduce(ranks, axis=(-2, -1), where=gaps > SIGMA_TOL, initial=NO_SLOT)
 
 
-def _check_open(table: np.ndarray, rank: int) -> None:
-    if rank > table.size + 1:
+def _check_open(rank: int) -> None:
+    if rank == NO_SLOT:
         raise RuntimeError("no active slot within the truncated profile; increase the depth")
 
 
-def _fill_at(
-    system: FluidSystem, rank: int, table: np.ndarray
-) -> tuple[Coordinate, list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """The slot at ``rank`` (read from ``table``), the per-class depths filled
-    by the slots ranked above it, and three arrays along the flat row
-    ``p.ravel()[1:-1]`` of a padded profile: ``mu * j`` at level ``j`` (0 in
-    columns 0 and -1); the same on the slots ranked above, 0 elsewhere; and
-    their class fraction, 1e300 elsewhere, so that the rate there,
+def _fill_at(system: FluidSystem, rank: int, levels: int) -> tuple:
+    """The drift's record at active rank ``rank``: the active slot, then along
+    the flat row ``p.ravel()[1:-1]`` of a padded profile each class's span of
+    slots ranked above it, the active slot's index, and three arrays: ``mu * j``
+    at level ``j`` (0 in columns 0 and -1); the same on the spans, 0 elsewhere;
+    and their class fraction, 1e300 elsewhere, so that the rate there,
     ``0 * (1e300 - q)``, is +0.0 even on a level above alpha."""
-    _check_open(table, rank)
-    levels = table.shape[1]
+    _check_open(rank)
     depths = system.family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
         if depth >= levels:
             raise RuntimeError(f"class {cls} saturates past the truncation depth {levels}")
     mu_j = np.zeros((system.m, levels + 2))
     mu_j[:, 1:-1] = system.mu * np.arange(1, levels + 1)
-    mu_j = mu_j.ravel()
+    mu_j = mu_j.ravel()[1:-1]
     mu_fill, alpha = np.zeros_like(mu_j), np.full_like(mu_j, 1e300)
-    for ci, (a, depth) in enumerate(zip(system.alpha, depths)):
-        filled = slice(ci * (levels + 2) + 1, ci * (levels + 2) + depth + 1)
-        mu_fill[filled], alpha[filled] = mu_j[filled], a
-    return system.family.slot(rank), depths, mu_j[1:-1], mu_fill[1:-1], alpha[1:-1]
+    spans = [slice(ci * (levels + 2), ci * (levels + 2) + depth)
+             for ci, depth in enumerate(depths)]
+    for a, span in zip(system.alpha, spans):
+        mu_fill[span], alpha[span] = mu_j[span], a
+    cls, level = coord = system.family.slot(rank)
+    return coord, spans, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
 
 
 def _flows(
@@ -186,16 +202,16 @@ def _flows(
     saturated slot ``(i, j)`` takes in what the level below it drains, and
     the active slot takes the rest of ``lam``.
     """
-    (cls, level), depths, mu_j, mu_fill, alpha = fill
-    n, flat = state.shape[1], state.ravel()
-    rates = mu_fill * (alpha - flat[2:])
-    drain = mu_j * (flat[1:-1] - flat[2:])
+    _, spans, slot, mu_j, mu_fill, alpha = fill
+    flat = state.ravel()
+    upper = flat[2:]
+    rates = mu_fill * (alpha - upper)
+    drain = mu_j * (flat[1:-1] - upper)
     np.subtract(rates, drain, out=inner)
     # Class by class: one pairwise sum over the masked rows would round differently.
     above = 0.0
-    for ci, depth in enumerate(depths):
-        above += float(np.add.reduce(rates[ci * n : ci * n + depth]))
-    slot = (cls - 1) * n + level - 1
+    for span in spans:
+        above += float(np.add.reduce(rates[span]))
     inner[slot] = (lam - above) - drain[slot]
     return rates, lam - above
 
@@ -210,8 +226,8 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     """
     levels = q.depth + 1
     padded = _pad(q, levels)
-    table = system.family.rank_table(levels)
-    fill = _fill_at(system, int(_active_rank(table, padded[:, :-1] - padded[:, 1:])), table)
+    rank = int(_active_rank(_rank_table(system, levels), padded[:, :-1] - padded[:, 1:]))
+    fill = _fill_at(system, rank, levels)
     cls, level = fill[0]
     drift = np.zeros_like(padded)
     rates, active = _flows(padded, fill, system.lam, drift.ravel()[1:-1])
@@ -281,20 +297,25 @@ def integrate_fluid(
     1e-8 a truncation warning is issued. A step reads nothing but the state,
     so once a step returns its state unchanged, byte for byte (-0.0 is not
     +0.0), no step is taken after it and that state fills the later records.
+    A run that would step more than ``MAX_CELLS`` cells or record more than
+    ``MAX_RECORDED_CELLS`` is refused before it starts.
     """
+    dt, levels, steps = config.dt, config.levels, config.steps
+    cells = system.m * (levels + 2)
+    records = 1 + math.ceil(steps / config.record_every)
+    if steps * cells > MAX_CELLS or records * cells > MAX_RECORDED_CELLS:
+        raise ValueError(f"{steps} steps of {cells} cells, {records} recorded, pass the caps "
+                         f"({MAX_CELLS}, {MAX_RECORDED_CELLS}); refusing to integrate")
     if q0 is None:
         q0 = QVector.zeros(system.alpha, 1)
     alpha = np.asarray(system.alpha, dtype=np.float64)
     lam = system.lam
-    dt = config.dt
-    levels = config.levels
-    steps = config.steps
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
-    family = system.family
-    table = family.rank_table(levels)
-    pour_order = [c for c in family.enumerate_ranked(table.size) if c.level <= levels]
+    table = _rank_table(system, levels)
+    pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
+                  if c.level <= levels]
     fills: dict[int, tuple] = {}
     d1, d2 = np.zeros_like(q), np.zeros_like(q)
 
@@ -302,13 +323,12 @@ def integrate_fluid(
         rank = int(_active_rank(table, gaps))
         fill = fills.get(rank)
         if fill is None:
-            fill = fills[rank] = _fill_at(system, rank, table)
+            fill = fills[rank] = _fill_at(system, rank, levels)
         _flows(state, fill, lam, inner)
 
     # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
     # 0 there; no stage changes once formed, so records need no copy.
-    recorded = [q]
-    rec_times = [0.0]
+    recorded, rec_times = [q], [0.0]
     max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
     gaps = q[:, :-1] - q[:, 1:]
     inner1, inner2 = d1.ravel()[1:-1], d2.ravel()[1:-1]
@@ -402,10 +422,8 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     """
     system = path.system
     alpha = np.asarray(system.alpha)
-    lam = system.lam
-    mu = system.mu
-    states = path.states
-    times = path.times
+    lam, mu = system.lam, system.mu
+    states, times = path.states, path.times
     if len(times) < 2:
         raise ValueError("need at least two recorded states")
     dt = float(times[1] - times[0])
@@ -414,18 +432,11 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     steps = len(times)
     levels = states.shape[2] - 2
 
-    family = system.family
-    table = family.rank_table(levels)
-    ranks = _active_rank(table, states[..., :-1] - states[..., 1:])
+    ranks = _active_rank(_rank_table(system, levels), states[..., :-1] - states[..., 1:])
     top = int(ranks.max())
-    _check_open(table, top)
-    depth = top - 1 + REFLECTION_MARGIN
-    slots = []
-    for r in range(1, depth + 1):
-        slot = family.slot(r)
-        if slot.level > levels:
-            break
-        slots.append(slot)
+    _check_open(top)
+    ranked = system.family.enumerate_ranked(top - 1 + REFLECTION_MARGIN)
+    slots = list(takewhile(lambda slot: slot.level <= levels, ranked))
     depth = len(slots)
 
     # Inflow rate past slot k at each time, for slots 1..depth.

@@ -174,6 +174,8 @@ class UtilityFamily:
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
         self._rank_tables: dict[int, np.ndarray] = {}
         self._classes = np.zeros(0, dtype=np.intp)
+        self._marginal_arrays = [np.zeros(0) for _ in self.utilities]
+        self._mass: tuple[tuple[float, ...], np.ndarray] = ((), np.zeros(0))
 
     @property
     def m(self) -> int:
@@ -196,11 +198,16 @@ class UtilityFamily:
                 lo = hi
         return cache[occ]
 
-    def marginals_upto(self, cls: int, occ: int) -> list[float]:
-        """Marginals for occupancies 0..occ-1 of one class (a direct list view)."""
-        if occ > 0:
-            self.marginal(cls, occ - 1)
-        return self.marginals[cls - 1][:occ]
+    def marginals_upto(self, cls: int, occ: int) -> np.ndarray:
+        """Marginals for occupancies 0..occ-1 of one class: a read-only view of
+        a float64 array cached per class and grown by doubling."""
+        cached = self._marginal_arrays[cls - 1]
+        if len(cached) < occ:
+            size = max(occ, 2 * len(cached))
+            self.marginal(cls, size - 1)
+            cached = self._marginal_arrays[cls - 1] = np.array(self.marginals[cls - 1][:size])
+            cached.flags.writeable = False
+        return cached[:occ]
 
     def rank_precedes(self, a: Coordinate, b: Coordinate) -> bool:
         """True when slot ``a`` ranks strictly below slot ``b``."""
@@ -250,11 +257,21 @@ class UtilityFamily:
         self._extend(count)
         return self._slots[:count]
 
-    def _slot_classes(self, count: int) -> np.ndarray:
-        """0-based classes of the best ``count`` slots, sliced from a cached array."""
-        if len(self._classes) < count:
-            self._classes = np.array([c.cls - 1 for c in self.enumerate_ranked(count)], np.intp)
-        return self._classes[:count]
+    def ranked_mass(self, alpha: tuple[float, ...], count: int) -> np.ndarray:
+        """Running class mass along the ranking for ``alpha``, at least ``count``
+        slots long: read-only, cached for the last fractions, grown by doubling.
+        ``np.cumsum`` adds in order, so a prefix is what a shorter walk sums."""
+        cached_alpha, mass = self._mass
+        if cached_alpha != alpha:
+            mass = mass[:0]
+        if len(mass) < count:
+            size = min(max(count, 2 * len(mass)), MAX_ENUMERATION)
+            if len(self._classes) < size:  # 0-based classes along the ranking
+                self._classes = np.array([c.cls - 1 for c in self.enumerate_ranked(size)], np.intp)
+            mass = np.cumsum(np.asarray(alpha)[self._classes[:size]])
+            mass.flags.writeable = False
+            self._mass = (alpha, mass)
+        return mass
 
     def class_counts_before(self, rank: int) -> list[int]:
         """Per-class slot counts among ranks 1..rank-1 (how deep each class goes)."""

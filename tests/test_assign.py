@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -249,6 +250,46 @@ def test_bound_is_concave_nondecreasing_then_flat_or_falling(rng):
     vals = [upper_bound(fam, THREE_CLASS_ALPHA, x) for x in loads]
     gaps = np.diff(vals)
     assert all(a >= b - 1e-9 for a, b in zip(gaps, gaps[1:]))
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the ceiling
+
+
+def test_ceiling_curve_is_pinned():
+    # the u*(rho) curve on rho = 0.01 .. 20, one family walked in rising load
+    fam = two_class_family()
+    curve = np.array([upper_bound(fam, TWO_CLASS_ALPHA, k / 100.0) for k in range(1, 2001)])
+    digest = "69fb3adb45ef10089bf6050ada97c1b4e6a5d40ab8ed8c771125fde8207fa969"
+    assert hashlib.sha256(curve.tobytes()).hexdigest() == digest
+
+
+def test_breakpoint_sweep_is_pinned():
+    # criterion 2's sweep: bound, profile shape and profile bytes per load
+    fam = piecewise_family()
+    sha = hashlib.sha256()
+    for k in range(181):
+        opt = optimal_assignment(fam, THREE_CLASS_ALPHA, k / 20.0)
+        sha.update(np.float64(opt.bound).tobytes())
+        sha.update(repr(opt.q_star.tail.shape).encode())
+        sha.update(opt.q_star.tail.tobytes())
+    digest = "1869e3be9cc27efa37ae37247a270cf95fbbab5d86869099cbb0074ced4f365b"
+    assert sha.hexdigest() == digest
+
+
+def test_interleaved_fractions_match_a_fresh_family():
+    # one family serves two fraction vectors with different widest classes,
+    # small loads first and then loads that make its ranking grow; nothing
+    # computed for one vector may leak into the other
+    fam = two_class_family()
+    loads = [k / 8.0 for k in range(40)] + [5.0 + 7.5 * k for k in range(27)]
+    for rho in loads:
+        for alpha in (TWO_CLASS_ALPHA, (0.2, 0.8)):
+            got = optimal_assignment(fam, alpha, rho)
+            want = optimal_assignment(two_class_family(), alpha, rho)
+            assert (got.sigma_star, got.sigma_index) == (want.sigma_star, want.sigma_index)
+            assert got.q_star.tail.tobytes() == want.q_star.tail.tobytes()
+            assert got.bound == want.bound == upper_bound(fam, alpha, rho)
 
 
 # ---------------------------------------------------------------------------

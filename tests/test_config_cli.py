@@ -571,6 +571,29 @@ def test_cli_suboptimal_report(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("scale, rhos, flag", [
+    (["4", "4"], ["9.75"], "scale"),
+    (["4"], ["9.75", "9.750"], "rho"),
+    (["4", "8", "4"], ["9.75", "10", "9.75"], "scale"),
+    (["4", "8"], ["9.75", "10"], None),
+])
+def test_cli_table1_refuses_repeated_values_before_any_run(scale, rhos, flag, monkeypatch,
+                                                           capsys):
+    # a repeat would run its cells twice and print its rows or columns twice
+    from poolsim import cli
+
+    cells = []
+    run_cell = cli._run_cell
+    monkeypatch.setattr(cli, "_run_cell", lambda cell: cells.append(cell) or run_cell(cell))
+    code = main(["table1", "--scale", *scale, "--rho", *rhos, "--reps", "1", "--T", "1"])
+    err = capsys.readouterr().err
+    if flag is None:
+        assert (code, len(cells)) == (0, len(scale) * len(rhos))
+    else:
+        assert (code, cells) == (2, [])
+        assert err.startswith(f"config error: {flag}: repeats a value")
+
+
 def test_cli_suboptimal_refuses_one_rep_before_any_run(monkeypatch, capsys):
     from poolsim import cli
 
@@ -665,6 +688,15 @@ def test_cli_fluid_truncation_failure_is_exit_3(tmp_path, capsys):
 
 def test_cli_fluid_refuses_a_horizon_beyond_the_step_cap(tmp_path, capsys):
     assert main(["fluid", "--config", write_config(tmp_path), "--T", "1e9"]) == 2
+    assert "refusing to integrate" in capsys.readouterr().err
+
+
+def test_cli_fluid_refuses_a_run_past_the_work_cap(tmp_path, capsys):
+    # the default run at rho = 1e4 steps 40,002 levels per class 20,000 times
+    # and would take minutes; it is refused before the rank table is built
+    started = time.perf_counter()
+    assert main(["fluid", "--config", write_config(tmp_path), "--rho", "1e4"]) == 2
+    assert time.perf_counter() - started < 1.0
     assert "refusing to integrate" in capsys.readouterr().err
 
 

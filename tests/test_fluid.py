@@ -344,6 +344,25 @@ def test_oversized_step_is_rejected():
         integrate_fluid(system, deep, cfg)
 
 
+@pytest.mark.parametrize("cap", ["MAX_CELLS", "MAX_RECORDED_CELLS"])
+def test_cell_caps_refuse_before_any_step(cap, monkeypatch):
+    # 100 steps of 2 x 12 cells, every third one recorded: at each cap the
+    # run goes ahead, one cell under it the run is refused before a step
+    system = two_class_system(8, 9.75)
+    cfg = IntegratorConfig(dt=1e-3, levels=10, horizon=0.1, record_every=3)
+    records = len(integrate_fluid(system, None, cfg).times)
+    assert (cfg.steps, records) == (100, 35)
+    cells = {"MAX_CELLS": 100 * 24, "MAX_RECORDED_CELLS": 35 * 24}[cap]
+    monkeypatch.setattr(fluid, cap, cells)
+    integrate_fluid(system, None, cfg)
+    monkeypatch.setattr(fluid, cap, cells - 1)
+    projections = []
+    monkeypatch.setattr(fluid, "_project_conserving", lambda *args: projections.append(args))
+    with pytest.raises(ValueError, match="refusing to integrate"):
+        integrate_fluid(system, None, cfg)
+    assert projections == []
+
+
 def test_truncation_depth_guard():
     system = two_class_system(8, 9.75)
     cfg = IntegratorConfig.for_system(system, horizon=5.0, levels=2)

@@ -50,6 +50,11 @@ MUTANTS = [
            "        self.alpha.flags.writeable = self.tail.flags.writeable = False\n", ""),
     Mutant("fill-searchsorted-side", ASSIGN, 'searchsorted(rho, side="right")',
            'searchsorted(rho, side="left")'),
+    Mutant("mass-cache-key", MODEL, "if cached_alpha != alpha:",
+           "if len(cached_alpha) != len(alpha):"),
+    Mutant("mass-cache-short", MODEL, "if len(mass) < count:",
+           "if len(mass) < count // 2:"),
+    Mutant("marginal-cache-short", MODEL, "if len(cached) < occ:", "if not len(cached):"),
     # config
     Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
     Mutant("config-rho-zero", CONFIG, "    if rho < 0:", "    if rho <= 0:"),
@@ -82,6 +87,13 @@ MUTANTS = [
     Mutant("departure-weight", SIM, "v += 1\n                    k -= v * row[v]",
            "v += 1\n                    k -= row[v]"),
     Mutant("horizon-snapshot", SIM, "sample_times[si] <= horizon", "sample_times[si] < horizon"),
+    Mutant("init-remainder-tie", SIM, "key=lambda ci: (-rem[ci], ci)",
+           "key=lambda ci: (-rem[ci], -ci)",
+           equivalent="n * alpha is within 1e-9 of a whole number and the fill walks at most "
+                      "10^6 slots, so every class but the boundary one has a remainder within "
+                      "1e-3 of 0 or 1; the shortfall rounds their sum, so the classes that get "
+                      "a task and those that do not are at least 0.49 apart, and a tie never "
+                      "straddles the cut"),
     # fluid
     Mutant("sigma-tol", FLUID, "SIGMA_TOL = 1e-9", "SIGMA_TOL = 1e-7"),
     Mutant("truncation-warning", FLUID, "if max_tail > TRUNCATION_WARN:",
@@ -89,6 +101,9 @@ MUTANTS = [
     Mutant("pour-order", FLUID, "in pour_order if step > 0 else reversed(pour_order):",
            "in reversed(pour_order) if step > 0 else pour_order:"),
     Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
+    Mutant("rank-pad-opens", FLUID, "np.full((system.m, 1), NO_SLOT)",
+           "np.full((system.m, 1), system.m * levels + 1)"),
+    Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
     # cli
     Mutant("count-flag-floor", CLI, "    if value < 1:", "    if value < 0:"),
     Mutant("suboptimal-reps", CLI, "if args.reps < 2:", "if args.reps < 1:"),
