@@ -481,12 +481,12 @@ class OccupancyState:
     these counts are a complete Markov state. Each count list ends at least one
     level past its deepest pool, so a push never indexes past the end.
 
-    ``min_occ[ci]`` is a level below which every class-``ci+1`` count is 0: the
-    lowest occupied level or less. A pop lowers it to the level it fills, and
-    :meth:`min_occupied` advances it lazily; readers that walk levels upward
-    may start there. ``push_task``, ``pop_task`` and ``pick_task`` are the
-    checked reference moves; :func:`poolsim.sim.simulate` applies the same
-    moves in place. Derived counts are read from the cells, not mirrored:
+    ``min_occ[ci]`` is exactly the lowest occupied class-``ci+1`` level. A pop
+    lowers it to the level it fills, and a push that empties its cell raises
+    it by one, to the level the pushed pool now fills; readers that walk
+    levels upward start there. ``push_task``, ``pop_task`` and ``pick_task``
+    are the checked reference moves; :func:`poolsim.sim.simulate` applies the
+    same moves in place. Derived counts are read from the cells, not mirrored:
     ``total_tasks`` sums ``class_tasks``, and SLTA's yellow tokens, which
     matter only once no green pool is left, are then exactly one cell, the
     boundary class's pools one level below the boundary slot.
@@ -559,14 +559,8 @@ class OccupancyState:
         return sum(self.counts[cls - 1][level:])
 
     def min_occupied(self, cls: int) -> int:
-        """Smallest occupancy among class-``cls`` pools (advances ``min_occ`` to it)."""
-        ci = cls - 1
-        counts = self.counts[ci]
-        v = self.min_occ[ci]
-        while not counts[v]:
-            v += 1
-        self.min_occ[ci] = v
-        return v
+        """Smallest occupancy among class-``cls`` pools."""
+        return self.min_occ[cls - 1]
 
     def max_occupied(self, cls: int) -> int:
         counts = self.counts[cls - 1]
@@ -595,7 +589,7 @@ class OccupancyState:
             if k == self.class_sizes[ci]:
                 k -= 1
         counts = self.counts[ci]
-        v = self.min_occ[ci]  # may sit below the minimum; empty levels add nothing
+        v = self.min_occ[ci]
         k -= counts[v]
         while k >= 0:
             v += 1
@@ -634,6 +628,8 @@ class OccupancyState:
         if occ < 0 or not counts[occ]:
             raise ValueError(f"class {cls} has no pool holding {occ} tasks")
         counts[occ] -= 1
+        if not counts[occ] and occ == self.min_occ[ci]:
+            self.min_occ[ci] = occ + 1
         if occ + 2 == len(counts):
             counts.append(0)
         counts[occ + 1] += 1
@@ -669,6 +665,7 @@ class OccupancyState:
             assert counts[-1] == 0, "count list does not end past the deepest pool"
             assert sum(counts) == self.class_sizes[ci], "counts disagree with class size"
             assert not any(counts[: self.min_occ[ci]]), "min-level pointer overshoots"
+            assert counts[self.min_occ[ci]], "min-level pointer lags the lowest pool"
             tasks = sum(v * c for v, c in enumerate(counts))
             assert tasks == self.class_tasks[ci], "cached class task total is stale"
 

@@ -91,13 +91,8 @@ class Jlmu(Policy):
 
     def bind(self, state, config, initial_rank=None):
         self._family = config.family
-        # decide reads the marginal at each class's lowest occupied level;
-        # cache it now and again wherever that level rises
-        for cls in range(1, state.m + 1):
-            config.family.marginal(cls, state.min_occupied(cls))
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
-        counts = state.counts
         low = state.min_occ
         best_d = -math.inf
         best_ci = 0
@@ -106,10 +101,8 @@ class Jlmu(Policy):
         # equal marginals breaks ties toward the dictionary-smaller slot.
         for ci, cache in enumerate(self._family.marginals):
             v = low[ci]
-            if not counts[ci][v]:
-                v = state.min_occupied(ci + 1)
-                if v >= len(cache):
-                    self._family.marginal(ci + 1, v)
+            if v >= len(cache):  # a push_task outside simulate grows no cache
+                self._family.marginal(ci + 1, v)
             d = cache[v]
             if d > best_d:
                 best_d = d
@@ -156,11 +149,12 @@ class Slta(Policy):
     green pool, up when every slot above the boundary is saturated and at most
     one yellow pool remains.
 
-    Green counts are kept per class, since the down rule compares their sum
-    with ``n * beta`` at every arrival. Yellow tokens are not counted: they
-    matter only once no green pool is left, and the boundary class's
-    threshold is ``level - 1`` (every level of that class above the boundary
-    slot ranks above it), so then they are exactly the one cell
+    Green counts are kept per class: the down rule compares their sum with
+    ``n * beta`` at every arrival, and a green pick takes its class by them,
+    then walks that class's levels up from its lowest pool. Yellow tokens are
+    not counted: they matter only once no green pool is left, and the boundary
+    class's threshold is ``level - 1`` (every level of that class above the
+    boundary slot ranks above it), so then they are exactly the one cell
     ``N(cls, level - 1)`` of the boundary slot ``(cls, level)``.
     """
 
@@ -276,22 +270,25 @@ class Slta(Policy):
             k = int(u * pool)
             if k == pool:  # u * pool can round up to pool
                 k -= 1
-            counts = state.counts
-            low = state.min_occ
-            for ci, depth in enumerate(self._thr):
-                if ci == skip:
-                    continue
-                levels = counts[ci]
-                # Levels below the min pointer are empty, and a list may end
-                # below the threshold; the walk skips both.
-                for v in range(low[ci], min(depth, len(levels))):
-                    k -= levels[v]
-                    if k < 0:
-                        return ci + 1, v, delta
-            raise AssertionError("no green pool found despite positive green count")
-        # No green tokens: aim at the boundary slot while it has room.
+            # A class by its green count, then a level up from its lowest pool.
+            for ci, green in enumerate(self._green):
+                if ci != skip:
+                    if k < green:
+                        break
+                    k -= green
+            else:
+                raise AssertionError("no green pool found despite positive green count")
+            levels = state.counts[ci]
+            v = state.min_occ[ci]
+            k -= levels[v]
+            while k >= 0:
+                v += 1
+                k -= levels[v]
+            return ci + 1, v, delta
+        # No green tokens: aim at the boundary slot while it has room. Every
+        # boundary-class pool holds level - 1 tasks or more, so the cell exists.
         b = self._boundary
-        yellow = state.count(b.cls, b.level - 1)
+        yellow = state.counts[b.cls - 1][b.level - 1]
         delta = 1 if yellow <= 1 else 0
         if yellow:
             return b.cls, b.level - 1, delta

@@ -338,6 +338,8 @@ def simulate(
                 ci = cls - 1
                 row = counts[ci]
                 row[v] -= 1
+                if not row[v] and v == low[ci]:
+                    low[ci] = v + 1
                 if v + 2 == len(row):
                     row.append(0)
                     family.marginal(cls, v + 2)

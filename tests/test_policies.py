@@ -267,18 +267,15 @@ def test_slta_green_draw_is_exactly_uniform():
             False,
         ),
         # the first state again, with the min pointers of classes 2 and 3
-        # left one level below their lowest pools by a pop and a push
+        # written one level below their lowest pools: a reader given a lower
+        # bound must pick the same pools
         (*spread, True),
     ]
     for occs, cells, lagging in cases:
         state, policy = bound_slta(fam, THREE_CLASS_ALPHA, occs, 15)
         if lagging:
             for cls in (2, 3):
-                low = min(occs[cls - 1])
-                state.pop_task(cls, low)
-                state.push_task(cls, low - 1)
-                assert state.min_occ[cls - 1] == low - 1
-            policy.verify_tokens(state)
+                state.min_occ[cls - 1] = min(occs[cls - 1]) - 1
         assert policy.thresholds == [2, 5, 7]
         assert policy.boundary == Coordinate(1, 3)
         # the midpoint of each of the equal bins picks each green pool once
@@ -301,6 +298,48 @@ def test_slta_green_walk_passes_classes_below_their_threshold():
     assert len(state.counts[0]) < 4
     drawn = sorted(policy.decide(state, (i + 0.5) / 12)[:2] for i in range(12))
     assert drawn == [(1, 0)] * 8 + [(2, 0)] * 4
+
+
+def test_slta_green_pick_is_the_kth_green_pool_in_slot_order(rng):
+    # The green pick against a reference that lists every green pool in
+    # (class, level) order, outside the previous boundary class unless only
+    # it holds greens, and takes the k-th. Each class draws its pools low
+    # (its count list may end below the threshold), mixed, or at or above
+    # its threshold (no greens), on random three-class states and ranks.
+    fam = shared_resource_family()
+    seen = {"short row": 0, "skipped class": 0, "only the skipped class": 0}
+    for _ in range(400):
+        rank = int(rng.integers(1, 40))
+        thr = fam.class_counts_before(rank)
+        occs = []
+        for size, depth in zip((8, 4, 4), thr):
+            lo, hi = [(0, max(depth // 2, 1)), (0, depth + 2), (depth, depth + 2)][
+                rng.integers(3)
+            ]
+            occs.append(rng.integers(lo, hi, size=size).tolist())
+        try:
+            state, policy = bound_slta(fam, THREE_CLASS_ALPHA, occs, rank)
+        except ValueError:
+            continue  # not good at this rank
+        prev = fam.slot(rank - 1).cls - 1 if rank > 1 else -1
+        greens = [
+            [(ci + 1, v) for v in sorted(row) if v < depth]
+            for ci, (row, depth) in enumerate(zip(occs, thr))
+        ]
+        cells = [cell for ci, row in enumerate(greens) if ci != prev for cell in row]
+        if prev >= 0 and greens[prev]:
+            seen["skipped class" if cells else "only the skipped class"] += 1
+        if not cells and prev >= 0:
+            cells = greens[prev]
+        if not cells:
+            continue  # no green pool
+        seen["short row"] += any(
+            len(state.counts[cls - 1]) < thr[cls - 1] for cls, _ in cells
+        )
+        pool = len(cells)
+        for i in range(pool):
+            assert policy.decide(state, (i + 0.5) / pool)[:2] == cells[i], (rank, occs, i)
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def test_kernel_moves_match_the_reference_moves(name, init):
     # Replays every event on a mirror state through the checked reference
     # moves (pick_task/pop_task, or decide plus push_task) and a mirror
     # policy, with the selection draws regenerated from the run's stream;
-    # after each event the kernel's state must equal the mirror's.
+    # after each event the kernel's state, min-level pointers included, must
+    # equal the mirror's.
     config = two_class_system(20, 9.75)
     run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
     mirror, rank = init_state(config, init)
@@ -265,6 +266,7 @@ def test_kernel_moves_match_the_reference_moves(name, init):
         assert state.counts == mirror.counts, (kind, t)
         assert state.class_tasks == mirror.class_tasks, (kind, t)
         assert state.total_tasks == mirror.total_tasks, (kind, t)
+        assert state.min_occ == mirror.min_occ, (kind, t)
         assert policy.rank == reference.rank, (kind, t)
         state.check_consistency()
         if policy.tracks_tokens:

@@ -55,6 +55,8 @@ MUTANTS = [
     Mutant("mass-cache-short", MODEL, "if len(mass) < count:",
            "if len(mass) < count // 2:"),
     Mutant("marginal-cache-short", MODEL, "if len(cached) < occ:", "if not len(cached):"),
+    # the pointer keeps the level it had, which drops the raise
+    Mutant("push-pointer-raise", MODEL, "self.min_occ[ci] = occ + 1", "self.min_occ[ci] = occ"),
     # config
     Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
     Mutant("config-rho-zero", CONFIG, "    if rho < 0:", "    if rho <= 0:"),
@@ -67,6 +69,7 @@ MUTANTS = [
     Mutant("slta-push-threshold", POLICIES, "if prev_occ + 1 == self._thr[ci]:",
            "if prev_occ == self._thr[ci]:"),
     Mutant("slta-quota", POLICIES, "total_green >= self._quota", "total_green > self._quota"),
+    Mutant("slta-class-skip", POLICIES, "if k < green:", "if k <= green:"),
     Mutant("slta-fallback-pool", POLICIES, "                pool = prev_green\n",
            "                pool = total_green\n",
            equivalent="the branch runs when total_green - prev_green == 0, so the two "
@@ -84,6 +87,7 @@ MUTANTS = [
            "is_arrival = kind * rate <= arr_rate",
            equivalent="the two differ only when the uniform draw times the total rate "
                       "equals the arrival rate exactly, an event of probability zero"),
+    Mutant("arrival-pointer-raise", SIM, "low[ci] = v + 1", "low[ci] = v"),
     Mutant("departure-weight", SIM, "v += 1\n                    k -= v * row[v]",
            "v += 1\n                    k -= row[v]"),
     Mutant("horizon-snapshot", SIM, "sample_times[si] <= horizon", "sample_times[si] < horizon"),
