@@ -125,13 +125,17 @@ def token_counts(
     and a yellow token when it belongs to the boundary class with occupancy
     below the boundary level. Returns (per-class green counts, yellow count).
     """
-    green = []
-    for ci, depth in enumerate(thresholds):
-        size = state.class_sizes[ci]
-        green.append(size - state.tail_count(ci + 1, depth) if depth > 0 else 0)
     bci = boundary.cls - 1
     yellow = state.class_sizes[bci] - state.tail_count(boundary.cls, boundary.level)
-    return green, yellow
+    return _green_counts(state, thresholds), yellow
+
+
+def _green_counts(state: OccupancyState, thresholds: list[int]) -> list[int]:
+    """Per class, the pools below the class threshold."""
+    return [
+        size - state.tail_count(ci + 1, depth) if depth > 0 else 0
+        for ci, (size, depth) in enumerate(zip(state.class_sizes, thresholds))
+    ]
 
 
 class Slta(Policy):
@@ -199,13 +203,13 @@ class Slta(Policy):
         self.check_goodness(state)
 
     def _reload(self, state: OccupancyState) -> None:
-        """Recompute thresholds, boundary and token counts from scratch."""
+        """Recompute thresholds, boundary and green counts from scratch."""
         r = self.rank
         family = self._family
         self._boundary = family.slot(r)
         self._prev_ci = family.slot(r - 1).cls - 1 if r > 1 else -1
         self._thr = family.class_counts_before(r)
-        self._green, _ = token_counts(state, self._thr, self._boundary)
+        self._green = _green_counts(state, self._thr)
         self._total_green = sum(self._green)
 
     def check_goodness(self, state: OccupancyState) -> None:

@@ -20,6 +20,13 @@ the departing cell (a class by its task total, then a level ``j`` by weight
 Both streams are drawn in blocks of ``_BLOCK`` events, generated together and
 consumed in lockstep: event ``i`` of a run takes the ``i``-th gap, the
 ``i``-th arrival-or-departure draw and the ``i``-th selection draw.
+
+A run is split along that line. The event clock draws the event stream once
+per system and run, and keeps per block the event times (float64) and which
+events are arrivals (bool), with the time integral of the task total. The
+walk replays the clock for one policy: it draws the selection stream block by
+block, moves the occupancy counts and integrates the aggregate utility.
+:func:`coupled_simulate` builds one clock and walks it once per policy.
 """
 
 from __future__ import annotations
@@ -114,7 +121,13 @@ class RunConfig:
 
 @dataclass
 class Metrics:
-    """Outcome of one run. Averages are per pool over [warmup, horizon]."""
+    """Outcome of one run. Averages are per pool over [warmup, horizon].
+
+    ``wall_ms`` times the :func:`simulate` call. A lone run builds its own
+    event clock, so that is in it; the runs of one :func:`coupled_simulate`
+    cell share a clock built before the first of them, so theirs cover each
+    policy's walk alone.
+    """
 
     policy: str
     n: int
@@ -159,7 +172,7 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
     n = config.n
     assign = optimal_assignment(config.family, config.alpha, config.rho)
     class_mass = assign.q_star.class_mass()
-    total = int(round(n * config.rho))
+    total = _start_tasks(config, init)
     base = []
     rem = []
     for ci in range(config.m):
@@ -182,6 +195,12 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
     return state, rank
 
 
+def _start_tasks(config: SystemConfig, init: str) -> int:
+    """Tasks present at time 0: none from the empty start, ``round(n * rho)``
+    from the optimal one."""
+    return 0 if init == "empty" else int(round(config.n * config.rho))
+
+
 def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
     """Rank of the best slot not yet filled by every pool of its class.
 
@@ -196,26 +215,14 @@ def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
     raise RuntimeError("no open slot within the enumerable range")
 
 
-def simulate(
-    config: SystemConfig,
-    policy: Policy | str,
-    run: RunConfig,
-    hook: Callable[[str, float, OccupancyState, Policy], None] | None = None,
-) -> Metrics:
-    """Run one policy over one sample path and return its metrics.
+def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float]:
+    """The run's resolved warmup and the ceiling at the offered load.
 
-    ``hook(kind, t, state, policy)`` is called after every processed event with
-    kind "arrival" or "departure" and the state fully current; it is for tests
-    and debugging only and slows the run down considerably.
-
-    Raises :class:`BoundViolation` if the realized average utility lands above
-    the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``,
-    and ``ValueError`` before any event if the run expects more than
-    ``MAX_EVENTS`` events, ``horizon * n * (lam + mu * rho)``.
+    Raises ``ValueError`` for a load past the ranked-slot limit (from
+    :func:`upper_bound`) and for a run that expects more than ``MAX_EVENTS``
+    events, ``horizon * n * (lam + mu * rho)``; callers admit a run before
+    they draw any of its events.
     """
-    if isinstance(policy, str):
-        policy = parse_policy(policy)
-    family = config.family
     n = config.n
     mu = config.mu
     lam = config.lam
@@ -225,10 +232,7 @@ def simulate(
         warmup = 0.0 if run.init == "optimal" else 5.0 / mu
         if warmup >= horizon:
             warmup = 0.0
-    started = time.perf_counter()
-    # The ceiling at the offered load depends on the config alone; taking it
-    # first refuses a load past the ranked-slot limit before any event.
-    bound_rho = upper_bound(family, config.alpha, config.rho)
+    bound_rho = upper_bound(config.family, config.alpha, config.rho)
     # Arrivals and, near the offered load, departures each come at rate n * lam.
     expected = horizon * n * (lam + mu * config.rho)
     if not expected <= MAX_EVENTS:
@@ -236,17 +240,180 @@ def simulate(
             f"a run of horizon {horizon} at n={n} expects {expected:.3g} events, more "
             f"than {MAX_EVENTS}; refusing to simulate"
         )
+    return warmup, bound_rho
+
+
+def _segment_starts(ends: np.ndarray, start: float, warmup: float) -> np.ndarray:
+    """Where the part after the warmup of each segment begins.
+
+    The segments run from ``start`` to ``ends[0]`` and on between
+    consecutive ends; a segment weighs the time integrals by ``end - lo``
+    when that is positive, which holds exactly when ``end > lo``.
+    """
+    lo = np.empty_like(ends)
+    lo[0] = start
+    lo[1:] = ends[:-1]
+    return np.maximum(lo, warmup, out=lo)
+
+
+class _EventClock:
+    """The policy-independent part of a run: its event epochs and mass path.
+
+    The task total starts where :func:`init_state` puts it and moves by one
+    at every event, whatever the policy, so the event epochs, the arrival
+    flags and the mass integral follow from the event stream alone.
+
+    ``blocks`` yields, per block of the event stream, the times of the
+    processed events (float64) and whether each is an arrival (bool). It is
+    drawn as it is read, so a lone run holds one block at a time; a coupled
+    cell of several policies lists it once for all its runs, at 9 bytes an
+    event. The rest is set when the last block has been read: ``final`` is
+    the weight of the last segment, up to the horizon, in the time
+    integrals, ``acc_s`` the time integral of the task total over [warmup,
+    horizon], and ``s_batches``, ``events`` and ``arrivals`` what
+    :class:`Metrics` reports under those names.
+    """
+
+    def __init__(
+        self, config: SystemConfig, run: RunConfig, warmup: float, bound_rho: float
+    ) -> None:
+        self.warmup = warmup
+        self.bound_rho = bound_rho
+        self.final = 0.0
+        self.acc_s = 0.0
+        self.s_batches: list[float] | None = None
+        self.events = 0
+        self.arrivals = 0
+        self.blocks: Iterable[tuple[np.ndarray, np.ndarray]] = self._draw(config, run)
+
+    def _draw(self, config: SystemConfig, run: RunConfig):
+        """Only the path of ``S`` and the compensated sum of the mass integral
+        go event by event. The rates, gaps and times of a block are whole-array
+        operations: ``n * lam + mu * S`` and ``gap / rate`` are one IEEE
+        operation per event, and ``np.cumsum`` adds in order, so each time is
+        the one a scalar loop over the events computes."""
+        n = config.n
+        mu = config.mu
+        horizon = run.horizon
+        warmup = self.warmup
+        arr_rate = n * config.lam
+        ev_gen = _stream(run.seed, run.replication, _STREAM_EVENTS)
+        s_tot = _start_tasks(config, run.init)
+
+        acc_s = 0.0
+        comp_s = 0.0
+        t_last = 0.0
+
+        batches = run.batches
+        if batches:
+            batch_acc = [0.0] * batches
+            batch_width = (horizon - warmup) / batches
+
+        done = False
+        while not done:
+            gaps = ev_gen.standard_exponential(_BLOCK)
+            # The task total before each event of the block, and after its last.
+            totals = np.empty(_BLOCK + 1, dtype=np.int64)
+            totals[0] = s_tot
+            totals[1:] = [
+                s_tot := s_tot + 1 if kind * (arr_rate + mu * s_tot) < arr_rate else s_tot - 1
+                for kind in memoryview(ev_gen.random(_BLOCK))
+            ]
+            rates = arr_rate + mu * totals[:-1]
+            # With no task and no arrivals the rate is 0 and no event comes.
+            steps = np.divide(gaps, rates, out=np.full(_BLOCK, np.inf), where=rates > 0)
+            steps[0] += t_last
+            times = np.cumsum(steps)
+            count = int(np.searchsorted(times, horizon, side="right"))
+            flags = totals[1 : count + 1] > totals[:count]
+            # Segments end at each event, and the last one at the horizon.
+            ends = times[:count]
+            if count < _BLOCK:
+                done = True
+                ends = np.append(ends, horizon)
+            # Time integral of the piecewise-constant mass.
+            lo = _segment_starts(ends, t_last, warmup)
+            w = ends - lo
+            keep = np.flatnonzero(w > 0)
+            # The compensated sum runs in event order; its terms do not depend on it.
+            for y in memoryview(totals[keep] * w[keep]):
+                y -= comp_s
+                tt = acc_s + y
+                comp_s = (tt - acc_s) - y
+                acc_s = tt
+            if batches:
+                segments = (memoryview(col[keep]) for col in (totals, w, lo, ends))
+                for s, x, lo_s, te in zip(*segments):
+                    b = int((lo_s - warmup) / batch_width)
+                    edge = warmup + (b + 1) * batch_width
+                    while edge < te and b < batches - 1:
+                        batch_acc[b] += (edge - lo_s) * s
+                        x -= edge - lo_s
+                        lo_s = edge
+                        b += 1
+                        edge += batch_width
+                    batch_acc[b if b < batches else batches - 1] += x * s
+            if done and w[-1] > 0:
+                self.final = float(w[-1])
+            if count:
+                t_last = float(ends[count - 1])
+            self.events += count
+            self.arrivals += int(np.count_nonzero(flags))
+            yield ends[:count], flags
+
+        self.acc_s = acc_s
+        if batches:
+            self.s_batches = [a / (batch_width * n) for a in batch_acc]
+
+
+def simulate(
+    config: SystemConfig,
+    policy: Policy | str,
+    run: RunConfig,
+    hook: Callable[[str, float, OccupancyState, Policy], None] | None = None,
+    *,
+    _clock: _EventClock | None = None,
+) -> Metrics:
+    """Run one policy over one sample path and return its metrics.
+
+    A run has two parts. The event clock draws the event stream and holds
+    what follows from it alone: the event times, which events are arrivals,
+    and the time integral of the task total. The walk then replays those
+    events for the policy: it draws the run's selection stream in the same
+    blocks, applies each arrival where ``decide`` sends it and each departure
+    to the cell the draw picks, and integrates the aggregate utility. A
+    ``simulate`` call draws its own clock as it walks it;
+    :func:`coupled_simulate` builds one per cell and passes it to each of its
+    runs by the private ``_clock`` keyword.
+
+    ``hook(kind, t, state, policy)`` is called after every processed event with
+    kind "arrival" or "departure" and the state fully current; it is for tests
+    and debugging only and slows the run down considerably.
+
+    Raises :class:`BoundViolation` if the realized average utility lands above
+    the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``,
+    and ``ValueError`` before any event if the load is past the ranked-slot
+    limit or the run expects more than ``MAX_EVENTS`` events,
+    ``horizon * n * (lam + mu * rho)``.
+    """
+    if isinstance(policy, str):
+        policy = parse_policy(policy)
+    started = time.perf_counter()
+    if _clock is None:
+        _clock = _EventClock(config, run, *_admit(config, run))
+    family = config.family
+    n = config.n
+    horizon = run.horizon
+    warmup = _clock.warmup
 
     state, base_rank = init_state(config, run.init)
     policy.bind(state, config, initial_rank=base_rank)
 
-    ev_gen = _stream(run.seed, run.replication, _STREAM_EVENTS)
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
-    arr_rate = n * lam
 
-    # Local bindings for the event loop. Task moves are applied in place, as
+    # Local bindings for the walk. Task moves are applied in place, as
     # OccupancyState.push_task / pick_task / pop_task apply them; s_tot is the
-    # task total, kept as a local because every event reads it.
+    # task total, kept as a local because every departure reads it.
     counts = state.counts
     class_tasks = state.class_tasks
     low = state.min_occ
@@ -268,11 +435,7 @@ def simulate(
     inf = float("inf")
     acc_u = 0.0
     comp_u = 0.0
-    acc_s = 0.0
-    comp_s = 0.0
     t_last = 0.0
-    events = 0
-    arrivals = 0
     rank_history: list[tuple[float, int]] = []
     if policy.rank is not None:
         rank_history.append((0.0, policy.rank))
@@ -284,55 +447,32 @@ def simulate(
     if run.sample_times is not None:
         trajectory = []
 
-    batches = run.batches
-    if batches:
-        batch_acc = [0.0] * batches
-        batch_width = (horizon - warmup) / batches
-
-    done = False
-    while not done:
-        # Both streams give one draw per processed event, so their blocks
-        # stay in lockstep; the final event's selection draw goes unused.
-        gaps = ev_gen.standard_exponential(_BLOCK).tolist()
-        kinds = ev_gen.random(_BLOCK).tolist()
-        sels = sel_gen.random(_BLOCK).tolist()
-        for gap, kind, u in zip(gaps, kinds, sels):
-            rate = arr_rate + mu * s_tot
-            te = t_last + gap / rate if rate > 0 else inf
-            if te > horizon:
-                te = horizon if horizon > t_last else t_last
-                done = True
-            # Time integral of the piecewise-constant utility and mass.
-            if te > warmup and te > t_last:
-                lo = t_last if t_last > warmup else warmup
-                w = te - lo
+    for times, flags in _clock.blocks:
+        # One selection draw per event of the block, in lockstep with the
+        # event stream; the draws past the final event go unused.
+        sels = sel_gen.random(_BLOCK)
+        if not len(times):
+            continue
+        # Each event closes the segment since the previous one, weighted by
+        # its part after the warmup.
+        weights = times - _segment_starts(times, t_last, warmup)
+        weights[weights <= 0] = 0.0
+        t_last = float(times[-1])
+        # Iterating a memoryview yields Python floats and bools, one at a time.
+        for te, w, is_arrival, u in zip(
+            memoryview(times), memoryview(weights), memoryview(flags), memoryview(sels)
+        ):
+            # Time integral of the piecewise-constant utility.
+            if w:
                 y = u_agg * w - comp_u
                 tt = acc_u + y
                 comp_u = (tt - acc_u) - y
                 acc_u = tt
-                y = s_tot * w - comp_s
-                tt = acc_s + y
-                comp_s = (tt - acc_s) - y
-                acc_s = tt
-                if batches:
-                    b = int((lo - warmup) / batch_width)
-                    rest = w
-                    edge = warmup + (b + 1) * batch_width
-                    while edge < te and b < batches - 1:
-                        batch_acc[b] += (edge - lo) * s_tot
-                        rest -= edge - lo
-                        lo = edge
-                        b += 1
-                        edge += batch_width
-                    batch_acc[b if b < batches else batches - 1] += rest * s_tot
             if next_sample < te:
                 while si < len(sample_times) and sample_times[si] < te:
                     trajectory.append((sample_times[si], occupancy_to_q(state)))
                     si += 1
                 next_sample = sample_times[si] if si < len(sample_times) else inf
-            if done:
-                break
-            is_arrival = kind * rate < arr_rate
             if is_arrival:
                 cls, v, delta = decide(state, u)
                 ci = cls - 1
@@ -352,7 +492,6 @@ def simulate(
                     if delta:
                         apply_learning(state, delta)
                         rank_history.append((te, policy.rank))
-                arrivals += 1
             else:
                 # The departing task: a class by its task total, then a level
                 # j by weight j * N(i, j).
@@ -378,17 +517,19 @@ def simulate(
                 u_agg -= marg[ci][v - 1]
                 if tracks:
                     notify_pop(ci, v)
-            events += 1
-            t_last = te
             if hook is not None:
                 hook("arrival" if is_arrival else "departure", te, state, policy)
 
+    # The last segment, from the last event to the horizon.
+    final = _clock.final
+    if final:
+        acc_u += u_agg * final - comp_u
     while si < len(sample_times) and sample_times[si] <= horizon:
         trajectory.append((sample_times[si], occupancy_to_q(state)))
         si += 1
     span = horizon - warmup
     avg_u = acc_u / (n * span)
-    avg_s = acc_s / (n * span)
+    avg_s = _clock.acc_s / (n * span)
     empirical_bound = upper_bound(family, config.alpha, avg_s)
     wall_ms = (time.perf_counter() - started) * 1e3
 
@@ -403,17 +544,15 @@ def simulate(
         avg_u=avg_u,
         avg_s=avg_s,
         empirical_bound=empirical_bound,
-        bound_rho=bound_rho,
+        bound_rho=_clock.bound_rho,
         r_final=policy.rank,
         switches=max(len(rank_history) - 1, 0),
-        events=events,
-        arrivals=arrivals,
+        events=_clock.events,
+        arrivals=_clock.arrivals,
         wall_ms=wall_ms,
         rank_history=rank_history,
         trajectory=trajectory,
-        s_batches=(
-            [a / (batch_width * n) for a in batch_acc] if batches else None
-        ),
+        s_batches=None if _clock.s_batches is None else list(_clock.s_batches),
     )
     if metrics.bound_gap < -BOUND_TOL:
         raise BoundViolation(
@@ -428,11 +567,17 @@ def coupled_simulate(
 ) -> list[Metrics]:
     """Run several policies on the same event epochs and mass path.
 
-    Every policy replays the identical event stream; selections come from a
-    per-policy substream whose slot is the policy's position in the list.
+    Every policy replays the identical event stream, drawn once into one
+    event clock that all the runs share; selections come from a per-policy
+    substream whose slot is the policy's position in the list. Each run is
+    one :func:`simulate` call, and its metrics equal those of a lone
+    ``simulate`` with that selection slot.
     """
+    clock = _EventClock(config, run, *_admit(config, run))
+    if len(policies) > 1:
+        clock.blocks = list(clock.blocks)
     return [
-        simulate(config, policy, replace(run, selection_slot=slot))
+        simulate(config, policy, replace(run, selection_slot=slot), _clock=clock)
         for slot, policy in enumerate(policies)
     ]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -161,6 +162,33 @@ def test_run_past_the_event_cap_is_refused_before_any_event(monkeypatch):
         simulate(config, "jlmu", RunConfig(horizon=5.0 + 1e-9), hook=no_event)
 
 
+def test_coupled_runs_are_refused_before_the_clock_is_built(monkeypatch):
+    # the shared event clock is drawn once per cell, after the cell's run is
+    # admitted; a clock built first would draw 1.6e301 events at mu = 1e300
+    def no_clock(*args):
+        raise AssertionError("the event clock was built before the run was refused")
+
+    monkeypatch.setattr(sim, "_EventClock", no_clock)
+    refused = [
+        (two_class_system(2, 1e7), RunConfig(horizon=0.01), "refusing"),
+        (two_class_system(8, 9.75, mu=1e6), RunConfig(horizon=1.0), "refusing to simulate"),
+        (two_class_system(8, 9.75, mu=1e300), RunConfig(horizon=1.0), "refusing to simulate"),
+    ]
+    for config, run, message in refused:
+        with pytest.raises(ValueError, match=message):
+            coupled_simulate(config, ["jlmu", "slta"], run)
+        with pytest.raises(ValueError, match=message):
+            simulate(config, "jlmu", run)
+    monkeypatch.undo()
+    # the cap is inclusive on this path too: 10 * 19.5 * 5 = 975 expected events
+    monkeypatch.setattr(sim, "MAX_EVENTS", 975)
+    config = two_class_system(10, 9.75)
+    assert all(m.events > 0 for m in coupled_simulate(config, ["jlmu", "slta"],
+                                                       RunConfig(horizon=5.0)))
+    with pytest.raises(ValueError, match="expects 975"):
+        coupled_simulate(config, ["jlmu", "slta"], RunConfig(horizon=5.0 + 1e-9))
+
+
 # ---------------------------------------------------------------------------
 # determinism and coupling
 
@@ -305,6 +333,30 @@ def test_coupled_policies_share_the_mass_path():
     assert len({m.events for m in out}) == 1
     # and greedy dispatch should not do worse than random dispatch here
     assert out[0].avg_u > out[2].avg_u
+
+
+def test_shared_clock_equals_each_runs_own_clock():
+    # a coupled cell draws its event clock once and walks it per policy; each
+    # run must equal a lone simulate with the same selection slot, bit for
+    # bit, on a path that crosses stream blocks with warmup, batches and
+    # snapshots on
+    config = two_class_system(40, 9.75)
+    run = RunConfig(
+        horizon=80.0, warmup=10.0, seed=3, init="empty", batches=4,
+        sample_times=(15.0, 40.0, 65.0, 79.5),
+    )
+    policies = ["jlmu", "slta", "random", "fixed:1"]
+    coupled = coupled_simulate(config, policies, run)
+    assert coupled[0].events > 2 << 14
+    compared = [f.name for f in dataclasses.fields(Metrics) if f.name != "wall_ms"]
+    for slot, (name, shared) in enumerate(zip(policies, coupled)):
+        own = simulate(config, name, dataclasses.replace(run, selection_slot=slot))
+        for field_name in compared:
+            a, b = getattr(shared, field_name), getattr(own, field_name)
+            if field_name == "trajectory":
+                assert [t for t, _ in a] == [t for t, _ in b], name
+                a, b = snapshot_digest(a), snapshot_digest(b)
+            assert a == b, (name, field_name)
 
 
 def test_policy_instance_and_string_agree():

@@ -83,14 +83,22 @@ MUTANTS = [
            "expected = horizon * n * lam"),
     Mutant("last-batch-share", SIM, "while edge < te and b < batches - 1:",
            "while edge < te and b < batches - 2:"),
-    Mutant("arrival-draw", SIM, "is_arrival = kind * rate < arr_rate",
-           "is_arrival = kind * rate <= arr_rate",
+    Mutant("arrival-draw", SIM, "if kind * (arr_rate + mu * s_tot) < arr_rate",
+           "if kind * (arr_rate + mu * s_tot) <= arr_rate",
            equivalent="the two differ only when the uniform draw times the total rate "
                       "equals the arrival rate exactly, an event of probability zero"),
     Mutant("arrival-pointer-raise", SIM, "low[ci] = v + 1", "low[ci] = v"),
     Mutant("departure-weight", SIM, "v += 1\n                    k -= v * row[v]",
            "v += 1\n                    k -= row[v]"),
     Mutant("horizon-snapshot", SIM, "sample_times[si] <= horizon", "sample_times[si] < horizon"),
+    # the event clock and the per-policy walk
+    Mutant("clock-weight-test", SIM, "keep = np.flatnonzero(w > 0)",
+           "keep = np.flatnonzero(w != 0)"),
+    Mutant("clock-rate-after", SIM, "rates = arr_rate + mu * totals[:-1]",
+           "rates = arr_rate + mu * totals[1:]"),
+    Mutant("walk-warmup-weights", SIM, "        weights[weights <= 0] = 0.0\n", ""),
+    Mutant("walk-final-segment", SIM, "final = _clock.final", "final = 0.0"),
+    Mutant("walk-block-start", SIM, "t_last = float(times[-1])", "t_last = float(times[0])"),
     Mutant("init-remainder-tie", SIM, "key=lambda ci: (-rem[ci], ci)",
            "key=lambda ci: (-rem[ci], -ci)",
            equivalent="n * alpha is within 1e-9 of a whole number and the fill walks at most "
