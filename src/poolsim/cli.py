@@ -101,7 +101,8 @@ def _csv(rows: Sequence[Sequence[Any]], header: Sequence[str]) -> str:
 
 
 def _json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinite value raises ``ValueError`` (exit 2)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load(args: argparse.Namespace) -> tuple[FluidSystem, float | None]:
@@ -325,15 +326,11 @@ def cmd_fluid(args: argparse.Namespace) -> int:
     path = integrate_fluid(system, q0=q0, config=integ)
 
     def rows() -> Iterator[str]:
-        # Formed one record at a time: the mass sums the slice QVector.mass sums,
-        # and the levels listed are those QVector.to_pairs(1e-12) lists.
         yield "t,cls,level,q,mass\n"
-        for t, state in zip(path.times.tolist(), path.states):
-            levels = state[:, 1:-1]
-            head, mass = _fmt(t), _fmt(float(levels.sum()))
-            listed = [f"{head},{ci},{j},{_fmt(v)},{mass}\n"
-                      for ci, row in enumerate(levels.tolist(), 1)
-                      for j, v in enumerate(row, 1) if v > 1e-12]
+        for k, t in enumerate(path.times.tolist()):
+            q = path.profile(k)
+            head, mass = _fmt(t), _fmt(q.mass())
+            listed = [f"{head},{cls},{j},{_fmt(v)},{mass}\n" for cls, j, v in q.to_pairs(1e-12)]
             yield "".join(listed) or f"{head},0,0,{_fmt(0.0)},{mass}\n"
 
     _write_text(rows(), args.out)

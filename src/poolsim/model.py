@@ -547,13 +547,6 @@ class OccupancyState:
         """Tasks present across all classes."""
         return sum(self.class_tasks)
 
-    def count(self, cls: int, occ: int) -> int:
-        """Number of class-``cls`` pools holding exactly ``occ`` tasks."""
-        counts = self.counts[cls - 1]
-        if occ < 0 or occ >= len(counts):
-            return 0
-        return counts[occ]
-
     def tail_count(self, cls: int, level: int) -> int:
         """Number of class-``cls`` pools holding at least ``level`` tasks."""
         return sum(self.counts[cls - 1][level:])

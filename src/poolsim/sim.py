@@ -86,8 +86,7 @@ class RunConfig:
     ``warmup`` defaults to 0 when starting from the rounded optimal profile and
     to ``5 / mu`` when starting empty (resolved against the system in
     :func:`simulate`). ``sample_times`` asks for tail-profile snapshots on a
-    grid in [0, horizon]; ``batches`` asks for per-batch averages of the mass,
-    for batch-means error bars.
+    grid in [0, horizon].
     """
 
     horizon: float
@@ -97,7 +96,6 @@ class RunConfig:
     init: str = "empty"
     selection_slot: int = 0
     sample_times: tuple[float, ...] | None = None
-    batches: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -108,8 +106,6 @@ class RunConfig:
             raise ValueError("seed and replication must be >= 0")
         if self.init not in ("empty", "optimal"):
             raise ValueError(f"init must be 'empty' or 'optimal', got {self.init!r}")
-        if self.batches < 0:
-            raise ValueError("batches must be >= 0")
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
             times = self.sample_times
@@ -147,7 +143,6 @@ class Metrics:
     wall_ms: float
     rank_history: list[tuple[float, int]] = field(default_factory=list)
     trajectory: list[tuple[float, QVector]] | None = None
-    s_batches: list[float] | None = None
 
     @property
     def bound_gap(self) -> float:
@@ -215,13 +210,13 @@ def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
     raise RuntimeError("no open slot within the enumerable range")
 
 
-def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float]:
-    """The run's resolved warmup and the ceiling at the offered load.
+def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float, float]:
+    """The run's resolved warmup, the ceiling at the offered load and the
+    events it expects, ``horizon * n * (lam + mu * rho)``.
 
     Raises ``ValueError`` for a load past the ranked-slot limit (from
     :func:`upper_bound`) and for a run that expects more than ``MAX_EVENTS``
-    events, ``horizon * n * (lam + mu * rho)``; callers admit a run before
-    they draw any of its events.
+    events; callers admit a run before they draw any of its events.
     """
     n = config.n
     mu = config.mu
@@ -240,7 +235,7 @@ def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float]:
             f"a run of horizon {horizon} at n={n} expects {expected:.3g} events, more "
             f"than {MAX_EVENTS}; refusing to simulate"
         )
-    return warmup, bound_rho
+    return warmup, bound_rho, expected
 
 
 def _segment_starts(ends: np.ndarray, start: float, warmup: float) -> np.ndarray:
@@ -270,47 +265,54 @@ class _EventClock:
     event. The rest is set when the last block has been read: ``final`` is
     the weight of the last segment, up to the horizon, in the time
     integrals, ``acc_s`` the time integral of the task total over [warmup,
-    horizon], and ``s_batches``, ``events`` and ``arrivals`` what
-    :class:`Metrics` reports under those names.
+    horizon], and ``events`` and ``arrivals`` what :class:`Metrics` reports
+    under those names.
+
+    Drawing stops with ``RuntimeError`` once more than ``2 * expected +
+    _BLOCK`` events have come short of the horizon, so a stream whose times
+    stop advancing cannot run on. No valid run gets there. Every task departs
+    at most once, so a run's events number at most ``2 * A + D``: ``A`` is
+    its arrivals, Poisson of mean ``expected / 2``, and ``D`` the departures
+    of the tasks present at time 0, a binomial of mean at most ``expected /
+    2 + 0.5``. That sum would have to pass its mean by ``expected / 2 +
+    _BLOCK - 0.5``, which Bernstein's inequality puts below ``exp(-5000)``.
     """
 
-    def __init__(
-        self, config: SystemConfig, run: RunConfig, warmup: float, bound_rho: float
-    ) -> None:
+    def __init__(self, config: SystemConfig, run: RunConfig,
+                 warmup: float, bound_rho: float, expected: float) -> None:
         self.warmup = warmup
         self.bound_rho = bound_rho
         self.final = 0.0
         self.acc_s = 0.0
-        self.s_batches: list[float] | None = None
         self.events = 0
         self.arrivals = 0
-        self.blocks: Iterable[tuple[np.ndarray, np.ndarray]] = self._draw(config, run)
+        self.blocks: Iterable[tuple[np.ndarray, np.ndarray]] = self._draw(config, run, expected)
 
-    def _draw(self, config: SystemConfig, run: RunConfig):
+    def _draw(self, config: SystemConfig, run: RunConfig, expected: float):
         """Only the path of ``S`` and the compensated sum of the mass integral
         go event by event. The rates, gaps and times of a block are whole-array
         operations: ``n * lam + mu * S`` and ``gap / rate`` are one IEEE
         operation per event, and ``np.cumsum`` adds in order, so each time is
         the one a scalar loop over the events computes."""
-        n = config.n
         mu = config.mu
         horizon = run.horizon
         warmup = self.warmup
-        arr_rate = n * config.lam
+        arr_rate = config.n * config.lam
         ev_gen = _stream(run.seed, run.replication, _STREAM_EVENTS)
         s_tot = _start_tasks(config, run.init)
 
         acc_s = 0.0
         comp_s = 0.0
         t_last = 0.0
-
-        batches = run.batches
-        if batches:
-            batch_acc = [0.0] * batches
-            batch_width = (horizon - warmup) / batches
-
+        limit = 2 * expected + _BLOCK
         done = False
         while not done:
+            if self.events > limit:
+                raise RuntimeError(
+                    f"the event clock counted {self.events} events short of the horizon "
+                    f"{horizon}, more than twice the {expected:.3g} expected plus {_BLOCK}; "
+                    f"its times have stopped advancing"
+                )
             gaps = ev_gen.standard_exponential(_BLOCK)
             # The task total before each event of the block, and after its last.
             totals = np.empty(_BLOCK + 1, dtype=np.int64)
@@ -332,8 +334,7 @@ class _EventClock:
                 done = True
                 ends = np.append(ends, horizon)
             # Time integral of the piecewise-constant mass.
-            lo = _segment_starts(ends, t_last, warmup)
-            w = ends - lo
+            w = ends - _segment_starts(ends, t_last, warmup)
             keep = np.flatnonzero(w > 0)
             # The compensated sum runs in event order; its terms do not depend on it.
             for y in memoryview(totals[keep] * w[keep]):
@@ -341,18 +342,6 @@ class _EventClock:
                 tt = acc_s + y
                 comp_s = (tt - acc_s) - y
                 acc_s = tt
-            if batches:
-                segments = (memoryview(col[keep]) for col in (totals, w, lo, ends))
-                for s, x, lo_s, te in zip(*segments):
-                    b = int((lo_s - warmup) / batch_width)
-                    edge = warmup + (b + 1) * batch_width
-                    while edge < te and b < batches - 1:
-                        batch_acc[b] += (edge - lo_s) * s
-                        x -= edge - lo_s
-                        lo_s = edge
-                        b += 1
-                        edge += batch_width
-                    batch_acc[b if b < batches else batches - 1] += x * s
             if done and w[-1] > 0:
                 self.final = float(w[-1])
             if count:
@@ -362,8 +351,6 @@ class _EventClock:
             yield ends[:count], flags
 
         self.acc_s = acc_s
-        if batches:
-            self.s_batches = [a / (batch_width * n) for a in batch_acc]
 
 
 def simulate(
@@ -392,9 +379,10 @@ def simulate(
 
     Raises :class:`BoundViolation` if the realized average utility lands above
     the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``,
-    and ``ValueError`` before any event if the load is past the ranked-slot
+    ``ValueError`` before any event if the load is past the ranked-slot
     limit or the run expects more than ``MAX_EVENTS`` events,
-    ``horizon * n * (lam + mu * rho)``.
+    ``horizon * n * (lam + mu * rho)``, and ``RuntimeError`` if the event
+    clock's times stop advancing.
     """
     if isinstance(policy, str):
         policy = parse_policy(policy)
@@ -552,7 +540,6 @@ def simulate(
         wall_ms=wall_ms,
         rank_history=rank_history,
         trajectory=trajectory,
-        s_batches=None if _clock.s_batches is None else list(_clock.s_batches),
     )
     if metrics.bound_gap < -BOUND_TOL:
         raise BoundViolation(
@@ -583,8 +570,16 @@ def coupled_simulate(
 
 
 def batch_means(values: Iterable[float]) -> tuple[float, float]:
-    """Mean and its standard error from per-batch averages."""
+    """Mean and its standard error from per-batch averages.
+
+    Both are formed on the averages scaled by the power of two that brings the
+    largest magnitude into [0.5, 1), so no sum or square overflows; scaling by
+    a power of two and undoing it is exact.
+    """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size < 2:
         raise ValueError("need at least two batches")
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
+    exp = math.frexp(float(np.abs(arr).max()))[1]
+    arr = np.ldexp(arr, -exp)
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size))
+    return math.ldexp(float(arr.mean()), exp), math.ldexp(se, exp)

@@ -13,6 +13,7 @@ from poolsim.model import (
     Tabulated,
     UtilityFamily,
 )
+from poolsim.sim import _admit, init_state, simulate
 
 # Quadratic profile 2x - x^2/20 tabulated on 0..25; its marginals fall by
 # exactly 0.1 per task, which makes tie and crossover points easy to reason
@@ -64,6 +65,44 @@ def random_feasible_tail(rng: np.random.Generator, alpha, depth: int) -> QVector
             level = level * rng.uniform(0.0, 1.0)
             tail[ci, j] = level
     return QVector(alpha=np.asarray(alpha, dtype=np.float64), tail=tail)
+
+
+def batched_run(config: SystemConfig, policy, run, batches: int):
+    """One ``simulate`` run, and the per-batch time averages per pool of its
+    aggregate utility and of its task total over ``batches`` equal windows of
+    [warmup, horizon].
+
+    Both come from the event hook, which sees the state after every event;
+    the state before the first event is the run's start.
+    """
+    warmup, _, _ = _admit(config, run)
+    horizon, family = run.horizon, config.family
+    width = (horizon - warmup) / batches
+    u_acc = [0.0] * batches
+    s_acc = [0.0] * batches
+
+    def integrate(acc, lo: float, hi: float, value) -> None:
+        lo, hi = max(lo, warmup), min(hi, horizon)
+        while lo < hi:
+            b = min(int((lo - warmup) / width), batches - 1)
+            edge = min(hi, warmup + (b + 1) * width) if b < batches - 1 else hi
+            acc[b] += (edge - lo) * value
+            lo = edge
+
+    start, _ = init_state(config, run.init)
+    last = [0.0, start.aggregate_value(family), start.total_tasks]
+
+    def hook(kind, t, state, policy):
+        integrate(u_acc, last[0], t, last[1])
+        integrate(s_acc, last[0], t, last[2])
+        last[:] = t, state.aggregate_value(family), state.total_tasks
+
+    metrics = simulate(config, policy, run, hook=hook)
+    integrate(u_acc, last[0], horizon, last[1])
+    integrate(s_acc, last[0], horizon, last[2])
+    assert metrics.warmup == warmup
+    scale = width * config.n
+    return metrics, [a / scale for a in u_acc], [a / scale for a in s_acc]
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from poolsim.sim import Metrics, RunConfig, batch_means, coupled_simulate, simul
 from conftest import (
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
+    batched_run,
     piecewise_family,
     two_class_family,
     two_class_system,
@@ -89,12 +90,14 @@ def benchmark_matrix():
 
 @pytest.fixture(scope="module")
 def mass_law_runs():
-    """One long independent run per policy on a small system."""
+    """One long independent run per policy on a small system, with 20 batch
+    means of its task total."""
     system = two_class_system(4, 3.0)
     out = {}
     for k, policy in enumerate(("jlmu", "slta", "random", "fixed:2")):
-        run = RunConfig(horizon=2000.0, seed=41 + k, init="empty", batches=20)
-        out[policy] = track(simulate(system, policy, run))
+        run = RunConfig(horizon=2000.0, seed=41 + k, init="empty")
+        metrics, _, s_batches = batched_run(system, policy, run, 20)
+        out[policy] = (track(metrics), s_batches)
     return out
 
 
@@ -299,8 +302,8 @@ def test_criterion_04_pathwise_utility_bound(
 
 
 def test_criterion_05_total_mass_law(mass_law_runs):
-    for policy, m in mass_law_runs.items():
-        mean, se = batch_means(m.s_batches)
+    for policy, (_, s_batches) in mass_law_runs.items():
+        mean, se = batch_means(s_batches)
         assert abs(mean - 3.0) <= 3.0 * se, f"{policy}: {mean:.4f} +- {se:.4f}"
     print(f"criterion 5 PASS: {len(mass_law_runs)} policies within 3 SE of rho")
 

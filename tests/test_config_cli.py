@@ -594,6 +594,24 @@ def test_cli_table1_refuses_repeated_values_before_any_run(scale, rhos, flag, mo
         assert err.startswith(f"config error: {flag}: repeats a value")
 
 
+def test_cli_suboptimal_prints_strict_json_for_huge_payoffs(capsys):
+    # payoffs near the largest float overflowed the variance of the error bars
+    def refuse(constant):
+        raise AssertionError(f"not strict JSON: {constant}")
+
+    assert main(["suboptimal", "--a", "1e308", "--T", "1", "--reps", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert all(math.isfinite(doc[key]) for key in ("jlmu_se", "fixed2_se", "jlmu_mean"))
+
+
+def test_json_output_refuses_non_finite_values():
+    from poolsim.cli import _json_text
+
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _json_text({"x": bad})
+
+
 def test_cli_suboptimal_refuses_one_rep_before_any_run(monkeypatch, capsys):
     from poolsim import cli
 

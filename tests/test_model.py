@@ -361,10 +361,10 @@ def test_occupancy_state_push_pop():
     assert state.min_occupied(1) == 0
     assert state.max_occupied(2) == 1
     state.push_task(1, 0)
-    assert state.count(1, 1) == 1
+    assert state.counts[0][1] == 1
     assert state.min_occupied(1) == 1
     state.pop_task(1, 3)
-    assert state.count(1, 2) == 1
+    assert state.counts[0][2] == 1
     assert state.class_tasks == [3, 2]
     hist = state.counts[0]
     assert hist[1] == 1 and hist[2] == 1
@@ -423,8 +423,8 @@ def test_counts_constructor_histogram_form():
     state = OccupancyState((0.75, 0.25), [[0, 2, 1], [1]])
     assert state.n == 4
     assert state.total_tasks == 4
-    assert state.count(1, 1) == 2
-    assert state.count(2, 0) == 1
+    assert state.counts[0][1] == 2
+    assert state.counts[1][0] == 1
     state.check_consistency()
 
 

@@ -23,9 +23,9 @@ import pytest
 
 from poolsim.assign import upper_bound
 from poolsim.model import CappedLinear, Linear, SystemConfig, UtilityFamily
-from poolsim.sim import RunConfig, batch_means, simulate
+from poolsim.sim import RunConfig, batch_means
 
-from conftest import TWO_CLASS_ALPHA, two_class_family
+from conftest import TWO_CLASS_ALPHA, batched_run, two_class_family
 
 TAIL = 1e-12
 POLICIES = ("jlmu", "random", "fixed:1", "fixed:2")
@@ -184,47 +184,15 @@ def test_oracle_log_quality_ordering(exact):
 # ---------------------------------------------------------------------------
 # simulation against the oracle
 
-HORIZON = 20000.0
-WARMUP = 20.0
+# One long run per system and policy, averaged in 20 batches.
+RUN = RunConfig(horizon=20000.0, warmup=20.0, seed=2112)
 BATCHES = 20
-SEED = 2112
-
-
-def simulated_batches(config: SystemConfig, policy: str):
-    """One long run: its metrics and per-batch time averages of the utility.
-
-    The utility batches come from the event hook, which sees the state after
-    every event; the state before the first event is the empty start.
-    """
-    family, n = config.family, config.n
-    width = (HORIZON - WARMUP) / BATCHES
-    acc = [0.0] * BATCHES
-
-    def integrate(lo: float, hi: float, value: float) -> None:
-        lo, hi = max(lo, WARMUP), min(hi, HORIZON)
-        while lo < hi:
-            b = min(int((lo - WARMUP) / width), BATCHES - 1)
-            edge = min(hi, WARMUP + (b + 1) * width) if b < BATCHES - 1 else hi
-            acc[b] += (edge - lo) * value
-            lo = edge
-
-    sizes = config.class_sizes
-    last = [0.0, sum(size * family.value(ci + 1, 0) for ci, size in enumerate(sizes))]
-
-    def hook(kind, t, state, policy):
-        integrate(last[0], t, last[1])
-        last[0], last[1] = t, state.aggregate_value(family)
-
-    run = RunConfig(horizon=HORIZON, warmup=WARMUP, seed=SEED, batches=BATCHES)
-    metrics = simulate(config, policy, run, hook=hook)
-    integrate(last[0], HORIZON, last[1])
-    return metrics, [a / (width * n) for a in acc]
 
 
 @pytest.fixture(scope="module")
 def simulated():
     return {
-        (name, policy): simulated_batches(make(), policy)
+        (name, policy): batched_run(make(), policy, RUN, BATCHES)
         for name, make in SYSTEMS.items()
         for policy in POLICIES
     }
@@ -238,10 +206,10 @@ def test_simulation_matches_oracle(exact, simulated, name):
     # some comparison of a correct simulator about 7% of the time; 4 SE keeps
     # that under 1%.
     for policy in POLICIES:
-        metrics, u_batches = simulated[name, policy]
+        metrics, u_batches, s_batches = simulated[name, policy]
         u_mean, u_se = batch_means(u_batches)
         assert u_mean == pytest.approx(metrics.avg_u, rel=1e-9, abs=1e-12)
         exact_u, exact_s = exact[name, policy]
         assert abs(u_mean - exact_u) <= 4.0 * u_se, (policy, u_mean, exact_u, u_se)
-        s_mean, s_se = batch_means(metrics.s_batches)
+        s_mean, s_se = batch_means(s_batches)
         assert abs(s_mean - exact_s) <= 4.0 * s_se, (policy, s_mean, exact_s, s_se)

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import time
 
+import numpy as np
 import pytest
 
 from poolsim import sim
+from poolsim.cli import main
 from poolsim.model import SystemConfig
 from poolsim.policies import Jlmu, parse_policy
 from poolsim.sim import (
@@ -19,7 +22,7 @@ from poolsim.sim import (
     simulate,
 )
 
-from conftest import TWO_CLASS_ALPHA, two_class_family, two_class_system
+from conftest import TWO_CLASS_ALPHA, batched_run, two_class_family, two_class_system
 
 COMPARED = (
     "policy",
@@ -52,8 +55,6 @@ def test_run_config_validation():
     for times in ((1.0, 1.0), (-1.0, 0.5), (0.5, 10.5)):
         with pytest.raises(ValueError):
             RunConfig(horizon=10.0, sample_times=times)
-    with pytest.raises(ValueError):
-        RunConfig(horizon=10.0, batches=-1)
 
 
 def test_run_config_rejects_non_finite_times():
@@ -75,14 +76,14 @@ def test_init_state_empty():
     state, rank = init_state(config, "empty")
     assert rank == 1
     assert state.total_tasks == 0
-    assert state.count(1, 0) == 4 and state.count(2, 0) == 4
+    assert state.counts[0][0] == 4 and state.counts[1][0] == 4
 
 
 def test_init_state_optimal_integral_load():
     config = two_class_system(50, 10.0)
     state, rank = init_state(config, "optimal")
-    assert state.count(1, 8) == 25
-    assert state.count(2, 12) == 25
+    assert state.counts[0][8] == 25
+    assert state.counts[1][12] == 25
     assert state.total_tasks == 500
     assert rank == 21  # the boundary slot of the greedy fill
 
@@ -90,9 +91,9 @@ def test_init_state_optimal_integral_load():
 def test_init_state_optimal_fractional_load():
     config = two_class_system(8, 9.75)
     state, rank = init_state(config, "optimal")
-    assert state.count(1, 8) == 4
-    assert state.count(2, 11) == 2
-    assert state.count(2, 12) == 2
+    assert state.counts[0][8] == 4
+    assert state.counts[1][11] == 2
+    assert state.counts[1][12] == 2
     assert state.total_tasks == 78  # round(8 * 9.75)
     assert rank == 20
 
@@ -246,18 +247,17 @@ def snapshot_digest(trajectory) -> str:
 def test_sample_paths_across_stream_blocks_are_pinned():
     # 62204 events span four of the 16384-event stream blocks, so a refill
     # that skips or repeats draws, or event and selection draws that fall out
-    # of lockstep, moves these values; warmup, batches and snapshots are all on
+    # of lockstep, moves these values; warmup, the hook and snapshots are all
+    # on, and the four batch means of the task total integrate the hook's states
     config = two_class_system(40, 9.75)
     grid = (15.0, 40.0, 65.0, 79.5)
-    run = RunConfig(
-        horizon=80.0, warmup=10.0, seed=3, init="empty", batches=4, sample_times=grid
-    )
+    run = RunConfig(horizon=80.0, warmup=10.0, seed=3, init="empty", sample_times=grid)
     for policy, expected in BLOCK_CROSSING_PATHS.items():
-        m = simulate(config, policy, run)
+        m, _, s_batches = batched_run(config, policy, run, 4)
         assert [t for t, _ in m.trajectory] == list(grid)
         got = (
             m.avg_u, m.avg_s, m.events, m.switches, m.r_final,
-            m.s_batches, snapshot_digest(m.trajectory),
+            s_batches, snapshot_digest(m.trajectory),
         )
         assert got == expected, policy
 
@@ -338,12 +338,10 @@ def test_coupled_policies_share_the_mass_path():
 def test_shared_clock_equals_each_runs_own_clock():
     # a coupled cell draws its event clock once and walks it per policy; each
     # run must equal a lone simulate with the same selection slot, bit for
-    # bit, on a path that crosses stream blocks with warmup, batches and
-    # snapshots on
+    # bit, on a path that crosses stream blocks with warmup and snapshots on
     config = two_class_system(40, 9.75)
     run = RunConfig(
-        horizon=80.0, warmup=10.0, seed=3, init="empty", batches=4,
-        sample_times=(15.0, 40.0, 65.0, 79.5),
+        horizon=80.0, warmup=10.0, seed=3, init="empty", sample_times=(15.0, 40.0, 65.0, 79.5)
     )
     policies = ["jlmu", "slta", "random", "fixed:1"]
     coupled = coupled_simulate(config, policies, run)
@@ -384,9 +382,9 @@ def test_warmup_defaults():
 def test_mass_matches_mm_infinity():
     # any dispatch policy leaves the total task count an M/M/infinity system
     config = two_class_system(4, 3.0)
-    run = RunConfig(horizon=2000.0, seed=12, batches=20)
-    metrics = simulate(config, "random", run)
-    mean, se = batch_means(metrics.s_batches)
+    run = RunConfig(horizon=2000.0, seed=12)
+    metrics, _, s_batches = batched_run(config, "random", run, 20)
+    mean, se = batch_means(s_batches)
     assert se > 0
     assert abs(mean - 3.0) <= 3 * se
     assert metrics.avg_s == pytest.approx(mean, rel=1e-9)
@@ -484,6 +482,48 @@ def test_bound_holds_across_policies_and_seeds():
             assert metrics.bound_gap >= -1e-9
 
 
+class StalledStream:
+    """An event stream whose gaps are all 0, so its times never advance. It
+    fails the test itself after 100 blocks, so a clock with no cap fails
+    instead of hanging."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.blocks = 0
+
+    def standard_exponential(self, size):
+        self.blocks += 1
+        if self.blocks > 100:
+            raise AssertionError("the clock drew 100 blocks of a stalled stream")
+        return np.zeros(size)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+@pytest.mark.parametrize("path", ["lone", "coupled", "cli"])
+def test_stalled_event_clock_is_refused(monkeypatch, capsys, path):
+    # a few hundred events expected, so the clock stops after its second block
+    def streams(seed, replication, stream, sub=0):
+        gen = _stream(seed, replication, stream, sub)
+        return StalledStream(gen) if stream == 0 else gen
+
+    monkeypatch.setattr(sim, "_stream", streams)
+    config = two_class_system(4, 3.0)
+    run = RunConfig(horizon=10.0, seed=1)
+    started = time.perf_counter()
+    if path == "cli":
+        assert main(["table1", "--scale", "4", "--reps", "1", "--T", "1"]) == 3
+        assert "stopped advancing" in capsys.readouterr().err
+    else:
+        with pytest.raises(RuntimeError, match="stopped advancing"):
+            if path == "coupled":
+                coupled_simulate(config, ["jlmu", "slta"], run)
+            else:
+                simulate(config, "jlmu", run)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_bound_violation_is_a_runtime_error():
     assert issubclass(BoundViolation, RuntimeError)
 
@@ -498,3 +538,15 @@ def test_batch_means_basic():
     assert se == pytest.approx(math.sqrt(5.0 / 3.0) / 2.0)
     with pytest.raises(ValueError):
         batch_means([1.0])
+
+
+def test_batch_means_scale_exactly_and_do_not_overflow():
+    # values near the largest float square and sum past it; scaled by a power
+    # of two first, they give the small values' figures times that power, bit
+    # for bit
+    small = [0.7, 0.55, 0.9, 0.61]
+    mean, se = batch_means(small)
+    assert batch_means([math.ldexp(v, 1023) for v in small]) == (
+        math.ldexp(mean, 1023), math.ldexp(se, 1023),
+    )
+    assert batch_means([v * 4.0 for v in small]) == (mean * 4.0, se * 4.0)
