@@ -45,7 +45,7 @@ from .assign import optimal_assignment
 from .config import ConfigError, load_config
 from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
 from .model import FluidSystem, LogQuality, QVector, SystemConfig, UtilityFamily
-from .policies import FixedClassDispatch, parse_policy
+from .policies import UniformDispatch, parse_policy
 from .sim import Metrics, RunConfig, batch_means, coupled_simulate
 
 __all__ = ["main"]
@@ -93,11 +93,11 @@ def _check_out(out: str | None) -> None:
         raise ConfigError("out", f"cannot write {out}: no such directory")
 
 
-def _csv(rows: Sequence[Sequence[Any]], header: Sequence[str]) -> str:
-    lines = [",".join(header)]
+def _csv(rows: Iterable[Sequence[Any]], header: Sequence[str]) -> Iterator[str]:
+    """The CSV lines of ``header`` and ``rows``, each formed as it is read."""
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
 def _json_text(obj: Any) -> str:
@@ -210,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in args.policy:
         try:
             policy = parse_policy(name)
-            if isinstance(policy, FixedClassDispatch):
+            if isinstance(policy, UniformDispatch):
                 policy.check_classes(config.m)
         except ValueError as exc:
             raise ConfigError("policy", str(exc)) from None
@@ -325,15 +325,15 @@ def cmd_fluid(args: argparse.Namespace) -> int:
         q0 = equilibrium_profile(system)
     path = integrate_fluid(system, q0=q0, config=integ)
 
-    def rows() -> Iterator[str]:
-        yield "t,cls,level,q,mass\n"
+    def rows() -> Iterator[tuple]:
+        # A record with no level above 1e-12 still gets a row, for its mass.
         for k, t in enumerate(path.times.tolist()):
             q = path.profile(k)
-            head, mass = _fmt(t), _fmt(q.mass())
-            listed = [f"{head},{cls},{j},{_fmt(v)},{mass}\n" for cls, j, v in q.to_pairs(1e-12)]
-            yield "".join(listed) or f"{head},0,0,{_fmt(0.0)},{mass}\n"
+            mass = q.mass()
+            for cls, j, v in q.to_pairs(1e-12) or [(0, 0, 0.0)]:
+                yield t, cls, j, v, mass
 
-    _write_text(rows(), args.out)
+    _write_text(_csv(rows(), ("t", "cls", "level", "q", "mass")), args.out)
 
     if args.verify_reflection:
         report = verify_reflection_system(path)

@@ -173,7 +173,6 @@ class UtilityFamily:
         # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
         self._rank_tables: dict[int, np.ndarray] = {}
-        self._classes = np.zeros(0, dtype=np.intp)
         self._marginal_arrays = [np.zeros(0) for _ in self.utilities]
         self._mass: tuple[tuple[float, ...], np.ndarray] = ((), np.zeros(0))
 
@@ -266,9 +265,8 @@ class UtilityFamily:
             mass = mass[:0]
         if len(mass) < count:
             size = min(max(count, 2 * len(mass)), MAX_ENUMERATION)
-            if len(self._classes) < size:  # 0-based classes along the ranking
-                self._classes = np.array([c.cls - 1 for c in self.enumerate_ranked(size)], np.intp)
-            mass = np.cumsum(np.asarray(alpha)[self._classes[:size]])
+            classes = [c.cls - 1 for c in self.enumerate_ranked(size)]
+            mass = np.cumsum(np.asarray(alpha)[classes])
             mass.flags.writeable = False
             self._mass = (alpha, mass)
         return mass
@@ -550,10 +548,6 @@ class OccupancyState:
     def tail_count(self, cls: int, level: int) -> int:
         """Number of class-``cls`` pools holding at least ``level`` tasks."""
         return sum(self.counts[cls - 1][level:])
-
-    def min_occupied(self, cls: int) -> int:
-        """Smallest occupancy among class-``cls`` pools."""
-        return self.min_occ[cls - 1]
 
     def max_occupied(self, cls: int) -> int:
         counts = self.counts[cls - 1]

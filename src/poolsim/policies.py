@@ -19,8 +19,7 @@ __all__ = [
     "Policy",
     "Jlmu",
     "Slta",
-    "RandomDispatch",
-    "FixedClassDispatch",
+    "UniformDispatch",
     "parse_policy",
     "token_counts",
 ]
@@ -313,31 +312,22 @@ class Slta(Policy):
 # ---------------------------------------------------------------------------
 
 
-class RandomDispatch(Policy):
-    """Send each task to a uniformly random pool."""
+class UniformDispatch(Policy):
+    """Send each task to a uniformly random pool: of any class, or of class
+    ``cls`` alone when given (``random`` and ``fixed:<cls>``)."""
 
-    name = "random"
-
-    def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
-        cls, occ = state.pick_pool(u)
-        return cls, occ, 0
-
-
-class FixedClassDispatch(Policy):
-    """Send every task to a uniformly random pool of one fixed class."""
-
-    def __init__(self, cls: int):
-        if cls < 1:
+    def __init__(self, cls: int | None = None):
+        if cls is not None and cls < 1:
             raise ValueError(f"class index must be >= 1, got {cls}")
         self.cls = cls
-        self.name = f"fixed:{cls}"
+        self.name = "random" if cls is None else f"fixed:{cls}"
 
     def bind(self, state, config, initial_rank=None):
         self.check_classes(state.m)
 
     def check_classes(self, m: int) -> None:
         """Refuse a system of ``m`` classes that lacks this policy's class."""
-        if self.cls > m:
+        if self.cls is not None and self.cls > m:
             raise ValueError(f"{self.name} needs class {self.cls} but the system has {m}")
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
@@ -352,12 +342,12 @@ def parse_policy(spec: str, beta: float | None = None) -> Policy:
     if spec == "slta":
         return Slta(beta=beta)
     if spec == "random":
-        return RandomDispatch()
+        return UniformDispatch()
     if isinstance(spec, str) and spec.startswith("fixed:"):
         tail = spec[len("fixed:") :]
         if not tail.isdecimal():
             raise ValueError(f"bad class in {spec!r}: need fixed:<positive int>")
-        return FixedClassDispatch(int(tail))
+        return UniformDispatch(int(tail))
     raise ValueError(
         f"unknown policy {spec!r} (known: jlmu, slta, random, fixed:<cls>)"
     )

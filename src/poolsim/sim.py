@@ -39,13 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .assign import optimal_assignment, upper_bound
-from .model import (
-    MAX_ENUMERATION,
-    OccupancyState,
-    QVector,
-    SystemConfig,
-    occupancy_to_q,
-)
+from .model import OccupancyState, QVector, SystemConfig, occupancy_to_q
 from .policies import Policy, parse_policy
 
 __all__ = [
@@ -122,7 +116,8 @@ class Metrics:
     ``wall_ms`` times the :func:`simulate` call. A lone run builds its own
     event clock, so that is in it; the runs of one :func:`coupled_simulate`
     cell share a clock built before the first of them, so theirs cover each
-    policy's walk alone.
+    policy's walk alone. ``r_final`` and ``switches`` are read off
+    ``rank_history``: the last rank, and the steps after the first.
     """
 
     policy: str
@@ -130,19 +125,23 @@ class Metrics:
     rho: float
     seed: int
     replication: int
-    horizon: float
     warmup: float
     avg_u: float
     avg_s: float
     empirical_bound: float
     bound_rho: float
-    r_final: int | None
-    switches: int
     events: int
-    arrivals: int
     wall_ms: float
     rank_history: list[tuple[float, int]] = field(default_factory=list)
     trajectory: list[tuple[float, QVector]] | None = None
+
+    @property
+    def r_final(self) -> int | None:
+        return self.rank_history[-1][1] if self.rank_history else None
+
+    @property
+    def switches(self) -> int:
+        return max(len(self.rank_history) - 1, 0)
 
     @property
     def bound_gap(self) -> float:
@@ -200,14 +199,15 @@ def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
     """Rank of the best slot not yet filled by every pool of its class.
 
     Some class-``cls`` pool holds fewer than ``level`` tasks exactly when the
-    class's emptiest pool does.
+    class's emptiest pool does, so each class's first open slot sits one
+    level above its lowest pool, and the answer is the best of those. The
+    rank table of depth ``max(low) + 1`` ranks its best ``m * depth`` slots,
+    and some class fills ``depth`` levels of them, so that class's open slot
+    is inside and the least entry is exact.
     """
-    lowest = [state.min_occupied(cls) for cls in range(1, state.m + 1)]
-    for rank in range(1, MAX_ENUMERATION + 1):
-        cls, level = config.family.slot(rank)
-        if level > lowest[cls - 1]:
-            return rank
-    raise RuntimeError("no open slot within the enumerable range")
+    low = state.min_occ
+    table = config.family.rank_table(max(low) + 1)
+    return min(int(table[ci, v]) for ci, v in enumerate(low))
 
 
 def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float, float]:
@@ -265,8 +265,7 @@ class _EventClock:
     event. The rest is set when the last block has been read: ``final`` is
     the weight of the last segment, up to the horizon, in the time
     integrals, ``acc_s`` the time integral of the task total over [warmup,
-    horizon], and ``events`` and ``arrivals`` what :class:`Metrics` reports
-    under those names.
+    horizon], and ``events`` the count of events processed.
 
     Drawing stops with ``RuntimeError`` once more than ``2 * expected +
     _BLOCK`` events have come short of the horizon, so a stream whose times
@@ -285,7 +284,6 @@ class _EventClock:
         self.final = 0.0
         self.acc_s = 0.0
         self.events = 0
-        self.arrivals = 0
         self.blocks: Iterable[tuple[np.ndarray, np.ndarray]] = self._draw(config, run, expected)
 
     def _draw(self, config: SystemConfig, run: RunConfig, expected: float):
@@ -347,7 +345,6 @@ class _EventClock:
             if count:
                 t_last = float(ends[count - 1])
             self.events += count
-            self.arrivals += int(np.count_nonzero(flags))
             yield ends[:count], flags
 
         self.acc_s = acc_s
@@ -381,8 +378,9 @@ def simulate(
     the ceiling evaluated at the realized average mass, beyond ``BOUND_TOL``,
     ``ValueError`` before any event if the load is past the ranked-slot
     limit or the run expects more than ``MAX_EVENTS`` events,
-    ``horizon * n * (lam + mu * rho)``, and ``RuntimeError`` if the event
-    clock's times stop advancing.
+    ``horizon * n * (lam + mu * rho)``, or after it if the average utility
+    or its ceiling is not finite, and ``RuntimeError`` if the event clock's
+    times stop advancing.
     """
     if isinstance(policy, str):
         policy = parse_policy(policy)
@@ -527,21 +525,20 @@ def simulate(
         rho=config.rho,
         seed=run.seed,
         replication=run.replication,
-        horizon=horizon,
         warmup=warmup,
         avg_u=avg_u,
         avg_s=avg_s,
         empirical_bound=empirical_bound,
         bound_rho=_clock.bound_rho,
-        r_final=policy.rank,
-        switches=max(len(rank_history) - 1, 0),
         events=_clock.events,
-        arrivals=_clock.arrivals,
         wall_ms=wall_ms,
         rank_history=rank_history,
         trajectory=trajectory,
     )
-    if metrics.bound_gap < -BOUND_TOL:
+    if not (math.isfinite(avg_u) and math.isfinite(empirical_bound)):
+        raise ValueError(f"policy {policy.name} averaged utility {avg_u} under a ceiling "
+                         f"of {empirical_bound}: the utilities overflow float64")
+    if not metrics.bound_gap >= -BOUND_TOL:  # a NaN gap fails too
         raise BoundViolation(
             f"average utility {avg_u} exceeds its ceiling {empirical_bound} "
             f"(policy {policy.name}, n={n}, seed={run.seed}, rep={run.replication})"

@@ -604,6 +604,14 @@ def test_cli_suboptimal_prints_strict_json_for_huge_payoffs(capsys):
     assert all(math.isfinite(doc[key]) for key in ("jlmu_se", "fixed2_se", "jlmu_mean"))
 
 
+def test_cli_suboptimal_names_overflowing_payoffs(capsys):
+    # at rho = 100 the greedy run's utility overflows before any JSON is formed
+    argv = ["suboptimal", "--a", "1e308", "--rho", "100", "--T", "1", "--reps", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "policy jlmu" in err and "overflow float64" in err and "JSON" not in err
+
+
 def test_json_output_refuses_non_finite_values():
     from poolsim.cli import _json_text
 

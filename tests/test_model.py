@@ -358,11 +358,11 @@ def test_occupancy_to_q_preserves_mass(rng):
 def test_occupancy_state_push_pop():
     state = pool_state(TWO_CLASS_ALPHA, [[0, 3], [1, 1]])
     assert state.total_tasks == 5
-    assert state.min_occupied(1) == 0
+    assert state.min_occ[0] == 0
     assert state.max_occupied(2) == 1
     state.push_task(1, 0)
     assert state.counts[0][1] == 1
-    assert state.min_occupied(1) == 1
+    assert state.min_occ[0] == 1
     state.pop_task(1, 3)
     assert state.counts[0][2] == 1
     assert state.class_tasks == [3, 2]

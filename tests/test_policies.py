@@ -11,10 +11,9 @@ from poolsim.model import (
     UtilityFamily,
 )
 from poolsim.policies import (
-    FixedClassDispatch,
     Jlmu,
-    RandomDispatch,
     Slta,
+    UniformDispatch,
     parse_policy,
     token_counts,
 )
@@ -428,7 +427,7 @@ def test_goodness_and_tokens_preserved_in_simulation():
 
 
 def test_random_dispatch_examples():
-    policy = RandomDispatch()
+    policy = UniformDispatch()
     single = pool_state((1.0,), [[2]])
     assert slot_of(policy.decide(single, 0.99)) == Coordinate(1, 3)
     state = pool_state((1.0,), [[0, 4]])
@@ -437,7 +436,7 @@ def test_random_dispatch_examples():
 
 
 def test_fixed_class_dispatch_examples():
-    policy = FixedClassDispatch(2)
+    policy = UniformDispatch(2)
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     assert slot_of(policy.decide(state, 0.1)) == Coordinate(2, 1)
     state = pool_state(TWO_CLASS_ALPHA, [[0, 0], [3, 7]])
@@ -447,8 +446,8 @@ def test_fixed_class_dispatch_examples():
 
 def test_fixed_class_validation():
     with pytest.raises(ValueError):
-        FixedClassDispatch(0)
-    policy = FixedClassDispatch(3)
+        UniformDispatch(0)
+    policy = UniformDispatch(3)
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     cfg = SystemConfig(
         n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=1.0, family=two_class_family()
@@ -459,11 +458,11 @@ def test_fixed_class_validation():
 
 def test_parse_policy():
     assert isinstance(parse_policy("jlmu"), Jlmu)
-    assert isinstance(parse_policy("random"), RandomDispatch)
+    assert isinstance(parse_policy("random"), UniformDispatch)
     slta = parse_policy("slta", beta=0.25)
     assert isinstance(slta, Slta)
     fixed = parse_policy("fixed:2")
-    assert isinstance(fixed, FixedClassDispatch) and fixed.cls == 2
+    assert isinstance(fixed, UniformDispatch) and fixed.cls == 2
     assert fixed.name == "fixed:2"  # named before any bind
     for bad in ("fixed:two", "fixed: 1", "fixed:+1", "fixed:0", "lru"):
         with pytest.raises(ValueError):

@@ -5,16 +5,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim import sim
 from poolsim.cli import main
-from poolsim.model import SystemConfig
+from poolsim.model import CappedLinear, Linear, SystemConfig, UtilityFamily
 from poolsim.policies import Jlmu, parse_policy
 from poolsim.sim import (
     MAX_EVENTS,
     BoundViolation,
     Metrics,
     RunConfig,
+    _first_open_rank,
     _stream,
     batch_means,
     coupled_simulate,
@@ -22,7 +25,15 @@ from poolsim.sim import (
     simulate,
 )
 
-from conftest import TWO_CLASS_ALPHA, batched_run, two_class_family, two_class_system
+from conftest import (
+    THREE_CLASS_ALPHA,
+    TWO_CLASS_ALPHA,
+    batched_run,
+    piecewise_family,
+    pool_state,
+    two_class_family,
+    two_class_system,
+)
 
 COMPARED = (
     "policy",
@@ -33,7 +44,6 @@ COMPARED = (
     "r_final",
     "switches",
     "events",
-    "arrivals",
 )
 
 
@@ -109,6 +119,39 @@ def test_init_state_spreads_classes_evenly():
     state.check_consistency()
 
 
+def walked_open_rank(family: UtilityFamily, low: list[int]) -> int:
+    """Reference: walk the ranking to the first slot above its class's lowest pool."""
+    rank = 1
+    while True:
+        cls, level = family.slot(rank)
+        if level > low[cls - 1]:
+            return rank
+        rank += 1
+
+
+#: name -> (family factory, class fractions); the last pair's marginals tie.
+OPEN_RANK_FAMILIES = {
+    "two_class": (two_class_family, TWO_CLASS_ALPHA),
+    "piecewise": (piecewise_family, THREE_CLASS_ALPHA),
+    "tied": (lambda: UtilityFamily((Linear(1.0), CappedLinear(1.0, 2))), TWO_CLASS_ALPHA),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_first_open_rank_matches_the_slot_walk(data):
+    make, alpha = OPEN_RANK_FAMILIES[data.draw(st.sampled_from(sorted(OPEN_RANK_FAMILIES)))]
+    scale = data.draw(st.integers(1, 3))
+    occupancies = [
+        data.draw(st.lists(st.integers(0, 30), min_size=round(4 * a * scale),
+                           max_size=round(4 * a * scale)))
+        for a in alpha
+    ]
+    state = pool_state(alpha, occupancies)
+    config = SystemConfig(n=state.n, alpha=alpha, rho=1.0, mu=1.0, family=make())
+    assert _first_open_rank(config, state) == walked_open_rank(make(), state.min_occ)
+
+
 # ---------------------------------------------------------------------------
 # degenerate loads
 
@@ -117,7 +160,6 @@ def test_zero_load_empty_start_is_silent():
     config = two_class_system(4, 0.0)
     metrics = simulate(config, "jlmu", RunConfig(horizon=5.0, warmup=0.0))
     assert metrics.events == 0
-    assert metrics.arrivals == 0
     assert metrics.avg_u == 0.0
     assert metrics.avg_s == 0.0
 
@@ -127,7 +169,7 @@ def test_zero_load_coupled_policies_agree():
     config = SystemConfig(n=8, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=0.0, family=family)
     run = RunConfig(horizon=5.0, warmup=0.0, seed=3)
     out = coupled_simulate(config, ["jlmu", "slta", "random"], run)
-    assert {(m.avg_u, m.avg_s, m.events, m.arrivals) for m in out} == {(0.0, 0.0, 0, 0)}
+    assert {(m.avg_u, m.avg_s, m.events) for m in out} == {(0.0, 0.0, 0)}
 
 
 def test_unreachable_load_is_refused_before_any_event():
@@ -303,7 +345,6 @@ def test_kernel_moves_match_the_reference_moves(name, init):
 
     metrics = simulate(config, name, run, hook=replay)
     assert len(seen) == metrics.events > 1 << 14
-    assert seen.count("arrival") == metrics.arrivals
 
 
 def test_seed_changes_the_path():
@@ -329,7 +370,6 @@ def test_coupled_policies_share_the_mass_path():
     out = coupled_simulate(config, ["jlmu", "slta", "random"], run)
     assert len({m.avg_s for m in out}) == 1
     assert len({m.empirical_bound for m in out}) == 1
-    assert len({m.arrivals for m in out}) == 1
     assert len({m.events for m in out}) == 1
     # and greedy dispatch should not do worse than random dispatch here
     assert out[0].avg_u > out[2].avg_u
@@ -526,6 +566,18 @@ def test_stalled_event_clock_is_refused(monkeypatch, capsys, path):
 
 def test_bound_violation_is_a_runtime_error():
     assert issubclass(BoundViolation, RuntimeError)
+
+
+def test_overflowing_utilities_are_refused():
+    # suboptimal's two pools with a = 1e308 at rho = 50 a pool: the greedy
+    # run's utility integral overflows, and its average reads NaN
+    a = 1e308
+    family = UtilityFamily((Linear(a * 0.05), CappedLinear(a, 1)))
+    config = SystemConfig(n=2, alpha=TWO_CLASS_ALPHA, rho=50.0, mu=1.0, family=family)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="policy jlmu .* overflow float64"):
+        coupled_simulate(config, ["jlmu", "fixed:2"], RunConfig(horizon=1.0, init="empty"))
+    assert time.perf_counter() - started < 1.0
 
 
 # ---------------------------------------------------------------------------

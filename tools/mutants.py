@@ -70,6 +70,8 @@ MUTANTS = [
            "if prev_occ == self._thr[ci]:"),
     Mutant("slta-quota", POLICIES, "total_green >= self._quota", "total_green > self._quota"),
     Mutant("slta-class-skip", POLICIES, "if k < green:", "if k <= green:"),
+    Mutant("uniform-class-check", POLICIES, "if self.cls is not None and self.cls > m:",
+           "if self.cls is not None and self.cls >= m:"),
     Mutant("slta-fallback-pool", POLICIES, "                pool = prev_green\n",
            "                pool = total_green\n",
            equivalent="the branch runs when total_green - prev_green == 0, so the two "
@@ -100,6 +102,11 @@ MUTANTS = [
     Mutant("walk-warmup-weights", SIM, "        weights[weights <= 0] = 0.0\n", ""),
     Mutant("walk-final-segment", SIM, "final = _clock.final", "final = 0.0"),
     Mutant("walk-block-start", SIM, "t_last = float(times[-1])", "t_last = float(times[0])"),
+    # the starting rank read off the filled slot below the open one, or off a
+    # table too shallow for the deepest class; r_final read off the first rank
+    Mutant("open-rank-filled-slot", SIM, "int(table[ci, v])", "int(table[ci, v - 1])"),
+    Mutant("open-rank-depth", SIM, "rank_table(max(low) + 1)", "rank_table(max(low))"),
+    Mutant("r-final-first", SIM, "self.rank_history[-1][1]", "self.rank_history[0][1]"),
     Mutant("init-remainder-tie", SIM, "key=lambda ci: (-rem[ci], ci)",
            "key=lambda ci: (-rem[ci], -ci)",
            equivalent="n * alpha is within 1e-9 of a whole number and the fill walks at most "
