@@ -141,22 +141,18 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
-def _rank_table(system: FluidSystem, levels: int) -> np.ndarray:
-    """The family's rank table with a column of ``NO_SLOT`` added, which lines
-    it up with the gaps of a padded profile and never opens."""
-    table = system.family.rank_table(levels)
-    return np.hstack([table, np.full((system.m, 1), NO_SLOT)])
-
-
 def _active_rank(table: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Rank of the active slot of each padded profile ``p``, read from its gaps
-    ``p[..., :-1] - p[..., 1:]`` and a table from :func:`_rank_table`: a slot
-    is open when its gap to the level above exceeds ``SIGMA_TOL``. Inside a
-    class the rank grows with the level, so the smallest rank among open
-    slots is the best-ranked first open slot of any class. Reads
-    ``m * levels + 1`` when that slot is ranked past the table, and
-    ``NO_SLOT`` when no slot is open, which :func:`_check_open` refuses.
+    ``p[..., :-1] - p[..., 1:]`` and the family's ``rank_table(levels)``: a
+    slot is open when its gap to the level above exceeds ``SIGMA_TOL``. The
+    last gap, to the padding column, belongs to the slot past the truncation
+    and is not read; the table covers the first ``levels``. Inside a class
+    the rank grows with the level, so the smallest rank among open slots is
+    the best-ranked first open slot of any class. Reads ``m * levels + 1``
+    when that slot is ranked past the table, and ``NO_SLOT`` when no slot is
+    open, which :func:`_check_open` refuses.
     """
+    gaps = gaps[..., : table.shape[-1]]
     ranks = np.broadcast_to(table, gaps.shape) if gaps.ndim > 2 else table
     return np.minimum.reduce(ranks, axis=(-2, -1), where=gaps > SIGMA_TOL, initial=NO_SLOT)
 
@@ -226,7 +222,7 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     """
     levels = q.depth + 1
     padded = _pad(q, levels)
-    rank = int(_active_rank(_rank_table(system, levels), padded[:, :-1] - padded[:, 1:]))
+    rank = int(_active_rank(system.family.rank_table(levels), padded[:, :-1] - padded[:, 1:]))
     fill = _fill_at(system, rank, levels)
     cls, level = fill[0]
     drift = np.zeros_like(padded)
@@ -313,7 +309,7 @@ def integrate_fluid(
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
-    table = _rank_table(system, levels)
+    table = system.family.rank_table(levels)
     pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
                   if c.level <= levels]
     fills: dict[int, tuple] = {}
@@ -432,7 +428,7 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     steps = len(times)
     levels = states.shape[2] - 2
 
-    ranks = _active_rank(_rank_table(system, levels), states[..., :-1] - states[..., 1:])
+    ranks = _active_rank(system.family.rank_table(levels), states[..., :-1] - states[..., 1:])
     top = int(ranks.max())
     _check_open(top)
     ranked = system.family.enumerate_ranked(top - 1 + REFLECTION_MARGIN)

@@ -45,8 +45,8 @@ class Coordinate(NamedTuple):
 
     Classes are numbered from 1. ``level >= 1``; the slot is occupied in a pool
     holding at least ``level`` tasks. Tuple comparison on this type is plain
-    dictionary order, not rank order; use :meth:`UtilityFamily.rank_precedes`
-    to compare slots by rank.
+    dictionary order, not rank order; compare slots by the ranks
+    :meth:`UtilityFamily.rank_table` gives them.
     """
 
     cls: int
@@ -207,15 +207,6 @@ class UtilityFamily:
             cached = self._marginal_arrays[cls - 1] = np.array(self.marginals[cls - 1][:size])
             cached.flags.writeable = False
         return cached[:occ]
-
-    def rank_precedes(self, a: Coordinate, b: Coordinate) -> bool:
-        """True when slot ``a`` ranks strictly below slot ``b``."""
-        da = self.marginal(a.cls, a.level - 1)
-        db = self.marginal(b.cls, b.level - 1)
-        if da != db:
-            return da < db
-        # Tie: the dictionary-smaller slot ranks higher.
-        return (a.cls, a.level) > (b.cls, b.level)
 
     def _extend(self, count: int) -> None:
         """Grow the cached ranking to at least ``count`` slots.
@@ -479,15 +470,15 @@ class OccupancyState:
     these counts are a complete Markov state. Each count list ends at least one
     level past its deepest pool, so a push never indexes past the end.
 
-    ``min_occ[ci]`` is exactly the lowest occupied class-``ci+1`` level. A pop
-    lowers it to the level it fills, and a push that empties its cell raises
-    it by one, to the level the pushed pool now fills; readers that walk
-    levels upward start there. ``push_task``, ``pop_task`` and ``pick_task``
-    are the checked reference moves; :func:`poolsim.sim.simulate` applies the
-    same moves in place. Derived counts are read from the cells, not mirrored:
-    ``total_tasks`` sums ``class_tasks``, and SLTA's yellow tokens, which
-    matter only once no green pool is left, are then exactly one cell, the
-    boundary class's pools one level below the boundary slot.
+    ``min_occ[ci]`` is exactly the lowest occupied class-``ci+1`` level;
+    readers that walk levels upward start there. :func:`poolsim.sim.simulate`
+    moves tasks in place and keeps it exact: a departure lowers it to the
+    level its pool now fills, and an arrival that empties the cell at it
+    raises it by one, to the level the pushed pool now fills. Derived counts
+    are read from the cells, not mirrored: ``total_tasks`` sums
+    ``class_tasks``, and SLTA's yellow tokens, which matter only once no
+    green pool is left, are then exactly one cell, the boundary class's pools
+    one level below the boundary slot.
     """
 
     __slots__ = (
@@ -583,58 +574,7 @@ class OccupancyState:
             k -= counts[v]
         return ci + 1, v
 
-    def pick_task(self, u: float) -> tuple[int, int]:
-        """Cell ``(cls, occ)`` of the pool holding a uniformly chosen task.
-
-        The draw ``u`` picks a class by its task total, then a level ``j`` by
-        weight ``j * N(i, j)``. Needs at least one task.
-        """
-        tasks = self.class_tasks
-        total = sum(tasks)
-        k = int(u * total)
-        if k == total:
-            k -= 1
-        ci = 0
-        while k >= tasks[ci]:
-            k -= tasks[ci]
-            ci += 1
-        counts = self.counts[ci]
-        v = self.min_occ[ci]
-        k -= v * counts[v]
-        while k >= 0:
-            v += 1
-            k -= v * counts[v]
-        return ci + 1, v
-
-    # -- mutation ------------------------------------------------------------
-
-    def push_task(self, cls: int, occ: int) -> None:
-        """Add one task to a class-``cls`` pool holding ``occ`` tasks."""
-        ci = cls - 1
-        counts = self.counts[ci]
-        if occ < 0 or not counts[occ]:
-            raise ValueError(f"class {cls} has no pool holding {occ} tasks")
-        counts[occ] -= 1
-        if not counts[occ] and occ == self.min_occ[ci]:
-            self.min_occ[ci] = occ + 1
-        if occ + 2 == len(counts):
-            counts.append(0)
-        counts[occ + 1] += 1
-        self.class_tasks[ci] += 1
-
-    def pop_task(self, cls: int, occ: int) -> None:
-        """Remove one task from a class-``cls`` pool holding ``occ`` tasks."""
-        ci = cls - 1
-        counts = self.counts[ci]
-        if occ < 1 or not counts[occ]:
-            raise ValueError(f"class {cls} has no pool holding {occ} tasks to remove")
-        counts[occ] -= 1
-        counts[occ - 1] += 1
-        if occ - 1 < self.min_occ[ci]:
-            self.min_occ[ci] = occ - 1
-        self.class_tasks[ci] -= 1
-
-    # -- conversions and checks ----------------------------------------------
+    # -- conversions ---------------------------------------------------------
 
     def aggregate_value(self, family: UtilityFamily) -> float:
         """Sum of per-pool utilities across the whole system (not normalized)."""
@@ -644,17 +584,6 @@ class OccupancyState:
                 if c:
                     total += c * family.value(ci + 1, v)
         return total
-
-    def check_consistency(self) -> None:
-        """Full structural audit; used by tests and debug hooks."""
-        for ci, counts in enumerate(self.counts):
-            assert min(counts) >= 0, "negative pool count"
-            assert counts[-1] == 0, "count list does not end past the deepest pool"
-            assert sum(counts) == self.class_sizes[ci], "counts disagree with class size"
-            assert not any(counts[: self.min_occ[ci]]), "min-level pointer overshoots"
-            assert counts[self.min_occ[ci]], "min-level pointer lags the lowest pool"
-            tasks = sum(v * c for v, c in enumerate(counts))
-            assert tasks == self.class_tasks[ci], "cached class task total is stale"
 
 
 def occupancy_to_q(state: OccupancyState) -> QVector:

@@ -21,7 +21,6 @@ __all__ = [
     "Slta",
     "UniformDispatch",
     "parse_policy",
-    "token_counts",
 ]
 
 DEFAULT_LEARNING_EXPONENT = 0.45
@@ -53,10 +52,12 @@ class Policy:
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
         """Where an arriving task goes: ``(cls, occ, delta)``.
 
-        The task joins a class-``cls`` pool holding ``occ`` tasks (the cell
-        :meth:`OccupancyState.push_task` takes). ``delta`` in {-1, 0, +1} is the
-        learning-rank step the simulator applies after dispatch; it is 0 for
-        policies that do not learn.
+        The task joins a class-``cls`` pool holding ``occ`` tasks, so that
+        cell must hold a pool. ``delta`` in {-1, 0, +1} is the learning-rank
+        step the simulator applies after dispatch; it is 0 for policies that
+        do not learn. Each class's marginal cache (``family.marginals``) must
+        reach its lowest occupied level, as :func:`poolsim.sim.simulate` grows
+        them; a caller with a state of its own grows them first.
         """
         raise NotImplementedError
 
@@ -100,8 +101,6 @@ class Jlmu(Policy):
         # equal marginals breaks ties toward the dictionary-smaller slot.
         for ci, cache in enumerate(self._family.marginals):
             v = low[ci]
-            if v >= len(cache):  # a push_task outside simulate grows no cache
-                self._family.marginal(ci + 1, v)
             d = cache[v]
             if d > best_d:
                 best_d = d
@@ -113,28 +112,6 @@ class Jlmu(Policy):
 # ---------------------------------------------------------------------------
 # Threshold learning dispatch
 # ---------------------------------------------------------------------------
-
-
-def token_counts(
-    state: OccupancyState, thresholds: list[int], boundary: Coordinate
-) -> tuple[list[int], int]:
-    """From-scratch token census.
-
-    A pool holds a green token when its occupancy is below its class threshold,
-    and a yellow token when it belongs to the boundary class with occupancy
-    below the boundary level. Returns (per-class green counts, yellow count).
-    """
-    bci = boundary.cls - 1
-    yellow = state.class_sizes[bci] - state.tail_count(boundary.cls, boundary.level)
-    return _green_counts(state, thresholds), yellow
-
-
-def _green_counts(state: OccupancyState, thresholds: list[int]) -> list[int]:
-    """Per class, the pools below the class threshold."""
-    return [
-        size - state.tail_count(ci + 1, depth) if depth > 0 else 0
-        for ci, (size, depth) in enumerate(zip(state.class_sizes, thresholds))
-    ]
 
 
 class Slta(Policy):
@@ -208,19 +185,24 @@ class Slta(Policy):
         self._boundary = family.slot(r)
         self._prev_ci = family.slot(r - 1).cls - 1 if r > 1 else -1
         self._thr = family.class_counts_before(r)
-        self._green = _green_counts(state, self._thr)
+        # Per class, the pools below the class threshold.
+        self._green = [
+            size - state.tail_count(ci + 1, depth) if depth > 0 else 0
+            for ci, (size, depth) in enumerate(zip(state.class_sizes, self._thr))
+        ]
         self._total_green = sum(self._green)
 
     def check_goodness(self, state: OccupancyState) -> None:
         """Raise ValueError unless the boundary slot sits strictly above every
         saturated slot; :meth:`bind` runs this on the starting state."""
-        _, yellow = token_counts(state, self._thr, self._boundary)
+        b = self._boundary
+        yellow = state.class_sizes[b.cls - 1] - state.tail_count(b.cls, b.level)
         if yellow < 1:
             raise ValueError(
-                f"state is not good: boundary slot {tuple(self._boundary)} is saturated"
+                f"state is not good: boundary slot {tuple(b)} is saturated"
             )
         for ci, depth in enumerate(self._thr):
-            if ci == self._boundary.cls - 1:
+            if ci == b.cls - 1:
                 continue
             if state.tail_count(ci + 1, depth + 1) >= state.class_sizes[ci]:
                 raise ValueError(
@@ -298,13 +280,6 @@ class Slta(Policy):
         # Nothing to aim at: uniform over all pools.
         cls, occ = state.pick_pool(u)
         return cls, occ, delta
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def verify_tokens(self, state: OccupancyState) -> None:
-        green, _ = token_counts(state, self._thr, self._boundary)
-        assert green == self._green, f"green counters drifted: {self._green} vs {green}"
-        assert self._total_green == sum(green)
 
 
 # ---------------------------------------------------------------------------

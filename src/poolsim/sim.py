@@ -397,9 +397,9 @@ def simulate(
 
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
 
-    # Local bindings for the walk. Task moves are applied in place, as
-    # OccupancyState.push_task / pick_task / pop_task apply them; s_tot is the
-    # task total, kept as a local because every departure reads it.
+    # Local bindings for the walk, which moves tasks in place and keeps the
+    # counts, class task totals and min-level pointers of OccupancyState
+    # exact; s_tot is the task total, a local because every departure reads it.
     counts = state.counts
     class_tasks = state.class_tasks
     low = state.min_occ

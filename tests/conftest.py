@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from poolsim.model import (
     CappedLinear,
     Linear,
     LogQuality,
-    OccupancyState,
     QVector,
     SystemConfig,
     Tabulated,
@@ -43,15 +40,6 @@ def two_class_system(n: int, rho: float, mu: float = 1.0) -> SystemConfig:
     return SystemConfig(
         n=n, alpha=TWO_CLASS_ALPHA, rho=rho, mu=mu, family=two_class_family()
     )
-
-
-def pool_state(alpha, occupancies) -> OccupancyState:
-    """State holding the given pool occupancies, one list per class."""
-    counts = []
-    for occs in occupancies:
-        tally = Counter(occs)
-        counts.append([tally[v] for v in range(max(occs, default=0) + 1)])
-    return OccupancyState(alpha, counts)
 
 
 def random_feasible_tail(rng: np.random.Generator, alpha, depth: int) -> QVector:

@@ -22,12 +22,13 @@ from poolsim.model import (
     overall_utility,
 )
 
+from reference import PoolModel, rank_precedes
+
 from conftest import (
     QUAD_VALUES,
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     piecewise_family,
-    pool_state,
     shared_resource_family,
     two_class_family,
 )
@@ -137,25 +138,26 @@ def test_utility_from_dict_rejects_bad_specs():
 # ---------------------------------------------------------------------------
 # ranking and enumeration
 #
-# rank_precedes(a, b) reads "a ranks strictly below b".
+# rank_precedes(family, a, b), the comparator of tests/reference.py, reads
+# "a ranks strictly below b".
 
 
 def test_rank_orders_by_marginal():
     fam = two_class_family()
     # log 20 < log 30, so the first class-1 slot sits below the first class-2 slot
-    assert fam.rank_precedes(Coordinate(1, 1), Coordinate(2, 1))
-    assert not fam.rank_precedes(Coordinate(2, 1), Coordinate(1, 1))
+    assert rank_precedes(fam, Coordinate(1, 1), Coordinate(2, 1))
+    assert not rank_precedes(fam, Coordinate(2, 1), Coordinate(1, 1))
     # within a strictly concave class, deeper slots rank lower
-    assert fam.rank_precedes(Coordinate(1, 2), Coordinate(1, 1))
-    assert fam.rank_precedes(Coordinate(2, 2), Coordinate(2, 1))
+    assert rank_precedes(fam, Coordinate(1, 2), Coordinate(1, 1))
+    assert rank_precedes(fam, Coordinate(2, 2), Coordinate(2, 1))
 
 
 def test_rank_tie_break_is_dictionary_order():
     fam = UtilityFamily((Linear(1.0), Linear(1.0)))
     # identical marginals everywhere: the dictionary-smaller slot wins
-    assert fam.rank_precedes(Coordinate(2, 1), Coordinate(1, 1))
-    assert fam.rank_precedes(Coordinate(1, 3), Coordinate(1, 2))
-    assert not fam.rank_precedes(Coordinate(1, 3), Coordinate(2, 3))
+    assert rank_precedes(fam, Coordinate(2, 1), Coordinate(1, 1))
+    assert rank_precedes(fam, Coordinate(1, 3), Coordinate(1, 2))
+    assert not rank_precedes(fam, Coordinate(1, 3), Coordinate(2, 3))
 
 
 @pytest.mark.parametrize(
@@ -168,13 +170,13 @@ def test_rank_tie_break_is_dictionary_order():
     ids=["linear-pair", "equal-tables", "piecewise"],
 )
 def test_cached_ranking_sorts_by_rank_precedes(family):
-    # assign, fluid and SLTA read the cached walk, not rank_precedes: on
+    # assign, fluid and SLTA read the cached walk: on
     # families full of ties both must order the slots the same way
     k = 60
     candidates = [Coordinate(c, j) for c in range(1, family.m + 1) for j in range(1, k + 1)]
 
     def later(a, b):
-        return family.rank_precedes(a, b) - family.rank_precedes(b, a)
+        return rank_precedes(family, a, b) - rank_precedes(family, b, a)
 
     assert family.enumerate_ranked(k) == sorted(candidates, key=cmp_to_key(later))[:k]
 
@@ -182,8 +184,8 @@ def test_cached_ranking_sorts_by_rank_precedes(family):
 def test_rank_crossover_between_flat_and_falling_marginals():
     fam = piecewise_family()
     # 1.5 (capped class at level 1) against 1.55 (quadratic class at level 5)
-    assert fam.rank_precedes(Coordinate(3, 1), Coordinate(2, 5))
-    assert fam.rank_precedes(Coordinate(2, 6), Coordinate(3, 20))
+    assert rank_precedes(fam, Coordinate(3, 1), Coordinate(2, 5))
+    assert rank_precedes(fam, Coordinate(2, 6), Coordinate(3, 20))
 
 
 def test_enumeration_two_class_prefix():
@@ -215,7 +217,7 @@ def test_enumeration_is_strictly_decreasing():
     fam = two_class_family()
     slots = fam.enumerate_ranked(40)
     for a, b in zip(slots, slots[1:]):
-        assert fam.rank_precedes(b, a)
+        assert rank_precedes(fam, b, a)
     # within each class, levels appear without gaps
     for cls in (1, 2):
         levels = [c.level for c in slots if c.cls == cls]
@@ -270,10 +272,10 @@ def test_rank_total_order_laws(data):
     # the relation must agree everywhere with the sort key, which makes it a
     # strict total order (irreflexive, antisymmetric, transitive, total)
     for a in box:
-        assert not fam.rank_precedes(a, a)
+        assert not rank_precedes(fam, a, a)
         for b in box:
             if a != b:
-                assert fam.rank_precedes(a, b) == (key(a) > key(b))
+                assert rank_precedes(fam, a, b) == (key(a) > key(b))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ def test_qvector_checks_column_0_within_1e_12():
 
 def test_point_mass_tail():
     # 4 pools of one class, all holding 2 tasks
-    state = pool_state((1.0,), [[2, 2, 2, 2]])
+    state = PoolModel((1.0,), [[2, 2, 2, 2]]).state()
     q = occupancy_to_q(state)
     assert q.get(1, 1) == 1.0
     assert q.get(1, 2) == 1.0
@@ -350,20 +352,23 @@ def test_occupancy_to_q_preserves_mass(rng):
     sizes = (4, 2, 2)
     for _ in range(25):
         occs = [rng.integers(0, 9, size=s).tolist() for s in sizes]
-        state = pool_state(THREE_CLASS_ALPHA, occs)
+        state = PoolModel(THREE_CLASS_ALPHA, occs).state()
         q = occupancy_to_q(state)
         assert 8 * q.mass() == pytest.approx(state.total_tasks, abs=1e-9)
 
 
 def test_occupancy_state_push_pop():
-    state = pool_state(TWO_CLASS_ALPHA, [[0, 3], [1, 1]])
+    model = PoolModel(TWO_CLASS_ALPHA, [[0, 3], [1, 1]])
+    state = model.state()
     assert state.total_tasks == 5
     assert state.min_occ[0] == 0
     assert state.max_occupied(2) == 1
-    state.push_task(1, 0)
+    model.push(1, 0)
+    state = model.state()
     assert state.counts[0][1] == 1
     assert state.min_occ[0] == 1
-    state.pop_task(1, 3)
+    model.pop(1, 3)
+    state = model.state()
     assert state.counts[0][2] == 1
     assert state.class_tasks == [3, 2]
     hist = state.counts[0]
@@ -372,21 +377,21 @@ def test_occupancy_state_push_pop():
     assert state.tail_count(1, 1) / state.n == pytest.approx(0.5)
     assert state.tail_count(2, 1) / state.n == pytest.approx(0.5)
     assert state.tail_count(1, 2) == 1
-    state.check_consistency()
+    model.audit(state)
 
 
 def test_occupancy_state_guards():
-    state = OccupancyState.empty(2, (1.0,))
+    model = PoolModel.of(OccupancyState.empty(2, (1.0,)))
     with pytest.raises(ValueError):
-        state.pop_task(1, 0)
+        model.pop(1, 0)
     with pytest.raises(ValueError):
-        state.pop_task(1, 1)  # no pool holds a task
+        model.pop(1, 1)  # no pool holds a task
     with pytest.raises(ValueError):
-        state.push_task(1, 1)  # no pool holds one task yet
+        model.push(1, 1)  # no pool holds one task yet
     with pytest.raises(ValueError):
         OccupancyState.empty(3, TWO_CLASS_ALPHA)
     with pytest.raises(ValueError):
-        pool_state(TWO_CLASS_ALPHA, [[0], [0, 0, 0]])
+        PoolModel(TWO_CLASS_ALPHA, [[0], [0, 0, 0]]).state()
     # the counts constructor: a negative count, class sizes that disagree
     # with alpha, the wrong number of classes
     with pytest.raises(ValueError, match=">= 0"):
@@ -405,14 +410,14 @@ def test_occupancy_state_guards():
 
 def test_pick_task_weights_levels_by_tasks():
     # class 1: pools at 1 and 3 tasks; class 2: both pools at 1 task
-    state = pool_state(TWO_CLASS_ALPHA, [[1, 3], [1, 1]])
-    picks = [state.pick_task(k / 6) for k in range(6)]
+    model = PoolModel(TWO_CLASS_ALPHA, [[1, 3], [1, 1]])
+    picks = [model.pick_task(k / 6) for k in range(6)]
     assert picks == [(1, 1), (1, 3), (1, 3), (1, 3), (2, 1), (2, 1)]
-    assert state.pick_task(1.0 - 2.0**-53) == (2, 1)
+    assert model.pick_task(1.0 - 2.0**-53) == (2, 1)
 
 
 def test_pick_pool_by_class_then_level():
-    state = pool_state(TWO_CLASS_ALPHA, [[2, 0], [5, 5]])
+    state = PoolModel(TWO_CLASS_ALPHA, [[2, 0], [5, 5]]).state()
     assert [state.pick_pool(k / 4) for k in range(4)] == [(1, 0), (1, 2), (2, 5), (2, 5)]
     assert state.pick_pool(0.6, cls=1) == (1, 2)
     assert state.pick_pool(1.0 - 2.0**-53, cls=2) == (2, 5)
@@ -425,7 +430,7 @@ def test_counts_constructor_histogram_form():
     assert state.total_tasks == 4
     assert state.counts[0][1] == 2
     assert state.counts[1][0] == 1
-    state.check_consistency()
+    PoolModel.of(state).audit(state)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +454,7 @@ def test_overall_utility_matches_occupancy_sum(rng):
     sizes = (4, 2, 2)
     for _ in range(20):
         occs = [rng.integers(0, 25, size=s).tolist() for s in sizes]
-        state = pool_state(THREE_CLASS_ALPHA, occs)
+        state = PoolModel(THREE_CLASS_ALPHA, occs).state()
         q = occupancy_to_q(state)
         direct = sum(fam.value(ci + 1, v) for ci, row in enumerate(occs) for v in row)
         assert 8 * overall_utility(fam, q) == pytest.approx(direct, abs=1e-9)

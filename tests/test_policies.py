@@ -15,15 +15,15 @@ from poolsim.policies import (
     Slta,
     UniformDispatch,
     parse_policy,
-    token_counts,
 )
 from poolsim.sim import RunConfig, simulate
+
+from reference import PoolModel, audit_tokens, rank_precedes
 
 from conftest import (
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     piecewise_family,
-    pool_state,
     shared_resource_family,
     two_class_family,
     two_class_system,
@@ -38,7 +38,7 @@ def slot_of(decision):
 
 def bound_slta(family, alpha, occupancies, rank, beta=None):
     """Slta attached to a concrete state at the given learning rank."""
-    state = pool_state(alpha, occupancies)
+    state = PoolModel(alpha, occupancies).state()
     cfg = SystemConfig(n=state.n, alpha=alpha, mu=1.0, rho=1.0, family=family)
     policy = Slta(beta=beta)
     policy.bind(state, cfg, initial_rank=rank)
@@ -46,7 +46,9 @@ def bound_slta(family, alpha, occupancies, rank, beta=None):
 
 
 def bound_jlmu(family, state):
-    """Jlmu attached to a concrete state."""
+    """Jlmu attached to a concrete state, with marginal caches grown to its deepest pool."""
+    for cls in range(1, state.m + 1):
+        family.marginal(cls, state.max_occupied(cls))
     cfg = SystemConfig(n=state.n, alpha=state.alpha, mu=1.0, rho=1.0, family=family)
     policy = Jlmu()
     policy.bind(state, cfg)
@@ -77,7 +79,7 @@ def test_jlmu_exact_tie_goes_to_the_smaller_class():
 
 def test_jlmu_is_jsq_with_one_class():
     fam = UtilityFamily((LogQuality(9.0),))
-    state = pool_state((1.0,), [[0, 0, 3]])
+    state = PoolModel((1.0,), [[0, 0, 3]]).state()
     assert jlmu_pick(fam, state) == Coordinate(1, 1)
 
 
@@ -85,7 +87,7 @@ def test_jlmu_piecewise_crossover():
     # class-2 pools at 5 tasks push the next marginal to 1.45, below the
     # capped class at 1.5
     fam = piecewise_family()
-    state = pool_state(THREE_CLASS_ALPHA, [[0] * 4, [5, 5], [0, 0]])
+    state = PoolModel(THREE_CLASS_ALPHA, [[0] * 4, [5, 5], [0, 0]]).state()
     assert jlmu_pick(fam, state) == Coordinate(3, 1)
 
 
@@ -94,7 +96,7 @@ def brute_force_target(fam, occs):
     for ci, row in enumerate(occs):
         for v in row:
             cand = Coordinate(ci + 1, v + 1)
-            if best is None or fam.rank_precedes(best, cand):
+            if best is None or rank_precedes(fam, best, cand):
                 best = cand
     return best
 
@@ -107,28 +109,27 @@ def test_jlmu_maximizes_over_all_pools(rng):
     for fam, alpha, sizes in cases:
         for _ in range(60):
             occs = [rng.integers(0, 14, size=s).tolist() for s in sizes]
-            state = pool_state(alpha, occs)
+            state = PoolModel(alpha, occs).state()
             assert jlmu_pick(fam, state) == brute_force_target(fam, occs)
 
 
 def test_jlmu_trace_matches_jsq(rng):
     fam = UtilityFamily((LogQuality(50.0),))
-    state = OccupancyState.empty(5, (1.0,))
-    policy = bound_jlmu(fam, state)
+    model = PoolModel((1.0,), [[0] * 5])
     occ = [0] * 5
     for _ in range(200):
         if sum(occ) and rng.uniform() < 0.4:
             pool = int(rng.choice([p for p in range(5) if occ[p] > 0]))
-            state.pop_task(1, occ[pool])
+            model.pop(1, occ[pool])
             occ[pool] -= 1
         else:
-            target = slot_of(policy.decide(state, 0.0))
+            target = jlmu_pick(fam, model.state())
             assert target.level - 1 == min(occ)
             pool = occ.index(min(occ))
-            state.push_task(1, occ[pool])
+            model.push(1, occ[pool])
             occ[pool] += 1
         depth = max(occ) + 1
-        assert state.counts[0][:depth] == [occ.count(v) for v in range(depth)]
+        assert model.state().counts[0][:depth] == [occ.count(v) for v in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +161,18 @@ def test_thresholds_monotone_and_consistent():
 
 def test_token_counts_worked_example():
     # N(1,0)=1, N(1,2)=1, N(2,0)=2 with thresholds (2,1), boundary (2,2)
-    state = pool_state(TWO_CLASS_ALPHA, [[0, 2], [0, 0]])
-    green, yellow = token_counts(state, [2, 1], Coordinate(2, 2))
+    model = PoolModel(TWO_CLASS_ALPHA, [[0, 2], [0, 0]])
+    green, yellow = model.tokens([2, 1], Coordinate(2, 2))
     assert green == [1, 2]
     assert yellow == 2
 
 
 def test_token_counts_empty_and_rank_one():
-    state = OccupancyState.empty(8, TWO_CLASS_ALPHA)
-    green, yellow = token_counts(state, [3, 2], Coordinate(1, 4))
+    model = PoolModel.of(OccupancyState.empty(8, TWO_CLASS_ALPHA))
+    green, yellow = model.tokens([3, 2], Coordinate(1, 4))
     assert green == [4, 4]
     assert yellow == 4
-    green, yellow = token_counts(state, [0, 0], Coordinate(2, 1))
+    green, yellow = model.tokens([0, 0], Coordinate(2, 1))
     assert green == [0, 0]
     assert yellow == 4
 
@@ -202,7 +203,7 @@ def test_slta_yellow_only_targets_boundary():
 
 def test_slta_no_tokens_uniform_over_pools():
     fam = UtilityFamily((LogQuality(9.0),))
-    state = pool_state((1.0,), [[5, 5, 5]])
+    state = PoolModel((1.0,), [[5, 5, 5]]).state()
     policy = Slta()
     policy._thr = [0]
     policy._boundary = Coordinate(1, 1)
@@ -233,18 +234,19 @@ def test_slta_routing_stays_at_or_above_boundary(rng):
     fam = two_class_family()
     for _ in range(40):
         occs = [rng.integers(0, 3, size=2).tolist(), rng.integers(0, 3, size=2).tolist()]
-        state = pool_state(TWO_CLASS_ALPHA, occs)
+        model = PoolModel(TWO_CLASS_ALPHA, occs)
+        state = model.state()
         policy = Slta()
         cfg = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, mu=1.0, rho=1.0, family=fam)
         try:
             policy.bind(state, cfg, initial_rank=3)
         except ValueError:
             continue  # state not good at this rank
-        green, yellow = token_counts(state, policy.thresholds, policy.boundary)
+        green, yellow = model.tokens(policy.thresholds, policy.boundary)
         if sum(green) + yellow == 0:
             continue
         target = slot_of(policy.decide(state, rng.uniform()))
-        assert not fam.rank_precedes(target, policy.boundary)
+        assert not rank_precedes(fam, target, policy.boundary)
 
 
 def test_slta_green_draw_is_exactly_uniform():
@@ -355,7 +357,7 @@ def test_learn_decrements_at_exact_quota():
     # rank 2: boundary (1,1), previous boundary (2,1), thresholds (0,1)
     state, policy = bound_slta(fam, TWO_CLASS_ALPHA, [[0, 0], [0, 0]], 2, beta=0.5)
     assert policy.thresholds == [0, 1]
-    green, _ = token_counts(state, policy.thresholds, policy.boundary)
+    green, _ = PoolModel.of(state).tokens(policy.thresholds, policy.boundary)
     assert sum(green) == 2  # equals n * beta exactly
     assert policy.decide(state, 0.5)[2] == -1
     # beta = 1 binds with quota n = 4, above the 2 green tokens
@@ -368,7 +370,7 @@ def test_learn_decrements_at_exact_quota():
 
 def test_learn_increments_when_one_yellow_left():
     state, policy = bound_slta(two_class_family(), TWO_CLASS_ALPHA, [[1, 1], [1, 2]], 3)
-    green, yellow = token_counts(state, policy.thresholds, policy.boundary)
+    green, yellow = PoolModel.of(state).tokens(policy.thresholds, policy.boundary)
     assert sum(green) == 0 and yellow == 1
     assert policy.decide(state, 0.5)[2] == 1
 
@@ -379,7 +381,7 @@ def test_learn_never_fires_both_ways(rng):
     seen = set()
     for _ in range(120):
         occs = [rng.integers(0, 4, size=2).tolist(), rng.integers(0, 4, size=2).tolist()]
-        state = pool_state(TWO_CLASS_ALPHA, occs)
+        state = PoolModel(TWO_CLASS_ALPHA, occs).state()
         policy = Slta(beta=0.5)
         try:
             policy.bind(state, cfg, initial_rank=int(rng.integers(1, 8)))
@@ -398,11 +400,12 @@ def test_learning_applied_after_dispatch():
     cls, occ, delta = policy.decide(state, 0.0)
     assert (cls, occ, delta) == (2, 0, -1)
     assert policy.rank == 2  # unchanged until the simulator applies it
-    state.push_task(cls, occ)
+    model = PoolModel.of(state)
+    model.push(cls, occ)
     policy.notify_push(cls - 1, occ)
-    policy.apply_learning(state, delta)
+    policy.apply_learning(model.state(), delta)
     assert policy.rank == 1
-    policy.verify_tokens(state)
+    audit_tokens(policy, model)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +416,7 @@ def test_goodness_and_tokens_preserved_in_simulation():
     config = two_class_system(20, 9.75)
 
     def audit(kind, t, state, policy):
-        policy.verify_tokens(state)
+        audit_tokens(policy, PoolModel.of(state))
         policy.check_goodness(state)
 
     metrics = simulate(
@@ -428,9 +431,9 @@ def test_goodness_and_tokens_preserved_in_simulation():
 
 def test_random_dispatch_examples():
     policy = UniformDispatch()
-    single = pool_state((1.0,), [[2]])
+    single = PoolModel((1.0,), [[2]]).state()
     assert slot_of(policy.decide(single, 0.99)) == Coordinate(1, 3)
-    state = pool_state((1.0,), [[0, 4]])
+    state = PoolModel((1.0,), [[0, 4]]).state()
     assert slot_of(policy.decide(state, 0.3)) == Coordinate(1, 1)
     assert slot_of(policy.decide(state, 0.8)) == Coordinate(1, 5)
 
@@ -439,7 +442,7 @@ def test_fixed_class_dispatch_examples():
     policy = UniformDispatch(2)
     state = OccupancyState.empty(4, TWO_CLASS_ALPHA)
     assert slot_of(policy.decide(state, 0.1)) == Coordinate(2, 1)
-    state = pool_state(TWO_CLASS_ALPHA, [[0, 0], [3, 7]])
+    state = PoolModel(TWO_CLASS_ALPHA, [[0, 0], [3, 7]]).state()
     assert slot_of(policy.decide(state, 0.3)) == Coordinate(2, 4)
     assert slot_of(policy.decide(state, 0.9)) == Coordinate(2, 8)
 

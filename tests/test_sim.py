@@ -25,12 +25,13 @@ from poolsim.sim import (
     simulate,
 )
 
+from reference import PoolModel, audit_tokens
+
 from conftest import (
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     batched_run,
     piecewise_family,
-    pool_state,
     two_class_family,
     two_class_system,
 )
@@ -116,7 +117,7 @@ def test_init_state_spreads_classes_evenly():
         present = [v for v, c in enumerate(state.counts[cls - 1]) if c]
         assert len(present) <= 2
         assert max(present) - min(present) <= 1
-    state.check_consistency()
+    PoolModel.of(state).audit(state)
 
 
 def walked_open_rank(family: UtilityFamily, low: list[int]) -> int:
@@ -147,7 +148,7 @@ def test_first_open_rank_matches_the_slot_walk(data):
                            max_size=round(4 * a * scale)))
         for a in alpha
     ]
-    state = pool_state(alpha, occupancies)
+    state = PoolModel(alpha, occupancies).state()
     config = SystemConfig(n=state.n, alpha=alpha, rho=1.0, mu=1.0, family=make())
     assert _first_open_rank(config, state) == walked_open_rank(make(), state.min_occ)
 
@@ -305,42 +306,50 @@ def test_sample_paths_across_stream_blocks_are_pinned():
 
 
 @pytest.mark.parametrize("init", ["empty", "optimal"])
-@pytest.mark.parametrize("name", ["jlmu", "random", "fixed:1", "slta"])
-def test_kernel_moves_match_the_reference_moves(name, init):
-    # Replays every event on a mirror state through the checked reference
-    # moves (pick_task/pop_task, or decide plus push_task) and a mirror
-    # policy, with the selection draws regenerated from the run's stream;
-    # after each event the kernel's state, min-level pointers included, must
-    # equal the mirror's.
-    config = two_class_system(20, 9.75)
-    run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
-    mirror, rank = init_state(config, init)
+@pytest.mark.parametrize(
+    "name, three_class",
+    [pytest.param(name, False, id=name) for name in ("jlmu", "random", "fixed:1", "slta")]
+    + [pytest.param(name, True, id=f"3class-{name}")
+       for name in ("jlmu", "random", "fixed:3", "slta")],
+)
+def test_kernel_moves_match_the_reference_moves(name, three_class, init):
+    # Replays every event on the pool-level model of tests/reference.py: a
+    # departure draws its task there, and an arrival goes where a second
+    # policy, fed the model's pools, sends it; the selection draws are
+    # regenerated from the run's stream. After each event the kernel's state,
+    # min-level pointers included, must hold exactly the model's pools, and
+    # SLTA's rank and green counters must agree with the model.
+    if three_class:
+        config = SystemConfig(n=16, alpha=THREE_CLASS_ALPHA, rho=7.0, mu=1.0,
+                              family=piecewise_family())
+        run = RunConfig(horizon=90.0, seed=8, replication=1, init=init)
+    else:
+        config = two_class_system(20, 9.75)
+        run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
+    start, rank = init_state(config, init)
+    model = PoolModel.of(start)
     reference = parse_policy(name)
-    reference.bind(mirror, config, initial_rank=rank)
+    reference.bind(model.state(), config, initial_rank=rank)
     draws = _stream(run.seed, run.replication, 1, run.selection_slot)  # selection stream
     seen = []
 
     def replay(kind, t, state, policy):
         u = draws.random()
         if kind == "arrival":
-            cls, occ, delta = reference.decide(mirror, u)
-            mirror.push_task(cls, occ)
+            cls, occ, delta = reference.decide(model.state(), u)
+            model.push(cls, occ)
             if reference.tracks_tokens:
                 reference.notify_push(cls - 1, occ)
-                reference.apply_learning(mirror, delta)
+                reference.apply_learning(model.state(), delta)
         else:
-            cls, occ = mirror.pick_task(u)
-            mirror.pop_task(cls, occ)
+            cls, occ = model.pick_task(u)
+            model.pop(cls, occ)
             if reference.tracks_tokens:
                 reference.notify_pop(cls - 1, occ)
-        assert state.counts == mirror.counts, (kind, t)
-        assert state.class_tasks == mirror.class_tasks, (kind, t)
-        assert state.total_tasks == mirror.total_tasks, (kind, t)
-        assert state.min_occ == mirror.min_occ, (kind, t)
+        model.audit(state)
         assert policy.rank == reference.rank, (kind, t)
-        state.check_consistency()
         if policy.tracks_tokens:
-            policy.verify_tokens(state)
+            audit_tokens(policy, model)
         seen.append(kind)
 
     metrics = simulate(config, name, run, hook=replay)
@@ -507,7 +516,7 @@ def test_conservation_and_consistency_every_event():
             assert sum(state.counts[cls - 1]) == sizes[cls - 1]
         totals.append(state.total_tasks)
         if len(totals) % 50 == 0:
-            state.check_consistency()
+            PoolModel.of(state).audit(state)
 
     simulate(config, "jlmu", RunConfig(horizon=30.0, seed=6), hook=audit)
     assert all(abs(b - a) == 1 for a, b in zip(totals, totals[1:]))

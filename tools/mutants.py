@@ -55,8 +55,6 @@ MUTANTS = [
     Mutant("mass-cache-short", MODEL, "if len(mass) < count:",
            "if len(mass) < count // 2:"),
     Mutant("marginal-cache-short", MODEL, "if len(cached) < occ:", "if not len(cached):"),
-    # the pointer keeps the level it had, which drops the raise
-    Mutant("push-pointer-raise", MODEL, "self.min_occ[ci] = occ + 1", "self.min_occ[ci] = occ"),
     # config
     Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
     Mutant("config-rho-zero", CONFIG, "    if rho < 0:", "    if rho <= 0:"),
@@ -87,7 +85,10 @@ MUTANTS = [
            "if kind * (arr_rate + mu * s_tot) <= arr_rate",
            equivalent="the two differ only when the uniform draw times the total rate "
                       "equals the arrival rate exactly, an event of probability zero"),
+    # the pointer keeps the level it had: an arrival drops the raise, a
+    # departure the lowering
     Mutant("arrival-pointer-raise", SIM, "low[ci] = v + 1", "low[ci] = v"),
+    Mutant("departure-pointer-lower", SIM, "if v - 1 < low[ci]:", "if v < low[ci]:"),
     Mutant("departure-weight", SIM, "v += 1\n                    k -= v * row[v]",
            "v += 1\n                    k -= row[v]"),
     Mutant("horizon-snapshot", SIM, "sample_times[si] <= horizon", "sample_times[si] < horizon"),
@@ -121,8 +122,9 @@ MUTANTS = [
     Mutant("pour-order", FLUID, "in pour_order if step > 0 else reversed(pour_order):",
            "in reversed(pour_order) if step > 0 else pour_order:"),
     Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
-    Mutant("rank-pad-opens", FLUID, "np.full((system.m, 1), NO_SLOT)",
-           "np.full((system.m, 1), system.m * levels + 1)"),
+    # each slot read off the gap of the level above it
+    Mutant("rank-gap-shift", FLUID, "gaps[..., : table.shape[-1]]",
+           "gaps[..., 1 : table.shape[-1] + 1]"),
     Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
     # cli
     Mutant("count-flag-floor", CLI, "    if value < 1:", "    if value < 0:"),
@@ -165,7 +167,7 @@ def main() -> int:
                 return 2
 
         outcome, seconds = run_suite(tree)
-        print(f"{'unmutated':<22} {outcome:<10} {seconds:6.1f} s", flush=True)
+        print(f"{'unmutated':<24} {outcome:<10} {seconds:6.1f} s", flush=True)
         if outcome != "passed":
             print("the unmutated suite must pass", file=sys.stderr)
             return 2
@@ -178,7 +180,7 @@ def main() -> int:
             target.write_text(original)
             outcome = {"passed": "survived", "failed": "killed"}.get(result, result)
             note = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
-            print(f"{m.name:<22} {outcome:<10} {seconds:6.1f} s{note}", flush=True)
+            print(f"{m.name:<24} {outcome:<10} {seconds:6.1f} s{note}", flush=True)
             wrong += outcome != ("survived" if m.equivalent else "killed")
     print(f"{len(MUTANTS)} mutants, {wrong} not as expected")
     return 1 if wrong else 0
