@@ -20,7 +20,9 @@ from poolsim.fluid import (
 from poolsim.model import Coordinate, FluidSystem, LogQuality, QVector, UtilityFamily
 
 from conftest import (
+    THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
+    piecewise_family,
     random_feasible_tail,
     two_class_system,
 )
@@ -474,6 +476,24 @@ def test_reflection_needs_an_open_slot():
         verify_reflection_system(path)
 
 
+def test_reflection_gate_opens_half_a_step_against_a_draining_slot():
+    # Slot (2, 1) fills in the one step while it drains at 0.45 against
+    # lam = 0.2: with no positive fill rate to time the fill, the slot's
+    # outflow is gated on for half the step. That outflow is lam minus what
+    # (2, 1) passes at 0.5, so its integral is 0.5 * dt * -0.3; the free
+    # process stays below alpha, so the push is 0 and the flow residual is
+    # 0.15 * dt.
+    system, dt = two_class_system(8, 0.2), 0.01
+    states = np.zeros((2, 2, 6))
+    states[:, :, 0] = TWO_CLASS_ALPHA
+    states[:, 1, 1] = (0.45, 0.5)
+    path = FluidPath(times=np.array([0.0, dt]), states=states, system=system,
+                     config=IntegratorConfig(dt=dt, levels=4, horizon=dt))
+    report = verify_reflection_system(path)
+    assert report.slots[:2] == [Coordinate(2, 1), Coordinate(1, 1)]
+    assert report.flow_residuals[0] == pytest.approx(0.15 * dt, rel=1e-12)
+
+
 def test_reflection_needs_uniform_grid():
     system = two_class_system(8, 9.75)
     cfg = IntegratorConfig.for_system(system, horizon=1.0, dt=2e-3, record_every=7)
@@ -561,14 +581,17 @@ def projection_branch(raw: np.ndarray, alpha: np.ndarray) -> str:
     return "none"
 
 
+def pinned_config(system, horizon, dt, levels, every) -> IntegratorConfig:
+    if levels is None:
+        return IntegratorConfig.for_system(system, horizon=horizon, dt=dt, record_every=every)
+    return IntegratorConfig(dt=dt, levels=levels, horizon=horizon, record_every=every)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_INTEGRATIONS))
 def test_integrator_output_is_pinned(name, monkeypatch):
     start, horizon, dt, levels, every, digest, max_tail = PINNED_INTEGRATIONS[name]
     system = two_class_system(8, 9.75)
-    if levels is None:
-        cfg = IntegratorConfig.for_system(system, horizon=horizon, dt=dt, record_every=every)
-    else:
-        cfg = IntegratorConfig(dt=dt, levels=levels, horizon=horizon, record_every=every)
+    cfg = pinned_config(system, horizon, dt, levels, every)
     branches = {"pour": 0, "shave": 0, "none": 0}
     project = fluid._project_conserving
 
@@ -587,6 +610,71 @@ def test_integrator_output_is_pinned(name, monkeypatch):
     assert branches["pour"] > 0
     if name == "all-alpha-12-coarse":
         assert branches["shave"] > 0
+
+
+def three_class_path() -> FluidPath:
+    """The piecewise three-class system at rho = 8 from empty: 27 rank moves
+    through all three classes."""
+    system = FluidSystem(alpha=THREE_CLASS_ALPHA, rho=8.0, mu=1.0, family=piecewise_family())
+    return integrate_fluid(system, None, IntegratorConfig.for_system(system, horizon=2.0, dt=2e-3))
+
+
+def pinned_path(name: str) -> FluidPath:
+    if name == "three-class":
+        return three_class_path()
+    start, horizon, dt, levels, every, _, _ = PINNED_INTEGRATIONS[name]
+    system = two_class_system(8, 9.75)
+    return integrate_fluid(system, start(), pinned_config(system, horizon, dt, levels, every))
+
+
+#: name -> (the slots checked, as ``cls.level``, and the SHA-256 of the flow
+#: residuals' bytes followed by the state residuals'), for every path of
+#: ``PINNED_INTEGRATIONS`` recorded at each step and for ``three_class_path``.
+TWO_CLASS_SLOTS = ("2.1 1.1 2.2 1.2 2.3 2.4 1.3 2.5 1.4 2.6 2.7 1.5 2.8 1.6 2.9 2.10 1.7 2.11 "
+                   "1.8 2.12 2.13 1.9 2.14 1.10").split()
+REFLECTION_PINS = {
+    # the active rank moves up twice, then back down twice
+    "all-alpha-12": (
+        TWO_CLASS_SLOTS[:24],
+        "53af22b48510973229e9425474aab0fb1d5d18c7c8388770f3d6c044aed5e447",
+    ),
+    "all-alpha-12-coarse": (
+        TWO_CLASS_SLOTS[:24],
+        "d9004a3f89cb4226fb34dcb59df4637ab8eb0f8cc77e431b2b93759bcb136a16",
+    ),
+    "criterion-6-draw-2": (
+        TWO_CLASS_SLOTS[:19],
+        "9e0a829e5ed5d2dac2885e43557c5923b55dde9a97f754f56dc0c657c128eb10",
+    ),
+    "empty": (
+        TWO_CLASS_SLOTS[:18],
+        "5d2f029460185657d1c5fff8433100cc0f4c51b1dd5f7f2a917c5b18d16e9e13",
+    ),
+    "start-with-negative-zeros": (
+        TWO_CLASS_SLOTS[:16],
+        "089b7af9c2d83743346a812982b68518ca8781091ef211d356859de2a38313ec",
+    ),
+    "three-class": (
+        ["2.1", "2.2", "2.3", "2.4", "2.5", *(f"3.{j}" for j in range(1, 21)),
+         "2.6", "2.7", "2.8", "2.9"],
+        "fef0a9fc3363d1407826b4a8449586e5a6ace6b95d5584ad2795a1cfe6a9a3b3",
+    ),
+}
+
+
+def test_reflection_pins_cover_every_step_recorded_path():
+    every_step = {name for name, pin in PINNED_INTEGRATIONS.items() if pin[4] == 1}
+    assert set(REFLECTION_PINS) == every_step | {"three-class"}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_PINS))
+def test_reflection_report_is_pinned(name):
+    slots, digest = REFLECTION_PINS[name]
+    report = verify_reflection_system(pinned_path(name))
+    assert [f"{cls}.{level}" for cls, level in report.slots] == slots
+    assert report.flow_residuals.dtype == report.state_residuals.dtype == np.float64
+    residuals = report.flow_residuals.tobytes() + report.state_residuals.tobytes()
+    assert hashlib.sha256(residuals).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
