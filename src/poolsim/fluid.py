@@ -43,6 +43,9 @@ TRUNCATION_WARN = 1e-8
 #: Ranks past the deepest active rank that the reflection check also covers.
 REFLECTION_MARGIN = 2
 
+#: Records whose gaps the reflection check forms at once to read their ranks.
+RANK_BLOCK = 256
+
 #: The rank :func:`_active_rank` reads when no slot is open.
 NO_SLOT = np.iinfo(np.int64).max
 
@@ -52,7 +55,8 @@ MAX_STEPS = 10**6
 #: Caps on the cells one integration steps, ``steps * m * (levels + 2)``, and
 #: records. On a 2-core x86 host the first allows 12 to 15 s of stepping (the
 #: step cap at depth 39, or 2500 steps at depth 40,000), the second 80 MB of
-#: records, which a reflection check holds in a 215 MB peak.
+#: records: ``poolsim fluid --T 120 --verify-reflection`` records 79 MB and
+#: peaks at 127 MB of resident memory.
 MAX_CELLS = 2 * 10**8
 MAX_RECORDED_CELLS = 10**7
 
@@ -87,8 +91,9 @@ class IntegratorConfig:
 
     @property
     def steps(self) -> int:
-        """Number of steps to cover the horizon."""
-        return int(math.ceil(self._step_ratio()))
+        """Number of steps to cover the horizon: at least one, since the
+        horizon is positive."""
+        return max(1, int(math.ceil(self._step_ratio())))
 
     @classmethod
     def for_system(
@@ -111,6 +116,9 @@ class FluidPath:
 
     ``states[k]`` is the padded profile at ``times[k]``: shape (classes,
     levels + 2), column 0 the class fractions, the last column identically 0.
+    The path holds every record in the one array ``states``, records x
+    classes x (levels + 2) doubles, and nothing else that grows with it but
+    ``times``.
     """
 
     times: np.ndarray
@@ -294,7 +302,8 @@ def integrate_fluid(
     so once a step returns its state unchanged, byte for byte (-0.0 is not
     +0.0), no step is taken after it and that state fills the later records.
     A run that would step more than ``MAX_CELLS`` cells or record more than
-    ``MAX_RECORDED_CELLS`` is refused before it starts.
+    ``MAX_RECORDED_CELLS`` is refused before it starts. The records are
+    written in place into one array allocated for all of them.
     """
     dt, levels, steps = config.dt, config.levels, config.steps
     cells = system.m * (levels + 2)
@@ -302,6 +311,7 @@ def integrate_fluid(
     if steps * cells > MAX_CELLS or records * cells > MAX_RECORDED_CELLS:
         raise ValueError(f"{steps} steps of {cells} cells, {records} recorded, pass the caps "
                          f"({MAX_CELLS}, {MAX_RECORDED_CELLS}); refusing to integrate")
+    states, times = np.empty((records, system.m, levels + 2)), np.empty(records)
     if q0 is None:
         q0 = QVector.zeros(system.alpha, 1)
     alpha = np.asarray(system.alpha, dtype=np.float64)
@@ -323,8 +333,9 @@ def integrate_fluid(
         _flows(state, fill, lam, inner)
 
     # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
-    # 0 there; no stage changes once formed, so records need no copy.
-    recorded, rec_times = [q], [0.0]
+    # 0 there.
+    states[0], times[0] = q, 0.0
+    r = 0
     max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
     gaps = q[:, :-1] - q[:, 1:]
     inner1, inner2 = d1.ravel()[1:-1], d2.ravel()[1:-1]
@@ -347,8 +358,8 @@ def integrate_fluid(
             if tail > max_tail:
                 max_tail = tail
         if k % config.record_every == 0 or k == steps:
-            recorded.append(q)
-            rec_times.append(k * dt)
+            r += 1
+            states[r], times[r] = q, k * dt
     if max_tail > TRUNCATION_WARN:
         warnings.warn(
             f"mass {max_tail:.3e} reached the last truncated levels; "
@@ -356,10 +367,8 @@ def integrate_fluid(
             RuntimeWarning,
             stacklevel=2,
         )
-    return FluidPath(
-        times=np.asarray(rec_times), states=np.asarray(recorded), system=system,
-        config=config, max_tail_mass=max_tail,
-    )
+    return FluidPath(times=times, states=states, system=system, config=config,
+                     max_tail_mass=max_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +424,10 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     past k contributes only the estimated fraction of the step after the slot
     filled (from its remaining gap and fill rate at the left endpoint), since
     the gated integrand jumps there. Residuals shrink with the step size.
+
+    Beside the path, the check holds the active rank of every record, the
+    gaps of ``RANK_BLOCK`` records at a time while it reads those ranks, and
+    then, one slot at a time, a few arrays of one double per record.
     """
     system = path.system
     alpha = np.asarray(system.alpha)
@@ -425,63 +438,55 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     dt = float(times[1] - times[0])
     if not np.allclose(np.diff(times), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("reflection checks need a uniform grid; record every step")
-    steps = len(times)
+    records = len(times)
     levels = states.shape[2] - 2
 
-    ranks = _active_rank(system.family.rank_table(levels), states[..., :-1] - states[..., 1:])
+    # A record no block reads keeps NO_SLOT, which _check_open refuses.
+    table = system.family.rank_table(levels)
+    ranks = np.full(records, NO_SLOT)
+    for lo in range(0, records, RANK_BLOCK):
+        block = states[lo : lo + RANK_BLOCK]
+        ranks[lo : lo + RANK_BLOCK] = _active_rank(table, block[..., :-1] - block[..., 1:])
     top = int(ranks.max())
     _check_open(top)
     ranked = system.family.enumerate_ranked(top - 1 + REFLECTION_MARGIN)
     slots = list(takewhile(lambda slot: slot.level <= levels, ranked))
-    depth = len(slots)
+    moves = np.flatnonzero(np.diff(ranks))
+    left = ranks[moves]
 
-    # Inflow rate past slot k at each time, for slots 1..depth.
-    passing = np.empty((depth, steps))
-    drain = np.empty((depth, steps))
-    for idx, (cls, level) in enumerate(slots):
-        passing[idx] = mu * level * (alpha[cls - 1] - states[:, cls - 1, level + 1])
-        drain[idx] = mu * level * (
-            states[:, cls - 1, level] - states[:, cls - 1, level + 1]
-        )
-    remaining = lam - np.cumsum(passing, axis=0)
-    into = np.vstack([np.full(steps, lam), remaining[:-1]]) if depth else None
-
-    # Fraction of each step spent before the left endpoint's active slot
-    # fills, estimated from its gap and net fill rate. Only used on steps
+    # theta[s]: the fraction of step s spent before the left endpoint's active
+    # slot fills, estimated from its gap and net fill rate. Only read on steps
     # where the active rank moves.
-    theta = np.zeros(steps - 1)
-    for s in np.flatnonzero(np.diff(ranks)):
-        r_l = int(ranks[s])
-        if r_l - 1 >= depth:
-            continue
-        cls, level = slots[r_l - 1]
-        gap = alpha[cls - 1] - states[s, cls - 1, level]
-        rate = into[r_l - 1, s] - drain[r_l - 1, s]
-        if rate > 0:
-            theta[s] = min(max(gap / (rate * dt), 0.0), 1.0)
-        else:
-            theta[s] = 0.5
-
-    flow_res = np.zeros(depth)
-    state_res = np.zeros(depth)
-    w_prev = lam * times
+    theta = np.zeros(records - 1)
+    flow_res = np.zeros(len(slots))
+    state_res = np.zeros(len(slots))
+    # Per record: the inflow that reaches the slot (lam less what the slots
+    # ranked above it pass on), what those slots pass on, and the previous
+    # slot's overflow.
+    into, passed, w_prev = np.full(records, lam), np.zeros(records), lam * times
     for idx, (cls, level) in enumerate(slots):
+        occupancy, above = states[:, cls - 1, level], states[:, cls - 1, level + 1]
+        passed += mu * level * (alpha[cls - 1] - above)
+        f = lam - passed
+        d = mu * level * (occupancy - above)
+        for s in moves[left == idx + 1]:
+            gap = alpha[cls - 1] - occupancy[s]
+            rate = into[s] - d[s]
+            theta[s] = min(max(gap / (rate * dt), 0.0), 1.0) if rate > 0 else 0.5
         open_gate = ranks > idx + 1
         g_l, g_r = open_gate[:-1], open_gate[1:]
         frac = np.where(
             g_l & g_r, 1.0,
             np.where(g_l == g_r, 0.0, np.where(g_r, 1.0 - theta, 0.5)),
         )
-        f = remaining[idx]
         seg = (0.5 * dt) * frac * (f[:-1] + f[1:])
         w = np.concatenate(([0.0], np.cumsum(seg)))
-        d = drain[idx]
         drained = np.concatenate(
             ([0.0], np.cumsum((0.5 * dt) * (d[:-1] + d[1:])))
         )
         free = states[0, cls - 1, level] + w_prev - drained
         push, reflected = skorokhod_reflect(free, alpha[cls - 1])
         flow_res[idx] = float(np.abs(w - push).max())
-        state_res[idx] = float(np.abs(states[:, cls - 1, level] - reflected).max())
-        w_prev = w
+        state_res[idx] = float(np.abs(occupancy - reflected).max())
+        into, w_prev = f, w
     return ReflectionReport(slots=slots, flow_residuals=flow_res, state_residuals=state_res)

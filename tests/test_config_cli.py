@@ -696,6 +696,14 @@ def test_cli_fluid_needs_no_pool_count(tmp_path):
     assert float(rows[-1]["mass"]) == pytest.approx(9.75 * (1 - math.exp(-1.0)), abs=1e-3)
 
 
+def test_cli_fluid_takes_a_step_at_a_tiny_horizon(tmp_path, capsys):
+    out = tmp_path / "fluid.csv"
+    argv = ["fluid", "--config", write_config(tmp_path), "--T", "1e-15", "--verify-reflection"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["slots_checked"] >= 1
+    assert {float(r["t"]) for r in csv.DictReader(out.open())} == {0.0, 1e-3}
+
+
 def test_cli_fluid_truncation_failure_is_exit_3(tmp_path, capsys):
     code = main(
         [

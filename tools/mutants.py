@@ -126,6 +126,17 @@ MUTANTS = [
     Mutant("rank-gap-shift", FLUID, "gaps[..., : table.shape[-1]]",
            "gaps[..., 1 : table.shape[-1] + 1]"),
     Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
+    Mutant("record-index", FLUID, "states[r], times[r] = q, k * dt",
+           "states[r - 1], times[r] = q, k * dt"),
+    # the reflection check: a rank block skipped, the gate's half step when
+    # no fill rate times the fill, and the gate fractions and inflow carried
+    # from slot to slot
+    Mutant("rank-block-stride", FLUID, "range(0, records, RANK_BLOCK)",
+           "range(0, records, RANK_BLOCK + 1)"),
+    Mutant("theta-fallback", FLUID, "if rate > 0 else 0.5", "if rate > 0 else 0.0"),
+    Mutant("closing-gate-half", FLUID, "np.where(g_r, 1.0 - theta, 0.5)",
+           "np.where(g_r, 1.0 - theta, 0.0)"),
+    Mutant("into-carry", FLUID, "rate = into[s] - d[s]", "rate = f[s] - d[s]"),
     # cli
     Mutant("count-flag-floor", CLI, "    if value < 1:", "    if value < 0:"),
     Mutant("suboptimal-reps", CLI, "if args.reps < 2:", "if args.reps < 1:"),
