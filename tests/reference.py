@@ -1,14 +1,22 @@
-"""A pool-level model of a system's occupancy, for checking the simulator.
+"""Reference models for checking the package against code of another shape.
 
-The model keeps every pool's occupancy, one list per class, and derives
-counts, class task totals and lowest occupied levels from those lists, never
-maintaining them, so it shares no code or layout with the count-level walk of
+A pool-level model of a system's occupancy, for checking the simulator: it
+keeps every pool's occupancy, one list per class, and derives counts, class
+task totals and lowest occupied levels from those lists, never maintaining
+them, so it shares no code or layout with the count-level walk of
 :func:`poolsim.sim.simulate`. Its rules are the ones the package states.
+
+A trapezoid integrator of the fluid limit that forms a fresh ``(m, levels +
+1)`` gap array per stage, for checking the bits of
+:func:`poolsim.fluid.integrate_fluid`.
 """
 
 from __future__ import annotations
 
-from poolsim.model import Coordinate, OccupancyState, UtilityFamily
+import numpy as np
+
+from poolsim.fluid import NO_SLOT, SIGMA_TOL
+from poolsim.model import Coordinate, FluidSystem, OccupancyState, QVector, UtilityFamily
 
 
 class PoolModel:
@@ -90,3 +98,133 @@ def rank_precedes(family: UtilityFamily, a: Coordinate, b: Coordinate) -> bool:
     if da != db:
         return da < db
     return tuple(a) > tuple(b)
+
+
+# ---------------------------------------------------------------------------
+# the trapezoid integrator, stage by stage on 2-D gap arrays
+
+
+def _reference_active_rank(table: np.ndarray, gaps: np.ndarray) -> int:
+    """Smallest rank among the slots whose gap to the level above exceeds
+    ``SIGMA_TOL``, read off the ``(m, levels + 1)`` gaps of one padded profile;
+    ``NO_SLOT`` when none is open."""
+    return int(np.minimum.reduce(table, axis=(-2, -1), where=gaps[:, : table.shape[1]] > SIGMA_TOL,
+                                 initial=NO_SLOT))
+
+
+def _reference_fill(system: FluidSystem, rank: int, levels: int) -> tuple:
+    """The drift's record at active rank ``rank``, along the flat row
+    ``p.ravel()[1:-1]`` of a padded profile: each class's span of saturated
+    slots, the active slot's index, ``mu * j`` per level, the same on the spans
+    and their class fraction (1e300 off them)."""
+    if rank == NO_SLOT:
+        raise RuntimeError("no active slot within the truncated profile; increase the depth")
+    depths = system.family.class_counts_before(rank)
+    for cls, depth in enumerate(depths, 1):
+        if depth >= levels:
+            raise RuntimeError(f"class {cls} saturates past the truncation depth {levels}")
+    mu_j = np.zeros((system.m, levels + 2))
+    mu_j[:, 1:-1] = system.mu * np.arange(1, levels + 1)
+    mu_j = mu_j.ravel()[1:-1]
+    mu_fill, alpha = np.zeros_like(mu_j), np.full_like(mu_j, 1e300)
+    spans = [slice(ci * (levels + 2), ci * (levels + 2) + depth)
+             for ci, depth in enumerate(depths)]
+    for a, span in zip(system.alpha, spans):
+        mu_fill[span], alpha[span] = mu_j[span], a
+    cls, level = system.family.slot(rank)
+    return spans, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
+
+
+def _reference_drift(state: np.ndarray, fill: tuple, lam: float) -> np.ndarray:
+    """The drift of a padded profile: saturated slots take what the level below
+    drains, the active slot the rest of ``lam``, level ``j`` drains at
+    ``mu * j`` times its gap to level ``j + 1``."""
+    spans, slot, mu_j, mu_fill, alpha = fill
+    flat = state.ravel()
+    upper = flat[2:]
+    rates = mu_fill * (alpha - upper)
+    drain = mu_j * (flat[1:-1] - upper)
+    drift = np.zeros_like(state)
+    inner = drift.ravel()[1:-1]
+    np.subtract(rates, drain, out=inner)
+    above = 0.0
+    for span in spans:
+        above += float(np.add.reduce(rates[span]))
+    inner[slot] = (lam - above) - drain[slot]
+    return drift
+
+
+def _reference_project(raw: np.ndarray, alpha: np.ndarray, pour_order) -> tuple:
+    """Clamp to [0, alpha], make non-increasing, pour the clamp's loss into the
+    best-ranked slots with room or shave its gain off the worst-ranked ones.
+    A stage with no negative gap comes back itself. Returns the stage, its
+    gaps and the largest move."""
+    gaps = raw[:, :-1] - raw[:, 1:]
+    if np.minimum.reduce(gaps, axis=None) >= 0.0:
+        return raw, gaps, 0.0
+    target = float(raw[:, 1:].sum())
+    proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
+    proj[:, -1] = 0.0
+    delta = target - float(proj[:, 1:].sum())
+    if abs(delta) > 1e-18:
+        step, left = (1, delta) if delta > 0.0 else (-1, -delta)
+        for cls, level in pour_order if step > 0 else reversed(pour_order):
+            ci = cls - 1
+            room = step * (proj[ci, level - step] - proj[ci, level])
+            if room <= 0.0:
+                continue
+            move = room if room < left else left
+            proj[ci, level] += step * move
+            left -= move
+            if left <= 1e-18:
+                break
+    return proj, proj[:, :-1] - proj[:, 1:], float(np.abs(proj - raw).max())
+
+
+def reference_integrate(system: FluidSystem, q0: QVector | None, config) -> tuple:
+    """The explicit trapezoid integrator of :func:`poolsim.fluid.integrate_fluid`,
+    written stage by stage: each stage forms the ``(m, levels + 1)`` gaps of a
+    fresh array, reads the active rank off them and projects. It stops
+    stepping once a step returns its state byte for byte. Returns the records
+    as one array, their times and the largest mass on the last two retained
+    levels (and the padding column)."""
+    dt, levels, steps = config.dt, config.levels, config.steps
+    alpha = np.asarray(system.alpha, dtype=np.float64)
+    q = np.zeros((system.m, levels + 2))
+    if q0 is not None:
+        upto = min(q0.depth, levels)
+        q[:, : upto + 1] = q0.tail[:, : upto + 1]
+    q[:, 0] = alpha
+    table = system.family.rank_table(levels)
+    pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
+                  if c.level <= levels]
+    fills: dict = {}
+
+    def drift(state, gaps):
+        rank = _reference_active_rank(table, gaps)
+        if rank not in fills:
+            fills[rank] = _reference_fill(system, rank, levels)
+        return _reference_drift(state, fills[rank], system.lam)
+
+    records, times = [q], [0.0]
+    max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
+    gaps = q[:, :-1] - q[:, 1:]
+    still = False
+    for k in range(1, steps + 1):
+        if not still:
+            d1 = drift(q, gaps)
+            pred, pred_gaps, _ = _reference_project(q + dt * d1, alpha, pour_order)
+            d2 = drift(pred, pred_gaps)
+            new, gaps, moved = _reference_project(q + (0.5 * dt) * (d1 + d2), alpha, pour_order)
+            if moved > 10.0 * dt * system.lam + 1e-15:
+                raise RuntimeError(
+                    f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
+                    f"dt={dt} is too large for these dynamics"
+                )
+            still = new.tobytes() == q.tobytes()
+            q = new
+            max_tail = max(max_tail, float(np.add.reduce(q[:, levels - 1 :], axis=None)))
+        if k % config.record_every == 0 or k == steps:
+            records.append(q)
+            times.append(k * dt)
+    return np.array(records), np.array(times), max_tail

@@ -18,6 +18,7 @@ from poolsim.model import (
     QVector,
     Tabulated,
     UtilityFamily,
+    _tail_utility,
     overall_utility,
 )
 
@@ -317,3 +318,46 @@ def test_validate_feasible_rejects_perturbations():
         validate_feasible(opt.q_star, TWO_CLASS_ALPHA, 9.5)
     with pytest.raises(ValueError):
         validate_feasible(opt.q_star, (0.25, 0.25, 0.5), 9.75)
+
+
+# ---------------------------------------------------------------------------
+# the ceiling against the full profile
+
+
+def reference_fill(fam, alpha, rho):
+    """The boundary slot, its rank, the filled profile and its utility, from
+    the slot-by-slot walk and the full profile summed by ``_tail_utility``."""
+    coord, rank, residual = reference_walk(fam, alpha, rho)
+    filled = [0] * len(alpha)
+    for slot in fam.enumerate_ranked(rank - 1):
+        filled[slot.cls - 1] += 1
+    tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
+    for ci, a in enumerate(alpha):
+        tail[ci, : filled[ci] + 1] = a
+    tail[coord.cls - 1, coord.level] = residual
+    return coord, rank, tail, _tail_utility(fam, alpha, tail)
+
+
+@pytest.mark.parametrize("make_family, alphas", [
+    (two_class_family, (TWO_CLASS_ALPHA, (0.2, 0.8))),
+    (piecewise_family, (THREE_CLASS_ALPHA, (0.25, 0.25, 0.5))),
+])
+def test_ceiling_matches_the_full_profile_bit_for_bit(make_family, alphas):
+    # 5000 loads, each under two fraction vectors in turn on one family: 0,
+    # the running class mass of the first 100 slots and its neighbouring
+    # floats, and random loads up to 30
+    fam, reference = make_family(), make_family()
+    gen = np.random.default_rng(25)
+    loads = [0.0]
+    for alpha in alphas:
+        for cum in np.cumsum(np.asarray(alpha)[[c.cls - 1 for c in fam.enumerate_ranked(100)]]):
+            loads += [float(cum), math.nextafter(cum, 0.0), math.nextafter(cum, math.inf)]
+    loads += gen.uniform(0.0, 30.0, 5000 - len(loads)).tolist()
+    for rho in loads:
+        for alpha in alphas:
+            coord, rank, tail, bound = reference_fill(reference, alpha, rho)
+            got = optimal_assignment(fam, alpha, rho)
+            assert (got.sigma_star, got.sigma_index) == (coord, rank)
+            assert got.q_star.tail.tobytes() == tail.tobytes()
+            assert np.float64(got.bound).tobytes() == np.float64(bound).tobytes()
+            assert np.float64(upper_bound(fam, alpha, rho)).tobytes() == np.float64(bound).tobytes()

@@ -27,6 +27,7 @@ from conftest import (
     random_feasible_tail,
     two_class_system,
 )
+from reference import reference_integrate
 
 
 def all_alpha_profile(alpha, depth):
@@ -809,3 +810,59 @@ def test_fixed_point_reached_mid_run_ends_the_stepping(name, monkeypatch):
     assert path.states[repeat - 1].tobytes() != path.states[repeat - 2].tobytes()
     assert path.states[repeat - 1].tobytes() == path.states[-1].tobytes()
     assert projections == 2 * repeat < 2 * cfg.steps
+
+
+# ---------------------------------------------------------------------------
+# the integrator against a reference written stage by stage
+
+
+def criterion_6_starts(alpha, mass_cap: float, count: int) -> list[QVector]:
+    """``count`` starts of criterion 6's random-start generator for the class
+    fractions ``alpha``: geometric columns or a block filled to alpha, with
+    mass at most ``mass_cap``."""
+    gen = np.random.default_rng(20260815)
+    alpha = np.asarray(alpha)
+    starts = []
+    while len(starts) < count:
+        if gen.uniform() < 0.5:
+            depth = int(gen.integers(6, 26))
+            ratios = gen.uniform(0.6, 1.0, size=(len(alpha), depth))
+            tail = np.hstack([alpha[:, None], alpha[:, None] * np.cumprod(ratios, axis=1)])
+            q = QVector(alpha=alpha, tail=tail)
+        else:
+            q = all_alpha_profile(alpha, int(gen.integers(3, 20)))
+        if q.mass() <= mass_cap:
+            starts.append(q)
+    return starts
+
+
+def three_class_system() -> FluidSystem:
+    return FluidSystem(alpha=THREE_CLASS_ALPHA, rho=8.0, mu=1.0, family=piecewise_family())
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 2e-2])
+@pytest.mark.parametrize("make_system, floor", [(lambda: two_class_system(8, 9.75), 16),
+                                                (three_class_system, 21)],
+                         ids=["two-class", "three-class"])
+def test_integrator_matches_the_stagewise_reference(make_system, floor, dt, every):
+    # 120 steps from empty and from 20 random starts, which pour and, at the
+    # coarsest step, shave. Every other start is truncated one level past
+    # its depth, or at ``floor``, which leaves room for the fill's deepest
+    # class, so that mass reaches the monitored levels. The records, their
+    # times and the monitored tail mass are the reference's bit for bit.
+    system = make_system()
+    tails = []
+    for k, start in enumerate([None, *criterion_6_starts(system.alpha, 2.0 * system.rho, 20)]):
+        levels = max(start.depth + 1, floor) if k % 2 else None
+        cfg = IntegratorConfig.for_system(system, horizon=120 * dt, dt=dt, levels=levels,
+                                          record_every=every)
+        states, times, max_tail = reference_integrate(system, start, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            path = integrate_fluid(system, start, cfg)
+        assert path.states.tobytes() == states.tobytes()
+        assert path.times.tobytes() == times.tobytes()
+        assert np.float64(path.max_tail_mass).tobytes() == np.float64(max_tail).tobytes()
+        tails.append(max_tail)
+    assert max(tails) > 1e-8
