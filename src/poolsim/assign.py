@@ -21,7 +21,7 @@ from .model import (
     QVector,
     UtilityFamily,
     _check_fractions,
-    _tail_utility,
+    _utility_terms,
 )
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
+
+#: Cells of the largest fill whose record is cached: at most as many records, 8 MB.
+FILL_RECORDS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +75,8 @@ def _greedy_fill(
     filled tail and its overall utility. The mass is a running sum in rank
     order, read off the family's cache for ``alpha``. The boundary slot holds
     the residual ``rho`` minus the mass above it, kept as the exact float
-    difference; nothing is rounded to whole pools.
+    difference; nothing is rounded to whole pools. The tail and its utility
+    terms are cached per rank; a call writes the boundary slot and its term.
     """
     alpha = _check_fractions(alpha)
     if len(alpha) != family.m:
@@ -89,7 +93,7 @@ def _greedy_fill(
     count = min(int(rho / widest) + 1, MAX_ENUMERATION)
     while True:
         # Each entry is the float the slot-by-slot walk accumulates.
-        mass = family.ranked_mass(alpha, count)
+        mass, records = family.ranked_mass(alpha, count)
         rank = int(mass.searchsorted(rho, side="right")) + 1
         if rank <= count:
             break
@@ -97,12 +101,24 @@ def _greedy_fill(
             raise _too_deep(rho)
         count = min(2 * count, MAX_ENUMERATION)
     cum = float(mass[rank - 2]) if rank > 1 else 0.0
-    coord, filled = family.slot(rank), family.class_counts_before(rank)
-    tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
-    for ci, a in enumerate(alpha):
-        tail[ci, : filled[ci] + 1] = a
-    tail[coord.cls - 1, coord.level] = rho - cum
-    return alpha, coord, rank, tail, _tail_utility(family, alpha, tail)
+    record = records.get(rank)
+    if record is None:
+        coord, filled = family.slot(rank), family.class_counts_before(rank)
+        tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
+        for ci, a in enumerate(alpha):
+            tail[ci, : filled[ci] + 1] = a
+        record = (coord, tail, _utility_terms(family, alpha, tail),
+                  family.marginals_upto(coord.cls, tail.shape[1] - 1))
+        if tail.size <= FILL_RECORDS:
+            records[rank] = record
+    coord, tail, terms, marginals = record
+    ci = coord.cls - 1
+    tail[ci, coord.level] = rho - cum
+    terms[2 * ci + 1] = float(np.dot(marginals, tail[ci, 1:]))
+    bound = 0.0
+    for term in terms:
+        bound += term
+    return alpha, coord, rank, tail, bound
 
 
 def optimal_assignment(family: UtilityFamily, alpha, rho: float) -> OptimalAssignment:

@@ -149,20 +149,33 @@ def _pad(q: QVector, levels: int) -> np.ndarray:
     return out
 
 
-def _active_rank(table: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Rank of the active slot of each padded profile ``p``, read from its gaps
-    ``p[..., :-1] - p[..., 1:]`` and the family's ``rank_table(levels)``: a
-    slot is open when its gap to the level above exceeds ``SIGMA_TOL``. The
-    last gap, to the padding column, belongs to the slot past the truncation
-    and is not read; the table covers the first ``levels``. Inside a class
-    the rank grows with the level, so the smallest rank among open slots is
-    the best-ranked first open slot of any class. Reads ``m * levels + 1``
-    when that slot is ranked past the table, and ``NO_SLOT`` when no slot is
-    open, which :func:`_check_open` refuses.
+def _gap_row(state: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Write into ``gaps`` and return the flat gap row ``f[:-1] - f[1:]`` of
+    padded profiles, ``f = state.ravel()``: class ``ci + 1``'s gap from level
+    ``j`` to ``j + 1`` at ``ci * (levels + 2) + j``, and 1e300 where two rows
+    meet (and at the end), which is feasible and drains ``0 * 1e300 = 0``."""
+    flat = state.ravel()
+    np.subtract(flat[:-1], flat[1:], out=gaps[:-1])
+    gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300
+    return gaps
+
+
+def _rank_row(family, levels: int) -> np.ndarray:
+    """``family.rank_table(levels)`` laid out like a flat gap row, each slot on
+    the gap to the level above it, with ``NO_SLOT`` past the table."""
+    return np.pad(family.rank_table(levels), ((0, 0), (0, 2)), constant_values=NO_SLOT).ravel()
+
+
+def _active_rank(ranks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Rank of the active slot of each padded profile, read along the last axis
+    of its flat gap row and the :func:`_rank_row` of its depth, broadcast to
+    match: a slot is open when its gap to the level above exceeds
+    ``SIGMA_TOL``. Inside a class the rank grows with the level, so the
+    smallest rank among open slots is the best-ranked first open slot of any
+    class. Reads ``m * levels + 1`` when that slot is ranked past the table,
+    and ``NO_SLOT`` when no slot is open, which :func:`_check_open` refuses.
     """
-    gaps = gaps[..., : table.shape[-1]]
-    ranks = np.broadcast_to(table, gaps.shape) if gaps.ndim > 2 else table
-    return np.minimum.reduce(ranks, axis=(-2, -1), where=gaps > SIGMA_TOL, initial=NO_SLOT)
+    return np.minimum.reduce(ranks, axis=-1, where=gaps > SIGMA_TOL, initial=NO_SLOT)
 
 
 def _check_open(rank: int) -> None:
@@ -170,13 +183,14 @@ def _check_open(rank: int) -> None:
         raise RuntimeError("no active slot within the truncated profile; increase the depth")
 
 
-def _fill_at(system: FluidSystem, rank: int, levels: int) -> tuple:
-    """The drift's record at active rank ``rank``: the active slot, then along
-    the flat row ``p.ravel()[1:-1]`` of a padded profile each class's span of
-    slots ranked above it, the active slot's index, and three arrays: ``mu * j``
-    at level ``j`` (0 in columns 0 and -1); the same on the spans, 0 elsewhere;
-    and their class fraction, 1e300 elsewhere, so that the rate there,
-    ``0 * (1e300 - q)``, is +0.0 even on a level above alpha."""
+def _fill_at(system: FluidSystem, rank: int, levels: int, rates: np.ndarray) -> tuple:
+    """The drift's record at active rank ``rank``: the active slot, the buffer
+    ``rates`` and, along the flat row ``p.ravel()[1:-1]`` of a padded profile,
+    its view on each class's span of slots ranked above the active slot, the
+    active slot's index, and three arrays: ``mu * j`` at level ``j`` (0 in
+    columns 0 and -1); the same on the spans, 0 elsewhere; and their class
+    fraction, 1e300 elsewhere, so that the rate there, ``0 * (1e300 - q)``,
+    is +0.0 even on a level above alpha."""
     _check_open(rank)
     depths = system.family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
@@ -191,33 +205,33 @@ def _fill_at(system: FluidSystem, rank: int, levels: int) -> tuple:
     for a, span in zip(system.alpha, spans):
         mu_fill[span], alpha[span] = mu_j[span], a
     cls, level = coord = system.family.slot(rank)
-    return coord, spans, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
+    views = [rates[span] for span in spans]
+    return coord, rates, views, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
 
 
 def _flows(
-    state: np.ndarray, fill: tuple, lam: float, inner: np.ndarray
-) -> tuple[np.ndarray, float]:
+    state: np.ndarray, gaps: np.ndarray, fill: tuple, lam: float, inner: np.ndarray
+) -> float:
     """Write the drift of a padded profile into ``inner``, along its flat row
-    ``p.ravel()[1:-1]``, whose slices are cheap contiguous operands; return
-    each saturated slot's inflow rate along that row (0 elsewhere), and the
-    active slot's inflow. The drift stays 0 in columns 0 and -1.
+    ``p.ravel()[1:-1]`` (``gaps`` its gap row there), and each saturated slot's
+    inflow rate into the fill's ``rates``; return the active slot's inflow.
 
     Level ``j`` drains at ``mu * j`` times its gap to level ``j + 1``. A
     saturated slot ``(i, j)`` takes in what the level below it drains, and
     the active slot takes the rest of ``lam``.
     """
-    _, spans, slot, mu_j, mu_fill, alpha = fill
-    flat = state.ravel()
-    upper = flat[2:]
-    rates = mu_fill * (alpha - upper)
-    drain = mu_j * (flat[1:-1] - upper)
-    np.subtract(rates, drain, out=inner)
+    _, rates, spans, slot, mu_j, mu_fill, alpha = fill
+    np.subtract(alpha, state.ravel()[2:], out=rates)
+    np.multiply(mu_fill, rates, out=rates)
+    np.multiply(mu_j, gaps, out=inner)
+    drain = float(inner[slot])
+    np.subtract(rates, inner, out=inner)
     # Class by class: one pairwise sum over the masked rows would round differently.
     above = 0.0
     for span in spans:
-        above += float(np.add.reduce(rates[span]))
-    inner[slot] = (lam - above) - drain[slot]
-    return rates, lam - above
+        above += float(np.add.reduce(span))
+    inner[slot] = (lam - above) - drain
+    return lam - above
 
 
 def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, Coordinate]:
@@ -230,14 +244,12 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     """
     levels = q.depth + 1
     padded = _pad(q, levels)
-    rank = int(_active_rank(system.family.rank_table(levels), padded[:, :-1] - padded[:, 1:]))
-    fill = _fill_at(system, rank, levels)
+    gaps = _gap_row(padded, np.empty(padded.size))
+    rank = int(_active_rank(_rank_row(system.family, levels), gaps))
+    drift, inflow = np.zeros_like(padded), np.zeros_like(padded)
+    fill = _fill_at(system, rank, levels, inflow.ravel()[1:-1])
     cls, level = fill[0]
-    drift = np.zeros_like(padded)
-    rates, active = _flows(padded, fill, system.lam, drift.ravel()[1:-1])
-    inflow = np.zeros_like(padded)
-    inflow.ravel()[1:-1] = rates
-    inflow[cls - 1, level] = active
+    inflow[cls - 1, level] = _flows(padded, gaps[1:-1], fill, system.lam, drift.ravel()[1:-1])
     return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
 
 
@@ -247,22 +259,22 @@ def equilibrium_profile(system: FluidSystem) -> QVector:
 
 
 def _project_conserving(
-    raw: np.ndarray, alpha: np.ndarray, pour_order: list[Coordinate]
-) -> tuple[np.ndarray, np.ndarray, float]:
+    raw: np.ndarray, alpha: np.ndarray, pour_order: list[Coordinate], gaps: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Feasibility projection that redistributes instead of discarding.
 
     Clamp to [0, alpha] and restore monotonicity across levels, then pour the
     clipped-off mass back into the best-ranked slots that still have room
     (that is where the exact dynamics would have routed it once the boundary
-    slot filled mid-step). Returns the projected state, its gaps and the
-    maximum pointwise displacement. Mass that finds no room stays lost; the
-    caller checks the total against its own running target. ``raw`` has
-    column 0 at ``alpha`` and a zero last column, so with no negative gap it
-    is feasible already and comes back itself, moved by 0.
+    slot filled mid-step). Returns the projected state, whose gap row it
+    writes over ``raw``'s in ``gaps``, and the maximum pointwise displacement.
+    Mass that finds no room stays lost; the caller checks the total against
+    its own running target. ``raw`` has column 0 at ``alpha`` and a zero last
+    column, so with no negative gap it is feasible already and comes back
+    itself, moved by 0.
     """
-    gaps = raw[:, :-1] - raw[:, 1:]
-    if np.minimum.reduce(gaps, axis=None) >= 0.0:
-        return raw, gaps, 0.0
+    if float(np.minimum.reduce(gaps)) >= 0.0:
+        return raw, 0.0
     target = float(raw[:, 1:].sum())
     proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
     proj[:, -1] = 0.0
@@ -281,7 +293,8 @@ def _project_conserving(
             left -= move
             if left <= 1e-18:
                 break
-    return proj, proj[:, :-1] - proj[:, 1:], float(np.abs(proj - raw).max())
+    _gap_row(proj, gaps)
+    return proj, float(np.abs(proj - raw).max())
 
 
 def integrate_fluid(
@@ -319,40 +332,46 @@ def integrate_fluid(
     q = _pad(q0, levels)
     q[:, 0] = alpha
     move_cap = 10.0 * dt * lam + 1e-15
-    table = system.family.rank_table(levels)
+    ranks = _rank_row(system.family, levels)
     pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
                   if c.level <= levels]
     fills: dict[int, tuple] = {}
-    d1, d2 = np.zeros_like(q), np.zeros_like(q)
+    # Written in place by every step: the drifts, the predictor stage, the
+    # buffer the next state goes into, the rates and the latest stage's gaps.
+    d1, d2, pred, spare = np.zeros_like(q), np.zeros_like(q), np.empty_like(q), np.empty_like(q)
+    rates, gaps = np.empty(q.size - 2), _gap_row(q, np.empty(q.size))
+    inner1, inner2, inner_gaps = d1.ravel()[1:-1], d2.ravel()[1:-1], gaps[1:-1]
 
-    def drift_at(state: np.ndarray, gaps: np.ndarray, inner: np.ndarray) -> None:
-        rank = int(_active_rank(table, gaps))
+    def drift_at(state: np.ndarray, inner: np.ndarray) -> None:
+        rank = int(_active_rank(ranks, gaps))
         fill = fills.get(rank)
         if fill is None:
-            fill = fills[rank] = _fill_at(system, rank, levels)
-        _flows(state, fill, lam, inner)
+            fill = fills[rank] = _fill_at(system, rank, levels, rates)
+        _flows(state, inner_gaps, fill, lam, inner)
 
     # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
     # 0 there.
     states[0], times[0] = q, 0.0
     r = 0
     max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
-    gaps = q[:, :-1] - q[:, 1:]
-    inner1, inner2 = d1.ravel()[1:-1], d2.ravel()[1:-1]
     still = False
     for k in range(1, steps + 1):
         if not still:
-            drift_at(q, gaps, inner1)
-            pred, pred_gaps, _ = _project_conserving(q + dt * d1, alpha, pour_order)
-            drift_at(pred, pred_gaps, inner2)
-            raw = q + (0.5 * dt) * (d1 + d2)
-            new, gaps, moved = _project_conserving(raw, alpha, pour_order)
+            drift_at(q, inner1)
+            np.add(q, np.multiply(d1, dt, out=pred), out=pred)
+            stage, _ = _project_conserving(pred, alpha, pour_order, _gap_row(pred, gaps))
+            drift_at(stage, inner2)
+            # d1 holds (d1 + d2) * dt / 2 until the next step's first stage.
+            np.multiply(np.add(d1, d2, out=d1), 0.5 * dt, out=d1)
+            raw = np.add(q, d1, out=spare)
+            new, moved = _project_conserving(raw, alpha, pour_order, _gap_row(raw, gaps))
             if moved > move_cap:
                 raise RuntimeError(
                     f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
                     f"dt={dt} is too large for these dynamics"
                 )
             still = new.tobytes() == q.tobytes()
+            spare = q if new is raw else spare
             q = new
             tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
             if tail > max_tail:
@@ -442,11 +461,12 @@ def verify_reflection_system(path: FluidPath) -> ReflectionReport:
     levels = states.shape[2] - 2
 
     # A record no block reads keeps NO_SLOT, which _check_open refuses.
-    table = system.family.rank_table(levels)
+    row = _rank_row(system.family, levels)
     ranks = np.full(records, NO_SLOT)
     for lo in range(0, records, RANK_BLOCK):
         block = states[lo : lo + RANK_BLOCK]
-        ranks[lo : lo + RANK_BLOCK] = _active_rank(table, block[..., :-1] - block[..., 1:])
+        gaps = _gap_row(block, np.empty(block.size)).reshape(len(block), -1)
+        ranks[lo : lo + RANK_BLOCK] = _active_rank(np.broadcast_to(row, gaps.shape), gaps)
     top = int(ranks.max())
     _check_open(top)
     ranked = system.family.enumerate_ranked(top - 1 + REFLECTION_MARGIN)

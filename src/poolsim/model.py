@@ -174,7 +174,7 @@ class UtilityFamily:
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
         self._rank_tables: dict[int, np.ndarray] = {}
         self._marginal_arrays = [np.zeros(0) for _ in self.utilities]
-        self._mass: tuple[tuple[float, ...], np.ndarray] = ((), np.zeros(0))
+        self._mass: tuple[tuple[float, ...], np.ndarray, dict] = ((), np.zeros(0), {})
 
     @property
     def m(self) -> int:
@@ -247,20 +247,21 @@ class UtilityFamily:
         self._extend(count)
         return self._slots[:count]
 
-    def ranked_mass(self, alpha: tuple[float, ...], count: int) -> np.ndarray:
+    def ranked_mass(self, alpha: tuple[float, ...], count: int) -> tuple[np.ndarray, dict]:
         """Running class mass along the ranking for ``alpha``, at least ``count``
         slots long: read-only, cached for the last fractions, grown by doubling.
-        ``np.cumsum`` adds in order, so a prefix is what a shorter walk sums."""
-        cached_alpha, mass = self._mass
+        ``np.cumsum`` adds in order, so a prefix is what a shorter walk sums.
+        Also the dict the greedy fill keeps its records for ``alpha`` in."""
+        cached_alpha, mass, records = self._mass
         if cached_alpha != alpha:
-            mass = mass[:0]
+            mass, records = mass[:0], {}
         if len(mass) < count:
             size = min(max(count, 2 * len(mass)), MAX_ENUMERATION)
             classes = [c.cls - 1 for c in self.enumerate_ranked(size)]
             mass = np.cumsum(np.asarray(alpha)[classes])
             mass.flags.writeable = False
-            self._mass = (alpha, mass)
-        return mass
+            self._mass = (alpha, mass, records)
+        return mass, records
 
     def class_counts_before(self, rank: int) -> list[int]:
         """Per-class slot counts among ranks 1..rank-1 (how deep each class goes)."""
@@ -610,17 +611,20 @@ def overall_utility(family: UtilityFamily, q: QVector) -> float:
     occupancy-weighted utility, so this equals
     ``sum_i sum_j u_i(j) * (fraction of pools of class i at exactly j tasks)``.
     """
-    return _tail_utility(family, q.alpha, q.tail)
-
-
-def _tail_utility(family: UtilityFamily, alpha, tail: np.ndarray) -> float:
-    """:func:`overall_utility` of the profile with fractions ``alpha`` and ``tail``."""
     total = 0.0
-    depth = tail.shape[1] - 1
-    for ci, a in enumerate(alpha):
-        cls = ci + 1
-        total += family.value(cls, 0) * float(a)
-        if depth >= 1:
-            # tail[ci, j] multiplies the marginal of the step (j-1) -> j
-            total += float(np.dot(family.marginals_upto(cls, depth), tail[ci, 1:]))
+    for term in _utility_terms(family, q.alpha, q.tail):
+        total += term
     return total
+
+
+def _utility_terms(family: UtilityFamily, alpha, tail: np.ndarray) -> list[float]:
+    """The terms :func:`overall_utility` adds, in its order: per class its base
+    utility times its fraction, then, past depth 0, its tail row against its
+    marginals (``tail[ci, j]`` multiplies the marginal of the step j-1 -> j)."""
+    terms = []
+    depth = tail.shape[1] - 1
+    for cls, a in enumerate(alpha, 1):
+        terms.append(family.value(cls, 0) * float(a))
+        if depth >= 1:
+            terms.append(float(np.dot(family.marginals_upto(cls, depth), tail[cls - 1, 1:])))
+    return terms

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import re
 
 import numpy as np
@@ -18,11 +19,11 @@ from poolsim.model import (
     QVector,
     Tabulated,
     UtilityFamily,
-    _tail_utility,
     overall_utility,
 )
 
 from conftest import (
+    QUAD_VALUES,
     THREE_CLASS_ALPHA,
     TWO_CLASS_ALPHA,
     piecewise_family,
@@ -326,7 +327,7 @@ def test_validate_feasible_rejects_perturbations():
 
 def reference_fill(fam, alpha, rho):
     """The boundary slot, its rank, the filled profile and its utility, from
-    the slot-by-slot walk and the full profile summed by ``_tail_utility``."""
+    the slot-by-slot walk and the utility of the full profile."""
     coord, rank, residual = reference_walk(fam, alpha, rho)
     filled = [0] * len(alpha)
     for slot in fam.enumerate_ranked(rank - 1):
@@ -335,12 +336,19 @@ def reference_fill(fam, alpha, rho):
     for ci, a in enumerate(alpha):
         tail[ci, : filled[ci] + 1] = a
     tail[coord.cls - 1, coord.level] = residual
-    return coord, rank, tail, _tail_utility(fam, alpha, tail)
+    return coord, rank, tail, overall_utility(fam, QVector(alpha=np.asarray(alpha), tail=tail))
+
+
+def based_family() -> UtilityFamily:
+    """Two classes whose utilities are not 0 at 0 tasks."""
+    return UtilityFamily((Tabulated((0.5, 1.0, 1.25)),
+                          Tabulated(tuple(0.75 + v for v in QUAD_VALUES))))
 
 
 @pytest.mark.parametrize("make_family, alphas", [
     (two_class_family, (TWO_CLASS_ALPHA, (0.2, 0.8))),
     (piecewise_family, (THREE_CLASS_ALPHA, (0.25, 0.25, 0.5))),
+    (based_family, (TWO_CLASS_ALPHA, (0.2, 0.8))),
 ])
 def test_ceiling_matches_the_full_profile_bit_for_bit(make_family, alphas):
     # 5000 loads, each under two fraction vectors in turn on one family: 0,
@@ -360,4 +368,17 @@ def test_ceiling_matches_the_full_profile_bit_for_bit(make_family, alphas):
             assert (got.sigma_star, got.sigma_index) == (coord, rank)
             assert got.q_star.tail.tobytes() == tail.tobytes()
             assert np.float64(got.bound).tobytes() == np.float64(bound).tobytes()
-            assert np.float64(upper_bound(fam, alpha, rho)).tobytes() == np.float64(bound).tobytes()
+            ceiling = upper_bound(fam, alpha, rho)
+            assert np.float64(ceiling).tobytes() == np.float64(bound).tobytes()
+
+
+def test_a_pickled_family_fills_as_the_original():
+    # a family crosses to worker processes by pickle, its fill records too
+    fam = two_class_family()
+    loads = [0.3, 9.75, 10.0, 9.6]
+    want = [optimal_assignment(fam, TWO_CLASS_ALPHA, rho) for rho in loads]
+    copy = pickle.loads(pickle.dumps(fam))
+    for rho, opt in zip(reversed(loads), reversed(want)):
+        got = optimal_assignment(copy, TWO_CLASS_ALPHA, rho)
+        assert got.q_star.tail.tobytes() == opt.q_star.tail.tobytes()
+        assert got.bound == opt.bound == upper_bound(copy, TWO_CLASS_ALPHA, rho)

@@ -223,6 +223,21 @@ def padded_profiles(rng, count, levels=20):
         yield out
 
 
+def flat_gap_row(p):
+    """The gaps of a padded profile ``p`` as one row of ``levels + 2`` per
+    class: its ``levels + 1`` gaps to the next level, then 1e300."""
+    ends = np.full((p.shape[0], 1), 1e300)
+    return np.hstack([p[:, :-1] - p[:, 1:], ends]).ravel()
+
+
+def test_gap_row_spans_no_class_junction(rng):
+    # the slot that would span two class rows holds a large finite gap: it
+    # passes the feasibility test, and its drain, 0 times the gap, is +0.0
+    for p in padded_profiles(rng, 20):
+        gaps = fluid._gap_row(p, np.full(p.size, np.nan))
+        assert gaps.tobytes() == flat_gap_row(p).tobytes()
+
+
 def ranked_slots(system, levels):
     table = system.family.rank_table(levels)
     return [c for c in system.family.enumerate_ranked(table.size) if c.level <= levels]
@@ -233,11 +248,12 @@ def test_feasible_stage_comes_back_unchanged(rng):
     alpha = np.asarray(TWO_CLASS_ALPHA)
     order = ranked_slots(system, 20)
     for raw in padded_profiles(rng, 300):
-        proj, gaps, moved = fluid._project_conserving(raw, alpha, order)
+        gaps = fluid._gap_row(raw, np.empty(raw.size))
+        proj, moved = fluid._project_conserving(raw, alpha, order, gaps)
         reference, reference_moved = reference_project_conserving(raw.copy(), alpha, order)
         assert moved == 0.0 == reference_moved
         assert proj.tobytes() == raw.tobytes() == reference.tobytes()
-        assert gaps.tobytes() == (raw[:, :-1] - raw[:, 1:]).tobytes()
+        assert gaps.tobytes() == flat_gap_row(raw).tobytes()
 
 
 def test_infeasible_stage_matches_the_full_projection(rng):
@@ -254,11 +270,12 @@ def test_infeasible_stage_matches_the_full_projection(rng):
         if (raw[:, :-1] - raw[:, 1:]).min() >= 0.0:
             continue
         branches[projection_branch(raw, alpha)] += 1
-        proj, gaps, moved = fluid._project_conserving(raw, alpha, order)
+        gaps = fluid._gap_row(raw, np.empty(raw.size))
+        proj, moved = fluid._project_conserving(raw, alpha, order, gaps)
         reference, reference_moved = reference_project_conserving(raw, alpha, order)
         assert proj.tobytes() == reference.tobytes()
         assert moved == reference_moved > 0.0
-        assert gaps.tobytes() == (proj[:, :-1] - proj[:, 1:]).tobytes()
+        assert gaps.tobytes() == flat_gap_row(proj).tobytes()
     assert branches["pour"] > 50 and branches["shave"] > 50
 
 

@@ -54,6 +54,10 @@ MUTANTS = [
            "if len(cached_alpha) != len(alpha):"),
     Mutant("mass-cache-short", MODEL, "if len(mass) < count:",
            "if len(mass) < count // 2:"),
+    # the fill records kept across fractions, and the boundary class's row
+    # term written over its base term
+    Mutant("fill-cache-key", MODEL, "mass, records = mass[:0], {}", "mass = mass[:0]"),
+    Mutant("fill-term-index", ASSIGN, "terms[2 * ci + 1] = float(", "terms[2 * ci] = float("),
     Mutant("marginal-cache-short", MODEL, "if len(cached) < occ:", "if not len(cached):"),
     # config
     Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
@@ -123,8 +127,20 @@ MUTANTS = [
            "in reversed(pour_order) if step > 0 else pour_order:"),
     Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
     # each slot read off the gap of the level above it
-    Mutant("rank-gap-shift", FLUID, "gaps[..., : table.shape[-1]]",
-           "gaps[..., 1 : table.shape[-1] + 1]"),
+    Mutant("rank-gap-shift", FLUID, "((0, 0), (0, 2)), constant_values=NO_SLOT)",
+           "((0, 0), (1, 1)), constant_values=NO_SLOT)"),
+    # the flat gap row: the junction sentinel at 0.0 (only the gap row's own
+    # test can tell, since any finite gap >= 0 there steps the same), or at
+    # inf, whose drain 0 * inf is NaN; the sentinel written over the first
+    # gap of the next class instead of the junction; the drain read one slot
+    # off
+    Mutant("junction-zero", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
+           "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 0.0"),
+    Mutant("junction-inf", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
+           "gaps[state.shape[-1] - 1 :: state.shape[-1]] = np.inf"),
+    Mutant("junction-slot", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
+           "gaps[state.shape[-1] :: state.shape[-1]] = 1e300"),
+    Mutant("drain-offset", FLUID, "d2.ravel()[1:-1], gaps[1:-1]", "d2.ravel()[1:-1], gaps[2:]"),
     Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
     Mutant("record-index", FLUID, "states[r], times[r] = q, k * dt",
            "states[r - 1], times[r] = q, k * dt"),
