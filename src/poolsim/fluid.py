@@ -163,7 +163,7 @@ def _gap_row(state: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 def _rank_row(family, levels: int) -> np.ndarray:
     """``family.rank_table(levels)`` laid out like a flat gap row, each slot on
     the gap to the level above it, with ``NO_SLOT`` past the table."""
-    return np.pad(family.rank_table(levels), ((0, 0), (0, 2)), constant_values=NO_SLOT).ravel()
+    return np.hstack([family.rank_table(levels), np.full((family.m, 2), NO_SLOT)]).ravel()
 
 
 def _active_rank(ranks: np.ndarray, gaps: np.ndarray) -> np.ndarray:

@@ -127,8 +127,9 @@ MUTANTS = [
            "in reversed(pour_order) if step > 0 else pour_order:"),
     Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
     # each slot read off the gap of the level above it
-    Mutant("rank-gap-shift", FLUID, "((0, 0), (0, 2)), constant_values=NO_SLOT)",
-           "((0, 0), (1, 1)), constant_values=NO_SLOT)"),
+    Mutant("rank-gap-shift", FLUID, "np.hstack([family.rank_table(levels), np.full((family.m, 2)",
+           "np.hstack([np.full((family.m, 1), NO_SLOT), family.rank_table(levels), "
+           "np.full((family.m, 1)"),
     # the flat gap row: the junction sentinel at 0.0 (only the gap row's own
     # test can tell, since any finite gap >= 0 there steps the same), or at
     # inf, whose drain 0 * inf is NaN; the sentinel written over the first
