@@ -76,7 +76,7 @@ def _greedy_fill(
     order, read off the family's cache for ``alpha``. The boundary slot holds
     the residual ``rho`` minus the mass above it, kept as the exact float
     difference; nothing is rounded to whole pools. The tail and its utility
-    terms are cached per rank; a call writes the boundary slot and its term.
+    terms are cached per rank; a call copies them and fills the boundary in.
     """
     alpha = _check_fractions(alpha)
     if len(alpha) != family.m:
@@ -111,8 +111,8 @@ def _greedy_fill(
                   family.marginals_upto(coord.cls, tail.shape[1] - 1))
         if tail.size <= FILL_RECORDS:
             records[rank] = record
-    coord, tail, terms, marginals = record
-    ci = coord.cls - 1
+    coord, template, base, marginals = record
+    tail, terms, ci = template.copy(), list(base), coord.cls - 1
     tail[ci, coord.level] = rho - cum
     terms[2 * ci + 1] = float(np.dot(marginals, tail[ci, 1:]))
     bound = 0.0

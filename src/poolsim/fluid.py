@@ -53,10 +53,10 @@ NO_SLOT = np.iinfo(np.int64).max
 MAX_STEPS = 10**6
 
 #: Caps on the cells one integration steps, ``steps * m * (levels + 2)``, and
-#: records. On a 2-core x86 host the first allows 12 to 15 s of stepping (the
-#: step cap at depth 39, or 2500 steps at depth 40,000), the second 80 MB of
-#: records: ``poolsim fluid --T 120 --verify-reflection`` records 79 MB and
-#: peaks at 127 MB of resident memory.
+#: records. On a shared 2-core x86 host the first allows 4.5 s of stepping at
+#: depth 40,000 (2499 steps), while at depth 39 the step cap comes first, at
+#: 28 s; the second allows 80 MB of records: ``poolsim fluid --T 120
+#: --verify-reflection`` records 79 MB and peaks at 127 MB of resident memory.
 MAX_CELLS = 2 * 10**8
 MAX_RECORDED_CELLS = 10**7
 
