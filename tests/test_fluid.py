@@ -574,22 +574,29 @@ def test_reflection_needs_uniform_grid():
 # pinned integrator output
 
 
+def criterion_6_starts(alpha, mass_cap: float, count: int) -> list[QVector]:
+    """``count`` starts of criterion 6's random-start generator for the class
+    fractions ``alpha``: geometric columns or a block filled to alpha, with
+    mass at most ``mass_cap``."""
+    gen = np.random.default_rng(20260815)
+    alpha = np.asarray(alpha)
+    starts = []
+    while len(starts) < count:
+        if gen.uniform() < 0.5:
+            depth = int(gen.integers(6, 26))
+            ratios = gen.uniform(0.6, 1.0, size=(len(alpha), depth))
+            tail = np.hstack([alpha[:, None], alpha[:, None] * np.cumprod(ratios, axis=1)])
+            q = QVector(alpha=alpha, tail=tail)
+        else:
+            q = all_alpha_profile(alpha, int(gen.integers(3, 20)))
+        if q.mass() <= mass_cap:
+            starts.append(q)
+    return starts
+
+
 def criterion_6_start(draw: int) -> QVector:
     """The ``draw``-th start of criterion 6's random-start generator."""
-    gen = np.random.default_rng(20260815)
-    alpha = np.asarray(TWO_CLASS_ALPHA)
-    for _ in range(draw):
-        while True:
-            if gen.uniform() < 0.5:
-                depth = int(gen.integers(6, 26))
-                ratios = gen.uniform(0.6, 1.0, size=(2, depth))
-                tail = np.hstack([alpha[:, None], alpha[:, None] * np.cumprod(ratios, axis=1)])
-                q = QVector(alpha=alpha, tail=tail)
-            else:
-                q = all_alpha_profile(alpha, int(gen.integers(3, 20)))
-            if q.mass() <= 19.5:
-                break
-    return q
+    return criterion_6_starts(TWO_CLASS_ALPHA, 19.5, draw)[-1]
 
 
 def negative_zeros(q: QVector, level: int) -> QVector:
@@ -831,26 +838,6 @@ def test_fixed_point_reached_mid_run_ends_the_stepping(name, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the integrator against a reference written stage by stage
-
-
-def criterion_6_starts(alpha, mass_cap: float, count: int) -> list[QVector]:
-    """``count`` starts of criterion 6's random-start generator for the class
-    fractions ``alpha``: geometric columns or a block filled to alpha, with
-    mass at most ``mass_cap``."""
-    gen = np.random.default_rng(20260815)
-    alpha = np.asarray(alpha)
-    starts = []
-    while len(starts) < count:
-        if gen.uniform() < 0.5:
-            depth = int(gen.integers(6, 26))
-            ratios = gen.uniform(0.6, 1.0, size=(len(alpha), depth))
-            tail = np.hstack([alpha[:, None], alpha[:, None] * np.cumprod(ratios, axis=1)])
-            q = QVector(alpha=alpha, tail=tail)
-        else:
-            q = all_alpha_profile(alpha, int(gen.integers(3, 20)))
-        if q.mass() <= mass_cap:
-            starts.append(q)
-    return starts
 
 
 def three_class_system() -> FluidSystem:
