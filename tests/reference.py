@@ -8,7 +8,8 @@ them, so it shares no code or layout with the count-level walk of
 
 A trapezoid integrator of the fluid limit that forms a fresh ``(m, levels +
 1)`` gap array per stage, for checking the bits of
-:func:`poolsim.fluid.integrate_fluid`.
+:func:`poolsim.fluid.integrate_fluid`, and one of its stages on a profile, for
+checking those of :func:`poolsim.fluid.fluid_rhs`.
 """
 
 from __future__ import annotations
@@ -135,23 +136,38 @@ def _reference_fill(system: FluidSystem, rank: int, levels: int) -> tuple:
     return spans, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
 
 
-def _reference_drift(state: np.ndarray, fill: tuple, lam: float) -> np.ndarray:
-    """The drift of a padded profile: saturated slots take what the level below
-    drains, the active slot the rest of ``lam``, level ``j`` drains at
-    ``mu * j`` times its gap to level ``j + 1``."""
+def _reference_drift(state: np.ndarray, fill: tuple, lam: float) -> tuple:
+    """The drift and the inflow rates of a padded profile: saturated slots
+    take what the level below drains, the active slot the rest of ``lam``,
+    level ``j`` drains at ``mu * j`` times its gap to level ``j + 1``."""
     spans, slot, mu_j, mu_fill, alpha = fill
     flat = state.ravel()
     upper = flat[2:]
     rates = mu_fill * (alpha - upper)
     drain = mu_j * (flat[1:-1] - upper)
-    drift = np.zeros_like(state)
+    drift, inflow = np.zeros_like(state), np.zeros_like(state)
     inner = drift.ravel()[1:-1]
     np.subtract(rates, drain, out=inner)
     above = 0.0
     for span in spans:
         above += float(np.add.reduce(rates[span]))
     inner[slot] = (lam - above) - drain[slot]
-    return drift
+    inflow.ravel()[1:-1] = rates
+    inflow.ravel()[1 + slot] = lam - above
+    return drift, inflow
+
+
+def reference_rhs(system: FluidSystem, q: QVector) -> tuple:
+    """One stage of the reference integrator on a profile, the shape of
+    :func:`poolsim.fluid.fluid_rhs`: the drift and the inflow, indexed like
+    ``q.tail``, and the active slot, on a truncation one level past its depth."""
+    levels = q.depth + 1
+    state = np.zeros((system.m, levels + 2))
+    state[:, : q.depth + 1] = q.tail
+    rank = _reference_active_rank(system.family.rank_table(levels),
+                                  state[:, :-1] - state[:, 1:])
+    drift, inflow = _reference_drift(state, _reference_fill(system, rank, levels), system.lam)
+    return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], system.family.slot(rank)
 
 
 def _reference_project(raw: np.ndarray, alpha: np.ndarray, pour_order) -> tuple:
@@ -204,7 +220,7 @@ def reference_integrate(system: FluidSystem, q0: QVector | None, config) -> tupl
         rank = _reference_active_rank(table, gaps)
         if rank not in fills:
             fills[rank] = _reference_fill(system, rank, levels)
-        return _reference_drift(state, fills[rank], system.lam)
+        return _reference_drift(state, fills[rank], system.lam)[0]
 
     records, times = [q], [0.0]
     max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))

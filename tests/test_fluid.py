@@ -27,7 +27,7 @@ from conftest import (
     random_feasible_tail,
     two_class_system,
 )
-from reference import reference_integrate
+from reference import reference_integrate, reference_rhs
 
 
 def all_alpha_profile(alpha, depth):
@@ -163,6 +163,44 @@ def test_rhs_zeros_are_positive_off_the_fill(rng):
         drift, inflow, _ = fluid_rhs(system, QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail))
         for values in (drift, inflow):
             assert not np.any((values == 0.0) & np.signbit(values))
+
+
+def saturated_profiles(rng, alpha, count):
+    """Random feasible profiles of depth 2 to 30: per class a block at its
+    fraction, then a non-increasing column below it; some with a run of
+    equal levels, some with the slot below the block open by less than
+    ``SIGMA_TOL``."""
+    alpha = np.asarray(alpha)
+    for k in range(count):
+        depth = int(rng.integers(2, 31))
+        tail = random_feasible_tail(rng, alpha, depth).tail.copy()
+        for ci, a in enumerate(alpha):
+            block = int(rng.integers(0, depth))
+            tail[ci, 1 : block + 1] = a
+            if k % 3 == 1 and block + 3 <= depth:
+                tail[ci, block + 2 : block + 4] = tail[ci, block + 1]
+            if k % 3 == 2 and block < depth:
+                tail[ci, block + 1] = a - 5e-10
+        yield QVector(alpha=alpha, tail=tail)
+
+
+@pytest.mark.parametrize("make_system", [lambda: two_class_system(8, 9.75),
+                                         lambda: three_class_system()],
+                         ids=["two-class", "three-class"])
+def test_rhs_matches_the_reference_stage(make_system, rng):
+    # the drift, the inflow and the active slot of 100 profiles per system
+    # are one stage of the reference integrator's, bit for bit
+    system = make_system()
+    slots = set()
+    for q in saturated_profiles(rng, system.alpha, 100):
+        drift, inflow, active = fluid_rhs(system, q)
+        want_drift, want_inflow, want_active = reference_rhs(system, q)
+        assert drift.tobytes() == want_drift.tobytes()
+        assert inflow.tobytes() == want_inflow.tobytes()
+        assert drift.shape == inflow.shape == q.tail.shape
+        assert active == want_active
+        slots.add(active)
+    assert len(slots) >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -870,3 +908,49 @@ def test_integrator_matches_the_stagewise_reference(make_system, floor, dt, ever
         assert np.float64(path.max_tail_mass).tobytes() == np.float64(max_tail).tobytes()
         tails.append(max_tail)
     assert max(tails) > 1e-8
+
+
+def monitored_start(cls: int, level: int, value: float) -> QVector:
+    """The empty two-class profile of depth 13 with ``value`` at one slot."""
+    tail = np.zeros((2, 14))
+    tail[:, 0] = TWO_CLASS_ALPHA
+    tail[cls - 1, level] = value
+    return QVector(alpha=np.asarray(TWO_CLASS_ALPHA), tail=tail)
+
+
+#: name -> (start, horizon, dt, record_every), each at a truncation of 13
+#: levels, whose monitored levels are 12, 13 and the padding.
+MONITORED_STARTS = {
+    # empty until the fill reaches level 12
+    "empty": (lambda: None, 6.0, 2e-3, 100),
+    # mass on the monitored levels at the start, draining
+    "nudged-optimal": (nudged_optimal_start, 0.5, 1e-3, 1),
+    "geometric": (lambda: QVector(alpha=np.asarray(TWO_CLASS_ALPHA),
+                                  tail=criterion_6_start(2).tail[:, :14]), 0.5, 1e-3, 1),
+    "alpha-to-9": (lambda: all_alpha_profile(TWO_CLASS_ALPHA, 9), 0.5, 1e-3, 1),
+    # monitored levels of -0.0
+    "negative-zeros": (lambda: negative_zeros(all_alpha_profile(TWO_CLASS_ALPHA, 13), 12),
+                       0.2, 1e-3, 1),
+    # a negative entry on a monitored level: the first step clamps it to 0,
+    # which then beats the start's negative tail mass
+    "negative-at-12": (lambda: monitored_start(1, 12, -1e-6), 0.2, 1e-3, 1),
+    "negative-at-13": (lambda: monitored_start(2, 13, -1e-6), 0.2, 1e-3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITORED_STARTS))
+def test_truncation_monitor_matches_the_reference(name):
+    # max_tail_mass, the records and their times are the reference's bit for
+    # bit, whether or not mass reaches the monitored levels
+    start, horizon, dt, every = MONITORED_STARTS[name]
+    system = two_class_system(8, 9.75)
+    cfg = IntegratorConfig(dt=dt, levels=13, horizon=horizon, record_every=every)
+    states, times, max_tail = reference_integrate(system, start(), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = integrate_fluid(system, start(), cfg)
+    assert path.states.tobytes() == states.tobytes()
+    assert path.times.tobytes() == times.tobytes()
+    assert np.float64(path.max_tail_mass).tobytes() == np.float64(max_tail).tobytes()
+    if name.startswith("negative-at"):
+        assert np.float64(path.max_tail_mass).tobytes() == np.float64(0.0).tobytes()
