@@ -16,10 +16,12 @@ integrated trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -160,22 +162,28 @@ def _gap_row(state: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     return gaps
 
 
+@functools.lru_cache(maxsize=64)
 def _rank_row(family, levels: int) -> np.ndarray:
     """``family.rank_table(levels)`` laid out like a flat gap row, each slot on
-    the gap to the level above it, with ``NO_SLOT`` past the table."""
-    return np.hstack([family.rank_table(levels), np.full((family.m, 2), NO_SLOT)]).ravel()
+    the gap to the level above it, with ``NO_SLOT`` past the table; kept
+    read-only per family and depth."""
+    row = np.hstack([family.rank_table(levels), np.full((family.m, 2), NO_SLOT)]).ravel()
+    row.flags.writeable = False
+    return row
 
 
-def _active_rank(ranks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+def _active_rank(ranks: np.ndarray, gaps: np.ndarray, opened=None) -> np.ndarray:
     """Rank of the active slot of each padded profile, read along the last axis
     of its flat gap row and the :func:`_rank_row` of its depth, broadcast to
-    match: a slot is open when its gap to the level above exceeds
-    ``SIGMA_TOL``. Inside a class the rank grows with the level, so the
-    smallest rank among open slots is the best-ranked first open slot of any
-    class. Reads ``m * levels + 1`` when that slot is ranked past the table,
-    and ``NO_SLOT`` when no slot is open, which :func:`_check_open` refuses.
+    match: a slot is open (in the mask ``opened``, if given) when its gap to
+    the level above exceeds ``SIGMA_TOL``. Inside a class the rank grows with
+    the level, so the smallest rank among open slots is the best-ranked first
+    open slot of any class. Reads ``m * levels + 1`` when that slot is ranked
+    past the table, and ``NO_SLOT`` when no slot is open, which
+    :func:`_check_open` refuses.
     """
-    return np.minimum.reduce(ranks, axis=-1, where=gaps > SIGMA_TOL, initial=NO_SLOT)
+    return np.minimum.reduce(ranks, axis=-1, where=np.greater(gaps, SIGMA_TOL, out=opened),
+                             initial=NO_SLOT)
 
 
 def _check_open(rank: int) -> None:
@@ -183,55 +191,115 @@ def _check_open(rank: int) -> None:
         raise RuntimeError("no active slot within the truncated profile; increase the depth")
 
 
-def _fill_at(system: FluidSystem, rank: int, levels: int, rates: np.ndarray) -> tuple:
-    """The drift's record at active rank ``rank``: the active slot, the buffer
-    ``rates`` and, along the flat row ``p.ravel()[1:-1]`` of a padded profile,
-    its view on each class's span of slots ranked above the active slot, the
-    active slot's index, and three arrays: ``mu * j`` at level ``j`` (0 in
-    columns 0 and -1); the same on the spans, 0 elsewhere; and their class
-    fraction, 1e300 elsewhere, so that the rate there, ``0 * (1e300 - q)``,
-    is +0.0 even on a level above alpha."""
+def _fill_at(system: FluidSystem, rank: int, levels: int, mu_j, rates) -> tuple:
+    """The drift's record at active rank ``rank``: the active slot and, along
+    the flat row ``p.ravel()[1:-1]`` of a padded profile, the views of
+    ``rates`` on each class's non-empty span of slots ranked above the active
+    slot, the active slot's index, and two arrays: ``mu_j`` (``mu * j`` at
+    level ``j``) on the spans, 0 elsewhere, and their class fraction, 1e300
+    elsewhere, so that the rate there, ``0 * (1e300 - q)``, is +0.0 even on a
+    level above alpha."""
     _check_open(rank)
     depths = system.family.class_counts_before(rank)
     for cls, depth in enumerate(depths, 1):
         if depth >= levels:
             raise RuntimeError(f"class {cls} saturates past the truncation depth {levels}")
-    mu_j = np.zeros((system.m, levels + 2))
-    mu_j[:, 1:-1] = system.mu * np.arange(1, levels + 1)
-    mu_j = mu_j.ravel()[1:-1]
     mu_fill, alpha = np.zeros_like(mu_j), np.full_like(mu_j, 1e300)
     spans = [slice(ci * (levels + 2), ci * (levels + 2) + depth)
              for ci, depth in enumerate(depths)]
     for a, span in zip(system.alpha, spans):
         mu_fill[span], alpha[span] = mu_j[span], a
     cls, level = coord = system.family.slot(rank)
-    views = [rates[span] for span in spans]
-    return coord, rates, views, (cls - 1) * (levels + 2) + level - 1, mu_j, mu_fill, alpha
+    views = [rates[span] for span in spans if span.stop > span.start]
+    return coord, views, (cls - 1) * (levels + 2) + level - 1, mu_fill, alpha
 
 
-def _flows(
-    state: np.ndarray, gaps: np.ndarray, fill: tuple, lam: float, inner: np.ndarray
-) -> float:
-    """Write the drift of a padded profile into ``inner``, along its flat row
-    ``p.ravel()[1:-1]`` (``gaps`` its gap row there), and each saturated slot's
-    inflow rate into the fill's ``rates``; return the active slot's inflow.
-
-    Level ``j`` drains at ``mu * j`` times its gap to level ``j + 1``. A
-    saturated slot ``(i, j)`` takes in what the level below it drains, and
-    the active slot takes the rest of ``lam``.
+class _Stepper:
+    """The stepping state at depth ``levels``: the rank row, the drift's
+    record per active rank and every buffer a stage writes, written in place,
+    so one is built per integration or call. ``drift(upper, inner)``, the one
+    drift, reads a padded profile ``p`` as its gap row, in ``gaps``, and
+    ``upper = p.ravel()[2:]``. Along ``p.ravel()[1:-1]`` it writes the drift
+    into ``inner`` and each saturated slot's inflow rate into ``rates``, and
+    it returns the active slot and its inflow: level ``j`` drains at ``mu *
+    j`` times its gap to level ``j + 1``, a saturated slot takes in what the
+    level below it drains, and the active slot the rest of ``lam``.
     """
-    _, rates, spans, slot, mu_j, mu_fill, alpha = fill
-    np.subtract(alpha, state.ravel()[2:], out=rates)
-    np.multiply(mu_fill, rates, out=rates)
-    np.multiply(mu_j, gaps, out=inner)
-    drain = float(inner[slot])
-    np.subtract(rates, inner, out=inner)
-    # Class by class: one pairwise sum over the masked rows would round differently.
-    above = 0.0
-    for span in spans:
-        above += float(np.add.reduce(span))
-    inner[slot] = (lam - above) - drain
-    return lam - above
+
+    def __init__(self, system: FluidSystem, levels: int) -> None:
+        self.system, self.levels = system, levels
+        cells = system.m * (levels + 2)
+        self.gaps, self.rates = gaps, rates = np.empty(cells), np.empty(cells - 2)
+        opened, inner_gaps = np.empty(cells, dtype=bool), gaps[1:-1]
+        mu_j = np.zeros((system.m, levels + 2))
+        mu_j[:, 1:-1] = system.mu * np.arange(1, levels + 1)
+        mu_j = mu_j.ravel()[1:-1]
+        ranks, fills, lam = _rank_row(system.family, levels), {}, system.lam
+        add, subtract, multiply = np.add.reduce, np.subtract, np.multiply
+
+        def drift(upper: np.ndarray, inner: np.ndarray) -> tuple[Coordinate, float]:
+            rank = int(_active_rank(ranks, gaps, opened))
+            fill = fills.get(rank)
+            if fill is None:
+                fill = fills[rank] = _fill_at(system, rank, levels, mu_j, rates)
+            coord, spans, slot, mu_fill, alpha = fill
+            multiply(mu_fill, subtract(alpha, upper, out=rates), out=rates)
+            multiply(mu_j, inner_gaps, out=inner)
+            drain = inner.item(slot)
+            subtract(rates, inner, out=inner)
+            # Class by class: one pairwise sum over the masked rows would round differently.
+            above = 0.0
+            for span in spans:
+                above += float(add(span))
+            inner[slot] = (lam - above) - drain
+            return coord, lam - above
+
+        self.drift = drift
+
+    def run(self, q: np.ndarray, dt: float) -> Iterator[np.ndarray]:
+        """Yield the state after each trapezoid step of ``dt`` from the padded
+        profile ``q``, in two buffers that take turns, ``q`` one of them; stop
+        after a step that returns its state byte for byte. The drifts are +0.0
+        in columns 0 and -1, so every stage keeps alpha and 0 there."""
+        system, levels, gaps, drift = self.system, self.levels, self.gaps, self.drift
+        alpha = np.asarray(system.alpha, dtype=np.float64)
+        move_cap, half = 10.0 * dt * system.lam + 1e-15, 0.5 * dt
+        pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
+                      if c.level <= levels]
+        add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
+        head, junctions = gaps[:-1], gaps[levels + 1 :: levels + 2]
+        # Written in place by every step: the drifts, the predictor stage and the
+        # states, each with the views of its flat row that a gap row and a drift read.
+        d1, d2 = np.zeros_like(q), np.zeros_like(q)
+        inner1, inner2 = d1.ravel()[1:-1], d2.ravel()[1:-1]
+        (pred, pred_head, pred_tail, pred_upper), now, after = (
+            (b, f[:-1], f[1:], f[2:]) for b in (np.empty_like(q), q, np.empty_like(q))
+            for f in [b.ravel()])
+        _gap_row(q, gaps)
+        for k in count(1):
+            (q, _, _, upper), (raw, raw_head, raw_tail, _) = now, after
+            drift(upper, inner1)
+            add(q, multiply(d1, dt, out=pred), out=pred)
+            subtract(pred_head, pred_tail, out=head)
+            junctions.fill(1e300)
+            stage, _ = _project_conserving(pred, alpha, pour_order, gaps)
+            if stage is not pred:
+                copyto(pred, stage)
+            drift(pred_upper, inner2)
+            # d1 holds (d1 + d2) * dt / 2 until the next step's first stage.
+            add(q, multiply(add(d1, d2, out=d1), half, out=d1), out=raw)
+            subtract(raw_head, raw_tail, out=head)
+            junctions.fill(1e300)
+            new, moved = _project_conserving(raw, alpha, pour_order, gaps)
+            if moved > move_cap:
+                raise RuntimeError(f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
+                                   f"dt={dt} is too large for these dynamics")
+            if new is not raw:
+                copyto(raw, new)
+            now, after = after, now
+            yield raw
+            if raw.tobytes() == q.tobytes():
+                return
 
 
 def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, Coordinate]:
@@ -244,13 +312,13 @@ def fluid_rhs(system: FluidSystem, q: QVector) -> tuple[np.ndarray, np.ndarray, 
     """
     levels = q.depth + 1
     padded = _pad(q, levels)
-    gaps = _gap_row(padded, np.empty(padded.size))
-    rank = int(_active_rank(_rank_row(system.family, levels), gaps))
+    stepper = _Stepper(system, levels)
+    _gap_row(padded, stepper.gaps)
     drift, inflow = np.zeros_like(padded), np.zeros_like(padded)
-    fill = _fill_at(system, rank, levels, inflow.ravel()[1:-1])
-    cls, level = fill[0]
-    inflow[cls - 1, level] = _flows(padded, gaps[1:-1], fill, system.lam, drift.ravel()[1:-1])
-    return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], fill[0]
+    active, into = stepper.drift(padded.ravel()[2:], drift.ravel()[1:-1])
+    inflow.ravel()[1:-1] = stepper.rates
+    inflow[active.cls - 1, active.level] = into
+    return drift[:, : q.depth + 1], inflow[:, : q.depth + 1], active
 
 
 def equilibrium_profile(system: FluidSystem) -> QVector:
@@ -310,7 +378,7 @@ def integrate_fluid(
     accurate to O(dt^2); the conserving projection keeps it exact through
     boundary crossings. If a projection ever moves the state by more than
     ``10 * dt * lam`` the step size is declared too coarse and the run aborts.
-    Mass above the last two retained levels is monitored; if it ever exceeds
+    Mass on the last two retained levels is monitored; if it ever exceeds
     1e-8 a truncation warning is issued. A step reads nothing but the state,
     so once a step returns its state unchanged, byte for byte (-0.0 is not
     +0.0), no step is taken after it and that state fills the later records.
@@ -318,74 +386,34 @@ def integrate_fluid(
     ``MAX_RECORDED_CELLS`` is refused before it starts. The records are
     written in place into one array allocated for all of them.
     """
-    dt, levels, steps = config.dt, config.levels, config.steps
+    dt, levels, steps, every = config.dt, config.levels, config.steps, config.record_every
     cells = system.m * (levels + 2)
-    records = 1 + math.ceil(steps / config.record_every)
+    records = 1 + math.ceil(steps / every)
     if steps * cells > MAX_CELLS or records * cells > MAX_RECORDED_CELLS:
         raise ValueError(f"{steps} steps of {cells} cells, {records} recorded, pass the caps "
                          f"({MAX_CELLS}, {MAX_RECORDED_CELLS}); refusing to integrate")
-    states, times = np.empty((records, system.m, levels + 2)), np.empty(records)
-    if q0 is None:
-        q0 = QVector.zeros(system.alpha, 1)
-    alpha = np.asarray(system.alpha, dtype=np.float64)
-    lam = system.lam
-    q = _pad(q0, levels)
-    q[:, 0] = alpha
-    move_cap = 10.0 * dt * lam + 1e-15
-    ranks = _rank_row(system.family, levels)
-    pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
-                  if c.level <= levels]
-    fills: dict[int, tuple] = {}
-    # Written in place by every step: the drifts, the predictor stage, the
-    # buffer the next state goes into, the rates and the latest stage's gaps.
-    d1, d2, pred, spare = np.zeros_like(q), np.zeros_like(q), np.empty_like(q), np.empty_like(q)
-    rates, gaps = np.empty(q.size - 2), _gap_row(q, np.empty(q.size))
-    inner1, inner2, inner_gaps = d1.ravel()[1:-1], d2.ravel()[1:-1], gaps[1:-1]
-
-    def drift_at(state: np.ndarray, inner: np.ndarray) -> None:
-        rank = int(_active_rank(ranks, gaps))
-        fill = fills.get(rank)
-        if fill is None:
-            fill = fills[rank] = _fill_at(system, rank, levels, rates)
-        _flows(state, inner_gaps, fill, lam, inner)
-
-    # The drifts are zero in columns 0 and -1, so every stage keeps alpha and
-    # 0 there.
-    states[0], times[0] = q, 0.0
-    r = 0
+    states = np.empty((records, system.m, levels + 2))
+    times = np.append(np.arange(0, steps, every), steps) * dt
+    q = _pad(QVector.zeros(system.alpha, 1) if q0 is None else q0, levels)
+    q[:, 0] = system.alpha
+    states[0], r = q, 0
+    # A stepped state is feasible, so when level levels - 1 is 0 in every
+    # class, the monitored sum is +-0 and raises no maximum that is >= 0.
     max_tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
-    still = False
-    for k in range(1, steps + 1):
-        if not still:
-            drift_at(q, inner1)
-            np.add(q, np.multiply(d1, dt, out=pred), out=pred)
-            stage, _ = _project_conserving(pred, alpha, pour_order, _gap_row(pred, gaps))
-            drift_at(stage, inner2)
-            # d1 holds (d1 + d2) * dt / 2 until the next step's first stage.
-            np.multiply(np.add(d1, d2, out=d1), 0.5 * dt, out=d1)
-            raw = np.add(q, d1, out=spare)
-            new, moved = _project_conserving(raw, alpha, pour_order, _gap_row(raw, gaps))
-            if moved > move_cap:
-                raise RuntimeError(
-                    f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
-                    f"dt={dt} is too large for these dynamics"
-                )
-            still = new.tobytes() == q.tobytes()
-            spare = q if new is raw else spare
-            q = new
+    watch = range(levels - 1, cells, levels + 2)
+    for k, q in zip(range(1, steps + 1), _Stepper(system, levels).run(q, dt)):
+        if max_tail < 0.0 or any(map(q.item, watch)):
             tail = float(np.add.reduce(q[:, levels - 1 :], axis=None))
             if tail > max_tail:
                 max_tail = tail
-        if k % config.record_every == 0 or k == steps:
+        if k % every == 0 or k == steps:
             r += 1
-            states[r], times[r] = q, k * dt
+            states[r] = q
+    # The state a step returned unchanged fills the later records.
+    states[r + 1 :] = q
     if max_tail > TRUNCATION_WARN:
-        warnings.warn(
-            f"mass {max_tail:.3e} reached the last truncated levels; "
-            f"results may be biased, increase levels beyond {levels}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"mass {max_tail:.3e} reached the last truncated levels; results may be "
+                      f"biased, increase levels beyond {levels}", RuntimeWarning, stacklevel=2)
     return FluidPath(times=times, states=states, system=system, config=config,
                      max_tail_mass=max_tail)
 

@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# Seconds allowed for one suite run; the slowest mutant to die takes about 90 s.
+# Seconds allowed for one suite run; the slowest mutant to die, max-events-estimate,
+# takes about 145 s.
 TIMEOUT = 300.0
 
 
@@ -125,26 +126,37 @@ MUTANTS = [
            "if max_tail > TRUNCATION_WARN * 10:"),
     Mutant("pour-order", FLUID, "in pour_order if step > 0 else reversed(pour_order):",
            "in reversed(pour_order) if step > 0 else pour_order:"),
-    Mutant("move-cap", FLUID, "move_cap = 10.0 * dt * lam", "move_cap = 100.0 * dt * lam"),
+    Mutant("move-cap", FLUID, "move_cap, half = 10.0 * dt", "move_cap, half = 100.0 * dt"),
     # each slot read off the gap of the level above it
     Mutant("rank-gap-shift", FLUID, "np.hstack([family.rank_table(levels), np.full((family.m, 2)",
            "np.hstack([np.full((family.m, 1), NO_SLOT), family.rank_table(levels), "
            "np.full((family.m, 1)"),
     # the flat gap row: the junction sentinel at 0.0 (only the gap row's own
-    # test can tell, since any finite gap >= 0 there steps the same), or at
-    # inf, whose drain 0 * inf is NaN; the sentinel written over the first
-    # gap of the next class instead of the junction; the drain read one slot
-    # off
+    # test can tell, since any finite gap >= 0 there steps the same), or,
+    # where the stepper writes it after a step, at inf, whose drain 0 * inf
+    # is NaN; the sentinel written over the first gap of the next class
+    # instead of the junction; the drain read one slot off
     Mutant("junction-zero", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
            "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 0.0"),
-    Mutant("junction-inf", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
-           "gaps[state.shape[-1] - 1 :: state.shape[-1]] = np.inf"),
+    Mutant("junction-inf", FLUID, "raw_tail, out=head)\n            junctions.fill(1e300)",
+           "raw_tail, out=head)\n            junctions.fill(np.inf)"),
     Mutant("junction-slot", FLUID, "gaps[state.shape[-1] - 1 :: state.shape[-1]] = 1e300",
            "gaps[state.shape[-1] :: state.shape[-1]] = 1e300"),
-    Mutant("drain-offset", FLUID, "d2.ravel()[1:-1], gaps[1:-1]", "d2.ravel()[1:-1], gaps[2:]"),
+    Mutant("drain-offset", FLUID, "np.empty(cells, dtype=bool), gaps[1:-1]",
+           "np.empty(cells, dtype=bool), gaps[2:]"),
+    # a projected stage or step left out of the buffer the next drift reads
+    Mutant("stage-copy", FLUID, "if stage is not pred:", "if stage is pred:"),
+    Mutant("state-copy", FLUID, "if new is not raw:", "if new is raw:"),
+    # the sum over a rank's spans skips one-slot spans, not only empty ones
+    Mutant("empty-span-filter", FLUID, "if span.stop > span.start]",
+           "if span.stop > span.start + 1]"),
     Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
-    Mutant("record-index", FLUID, "states[r], times[r] = q, k * dt",
-           "states[r - 1], times[r] = q, k * dt"),
+    Mutant("record-index", FLUID, "states[r] = q", "states[r - 1] = q"),
+    # the truncation monitor reads its sum only when the watched level is
+    # empty, or skips it while its maximum is still the start's negative sum
+    Mutant("monitor-gate-inverted", FLUID, "or any(map(q.item, watch)):",
+           "or not any(map(q.item, watch)):"),
+    Mutant("monitor-negative-clause", FLUID, "if max_tail < 0.0 or any(", "if any("),
     # the reflection check: a rank block skipped, the gate's half step when
     # no fill rate times the fill, and the gate fractions and inflow carried
     # from slot to slot
