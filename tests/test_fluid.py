@@ -203,6 +203,16 @@ def test_rhs_matches_the_reference_stage(make_system, rng):
     assert len(slots) >= 20
 
 
+def test_rank_row_is_laid_out_once_per_depth():
+    # fluid_rhs reads its depth's rank row from a cache, which no caller can
+    # write through
+    system = two_class_system(8, 9.75)
+    row = fluid._rank_row(system.family, 13)
+    assert fluid._rank_row(system.family, 13) is row
+    assert not row.flags.writeable
+    assert fluid._rank_row(system.family, 14) is not row
+
+
 # ---------------------------------------------------------------------------
 # conserving projection
 

@@ -150,6 +150,8 @@ MUTANTS = [
     # the sum over a rank's spans skips one-slot spans, not only empty ones
     Mutant("empty-span-filter", FLUID, "if span.stop > span.start]",
            "if span.stop > span.start + 1]"),
+    # the cached rank row left writeable
+    Mutant("rank-row-writeable", FLUID, "    row.flags.writeable = False\n", ""),
     Mutant("cell-cap", FLUID, "if steps * cells > MAX_CELLS or", "if steps > MAX_CELLS or"),
     Mutant("record-index", FLUID, "states[r] = q", "states[r - 1] = q"),
     # the truncation monitor reads its sum only when the watched level is
