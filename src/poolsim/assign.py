@@ -21,7 +21,6 @@ from .model import (
     QVector,
     UtilityFamily,
     _check_fractions,
-    _utility_terms,
 )
 
 __all__ = [
@@ -65,6 +64,22 @@ def _too_deep(rho: float) -> ValueError:
     )
 
 
+def _utility_terms(
+    family: UtilityFamily, alpha, tail: np.ndarray
+) -> tuple[list[float], list[np.ndarray]]:
+    """The terms of a filled tail's utility, in the order they are added: per
+    class its base utility times its fraction, then its tail row against its
+    marginals (``tail[ci, j]`` multiplies the marginal of the step j-1 -> j).
+    Also the marginal arrays of the classes, read off ``family.marginals``."""
+    depth = tail.shape[1] - 1
+    terms, marginals = [], []
+    for cls, a in enumerate(alpha, 1):
+        family.marginal(cls, depth - 1)
+        marginals.append(np.array(family.marginals[cls - 1][:depth]))
+        terms += [family.value(cls, 0) * a, float(np.dot(marginals[-1], tail[cls - 1, 1:]))]
+    return terms, marginals
+
+
 def _greedy_fill(
     family: UtilityFamily, alpha, rho: float
 ) -> tuple[tuple[float, ...], Coordinate, int, np.ndarray, float]:
@@ -85,21 +100,13 @@ def _greedy_fill(
         raise ValueError(f"load must be finite, got {rho}")
     if rho < 0:
         raise ValueError(f"load must be >= 0, got {rho}")
-    widest = max(alpha)
-    if rho >= MAX_ENUMERATION * widest:
+    if rho >= MAX_ENUMERATION * max(alpha):
         raise _too_deep(rho)
-    # Every slot carries at most the widest class fraction, so no shorter
-    # prefix carries more than rho; double the count until one does.
-    count = min(int(rho / widest) + 1, MAX_ENUMERATION)
-    while True:
-        # Each entry is the float the slot-by-slot walk accumulates.
-        mass, records = family.ranked_mass(alpha, count)
-        rank = int(mass.searchsorted(rho, side="right")) + 1
-        if rank <= count:
-            break
-        if count == MAX_ENUMERATION:
-            raise _too_deep(rho)
-        count = min(2 * count, MAX_ENUMERATION)
+    # Each entry is the float the slot-by-slot walk accumulates.
+    mass, records = family.ranked_mass(alpha, rho)
+    rank = int(mass.searchsorted(rho, side="right")) + 1
+    if rank > len(mass):
+        raise _too_deep(rho)
     cum = float(mass[rank - 2]) if rank > 1 else 0.0
     record = records.get(rank)
     if record is None:
@@ -107,8 +114,8 @@ def _greedy_fill(
         tail = np.zeros((len(alpha), max(max(filled), coord.level) + 1))
         for ci, a in enumerate(alpha):
             tail[ci, : filled[ci] + 1] = a
-        record = (coord, tail, _utility_terms(family, alpha, tail),
-                  family.marginals_upto(coord.cls, tail.shape[1] - 1))
+        terms, marginals = _utility_terms(family, alpha, tail)
+        record = (coord, tail, terms, marginals[coord.cls - 1])
         if tail.size <= FILL_RECORDS:
             records[rank] = record
     coord, template, base, marginals = record

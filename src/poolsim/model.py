@@ -30,7 +30,6 @@ __all__ = [
     "SystemConfig",
     "QVector",
     "OccupancyState",
-    "overall_utility",
     "occupancy_to_q",
 ]
 
@@ -173,7 +172,6 @@ class UtilityFamily:
         # _level_ranks[ci][j - 1] is the rank of slot (ci + 1, j).
         self._level_ranks: list[list[int]] = [[] for _ in self.utilities]
         self._rank_tables: dict[int, np.ndarray] = {}
-        self._marginal_arrays = [np.zeros(0) for _ in self.utilities]
         self._mass: tuple[tuple[float, ...], np.ndarray, dict] = ((), np.zeros(0), {})
 
     @property
@@ -196,17 +194,6 @@ class UtilityFamily:
                 cache.append(hi - lo)
                 lo = hi
         return cache[occ]
-
-    def marginals_upto(self, cls: int, occ: int) -> np.ndarray:
-        """Marginals for occupancies 0..occ-1 of one class: a read-only view of
-        a float64 array cached per class and grown by doubling."""
-        cached = self._marginal_arrays[cls - 1]
-        if len(cached) < occ:
-            size = max(occ, 2 * len(cached))
-            self.marginal(cls, size - 1)
-            cached = self._marginal_arrays[cls - 1] = np.array(self.marginals[cls - 1][:size])
-            cached.flags.writeable = False
-        return cached[:occ]
 
     def _extend(self, count: int) -> None:
         """Grow the cached ranking to at least ``count`` slots.
@@ -247,20 +234,29 @@ class UtilityFamily:
         self._extend(count)
         return self._slots[:count]
 
-    def ranked_mass(self, alpha: tuple[float, ...], count: int) -> tuple[np.ndarray, dict]:
-        """Running class mass along the ranking for ``alpha``, at least ``count``
-        slots long: read-only, cached for the last fractions, grown by doubling.
+    def ranked_mass(self, alpha: tuple[float, ...], rho: float) -> tuple[np.ndarray, dict]:
+        """Running class mass along the ranking for ``alpha``, long enough to
+        pass ``rho`` or else ``MAX_ENUMERATION`` slots long: read-only, cached
+        for the last fractions, grown by doubling.
         ``np.cumsum`` adds in order, so a prefix is what a shorter walk sums.
         Also the dict the greedy fill keeps its records for ``alpha`` in."""
         cached_alpha, mass, records = self._mass
         if cached_alpha != alpha:
             mass, records = mass[:0], {}
-        if len(mass) < count:
-            size = min(max(count, 2 * len(mass)), MAX_ENUMERATION)
+        elif mass.item(-1) > rho or len(mass) == MAX_ENUMERATION:
+            return mass, records
+        # Every slot carries at most the widest class fraction, so no prefix
+        # shorter than rho / max(alpha) slots passes rho.
+        size = max(int(rho / max(alpha)) + 1, 2 * len(mass))
+        while True:
+            size = min(size, MAX_ENUMERATION)
             classes = [c.cls - 1 for c in self.enumerate_ranked(size)]
             mass = np.cumsum(np.asarray(alpha)[classes])
-            mass.flags.writeable = False
-            self._mass = (alpha, mass, records)
+            if size == MAX_ENUMERATION or mass.item(-1) > rho:
+                break
+            size *= 2
+        mass.flags.writeable = False
+        self._mass = (alpha, mass, records)
         return mass, records
 
     def class_counts_before(self, rank: int) -> list[int]:
@@ -597,34 +593,3 @@ def occupancy_to_q(state: OccupancyState) -> QVector:
     tail /= state.n
     tail[:, 0] = state.alpha
     return QVector(alpha=np.asarray(state.alpha), tail=tail)
-
-
-# ---------------------------------------------------------------------------
-# The overall utility functional
-# ---------------------------------------------------------------------------
-
-
-def overall_utility(family: UtilityFamily, q: QVector) -> float:
-    """Average per-pool utility of a tail profile.
-
-    Summing per-level marginals against the tail profile telescopes to the
-    occupancy-weighted utility, so this equals
-    ``sum_i sum_j u_i(j) * (fraction of pools of class i at exactly j tasks)``.
-    """
-    total = 0.0
-    for term in _utility_terms(family, q.alpha, q.tail):
-        total += term
-    return total
-
-
-def _utility_terms(family: UtilityFamily, alpha, tail: np.ndarray) -> list[float]:
-    """The terms :func:`overall_utility` adds, in its order: per class its base
-    utility times its fraction, then, past depth 0, its tail row against its
-    marginals (``tail[ci, j]`` multiplies the marginal of the step j-1 -> j)."""
-    terms = []
-    depth = tail.shape[1] - 1
-    for cls, a in enumerate(alpha, 1):
-        terms.append(family.value(cls, 0) * float(a))
-        if depth >= 1:
-            terms.append(float(np.dot(family.marginals_upto(cls, depth), tail[cls - 1, 1:])))
-    return terms

@@ -426,9 +426,8 @@ def simulate(
     if policy.rank is not None:
         rank_history.append((0.0, policy.rank))
 
-    sample_times = run.sample_times or ()
-    si = 0
-    next_sample = sample_times[0] if sample_times else inf
+    samples = iter((*(run.sample_times or ()), inf))
+    next_sample = next(samples)
     trajectory: list[tuple[float, QVector]] | None = None
     if run.sample_times is not None:
         trajectory = []
@@ -454,11 +453,9 @@ def simulate(
                 tt = acc_u + y
                 comp_u = (tt - acc_u) - y
                 acc_u = tt
-            if next_sample < te:
-                while si < len(sample_times) and sample_times[si] < te:
-                    trajectory.append((sample_times[si], occupancy_to_q(state)))
-                    si += 1
-                next_sample = sample_times[si] if si < len(sample_times) else inf
+            while next_sample < te:
+                trajectory.append((next_sample, occupancy_to_q(state)))
+                next_sample = next(samples)
             if is_arrival:
                 cls, v, delta = decide(state, u)
                 ci = cls - 1
@@ -510,9 +507,9 @@ def simulate(
     final = _clock.final
     if final:
         acc_u += u_agg * final - comp_u
-    while si < len(sample_times) and sample_times[si] <= horizon:
-        trajectory.append((sample_times[si], occupancy_to_q(state)))
-        si += 1
+    while next_sample <= horizon:
+        trajectory.append((next_sample, occupancy_to_q(state)))
+        next_sample = next(samples)
     span = horizon - warmup
     avg_u = acc_u / (n * span)
     avg_s = _clock.acc_s / (n * span)

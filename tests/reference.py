@@ -6,6 +6,11 @@ task totals and lowest occupied levels from those lists, never maintaining
 them, so it shares no code or layout with the count-level walk of
 :func:`poolsim.sim.simulate`. Its rules are the ones the package states.
 
+The average per-pool utility of a tail profile, formed from the class
+utilities' values alone, without the marginal cache of a family, for checking
+the bits of :func:`poolsim.assign.upper_bound` and
+:func:`poolsim.assign.optimal_assignment`.
+
 A trapezoid integrator of the fluid limit that forms a fresh ``(m, levels +
 1)`` gap array per stage, for checking the bits of
 :func:`poolsim.fluid.integrate_fluid`, and one of its stages on a profile, for
@@ -89,6 +94,23 @@ def audit_tokens(policy, model: PoolModel) -> None:
     green, _ = model.tokens(policy.thresholds, policy.boundary)
     assert policy._green == green, f"green counters drifted: {policy._green} vs {green}"
     assert policy._total_green == sum(green)
+
+
+def overall_utility(family: UtilityFamily, q: QVector) -> float:
+    """Average per-pool utility of a tail profile.
+
+    Per class, in class order, it adds the utility at 0 tasks times the class
+    fraction, then the tail row against the marginals ``u(j) - u(j - 1)``.
+    Summing marginals against the tail telescopes to the occupancy-weighted
+    utility ``sum_i sum_j u_i(j) * (fraction of class-i pools at exactly j tasks)``.
+    """
+    total = 0.0
+    for u, a, row in zip(family.utilities, q.alpha, q.tail):
+        values = [u.value(x) for x in range(q.depth + 1)]
+        total += values[0] * float(a)
+        if q.depth:
+            total += float(np.dot(np.diff(values), row[1:]))
+    return total
 
 
 def rank_precedes(family: UtilityFamily, a: Coordinate, b: Coordinate) -> bool:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolsim.assign import (
     optimal_assignment,
@@ -13,14 +15,17 @@ from poolsim.assign import (
 )
 from poolsim.fluid import fluid_rhs
 from poolsim.model import (
+    CappedLinear,
     Coordinate,
     FluidSystem,
+    Linear,
     LogQuality,
     QVector,
     Tabulated,
     UtilityFamily,
-    overall_utility,
 )
+
+from reference import overall_utility
 
 from conftest import (
     QUAD_VALUES,
@@ -143,6 +148,19 @@ def test_assignment_matches_enumeration_prefix():
         assert filled == {(c.cls, c.level) for c in prefix}
 
 
+def test_a_load_at_the_cached_mass_walks_past_it():
+    # the cached running mass serves a load at once only when its last entry
+    # passes it; at a load equal to that entry the boundary is the next slot
+    fam = two_class_family()
+    mass, _ = fam.ranked_mass(TWO_CLASS_ALPHA, 3.0)
+    edge = mass.item(-1)
+    got = optimal_assignment(fam, TWO_CLASS_ALPHA, edge)
+    want = optimal_assignment(two_class_family(), TWO_CLASS_ALPHA, edge)
+    assert got.sigma_index == want.sigma_index == len(mass) + 1
+    assert got.q_star.tail.tobytes() == want.q_star.tail.tobytes()
+    assert got.bound == want.bound
+
+
 def reference_walk(fam, alpha, rho):
     """Slot-by-slot greedy walk: the boundary slot, its rank and the residual."""
     cum = 0.0
@@ -232,6 +250,43 @@ def test_bound_is_the_utility_of_the_fill_bit_for_bit():
     message = "load 10000000.0 needs more than 1000000 ranked slots; refusing to walk further"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         upper_bound(two_class_family(), TWO_CLASS_ALPHA, 1e7)
+
+
+#: Marginals and slopes drawn from a few dyadic values, so that slots tie
+#: across classes and within a table, and tables reach zero marginals.
+STEPS = (0.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def utilities(draw):
+    kind = draw(st.sampled_from(("table", "linear", "capped")))
+    if kind == "table":
+        steps = sorted(draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8)),
+                       reverse=True)
+        start = draw(st.sampled_from((-1.0, 0.0, 0.5)))
+        return Tabulated(tuple(np.cumsum([start, *steps]).tolist()))
+    if kind == "linear":
+        return Linear(draw(st.sampled_from((-0.5, *STEPS))))
+    return CappedLinear(draw(st.sampled_from(STEPS)), draw(st.integers(1, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_random_families_fill_to_the_reference_utility_bit_for_bit(data):
+    # 2 to 4 classes of tables, linear and capped-linear utilities under
+    # random fractions; one family serves every load, in the order drawn
+    m = data.draw(st.integers(2, 4))
+    fam = UtilityFamily([data.draw(utilities()) for _ in range(m)])
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    alpha = [w / sum(weights) for w in weights]
+    loads = data.draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6))
+    for rho in loads:
+        opt = optimal_assignment(fam, alpha, rho)
+        validate_feasible(opt.q_star, alpha, rho)
+        bound = upper_bound(fam, alpha, rho)
+        want = overall_utility(fam, opt.q_star)
+        assert np.float64(bound).tobytes() == np.float64(want).tobytes()
+        assert np.float64(opt.bound).tobytes() == np.float64(bound).tobytes()
 
 
 def test_bound_dominates_random_feasible_profiles(rng):

@@ -13,7 +13,7 @@ from poolsim.cli import build_parser, main
 from poolsim.config import ConfigError, load_config, parse_config
 from poolsim.model import SystemConfig
 from poolsim.policies import Slta
-from poolsim.sim import RunConfig, simulate
+from poolsim.sim import RunConfig, _admit, simulate
 
 BASE_DOC = {
     "schema": 1,
@@ -275,7 +275,13 @@ def test_cli_bound_rejects_unreachable_loads(tmp_path, capsys):
 
 @pytest.mark.parametrize("mu", [1e6, 1e300])
 def test_cli_simulate_refuses_runs_past_the_event_cap(tmp_path, capsys, mu):
-    # T * n * (lam + mu * rho) = 1.56e8 expected events at mu = 1e6, past 1e8
+    # T * n * (lam + mu * rho) = 1.56e8 expected events at mu = 1e6, past 1e8;
+    # the admission check refuses the run first, so an estimate that lets it
+    # through fails here at once instead of simulating it
+    fluid, _ = parse_config({**BASE_DOC, "mu": mu})
+    system = SystemConfig(n=8, alpha=fluid.alpha, rho=fluid.rho, mu=fluid.mu, family=fluid.family)
+    with pytest.raises(ValueError, match="refusing to simulate"):
+        _admit(system, RunConfig(horizon=1.0))
     cfg = write_config(tmp_path, {**BASE_DOC, "mu": mu})
     started = time.perf_counter()
     assert main(["simulate", "--config", cfg, "--policy", "jlmu", "--n", "8", "--T", "1"]) == 2

@@ -19,10 +19,9 @@ from poolsim.model import (
     Tabulated,
     UtilityFamily,
     occupancy_to_q,
-    overall_utility,
 )
 
-from reference import PoolModel, rank_precedes
+from reference import PoolModel, overall_utility, rank_precedes
 
 from conftest import (
     QUAD_VALUES,
@@ -94,7 +93,8 @@ def test_tabulated_rejects_convex_segments():
 def test_marginals_never_increase():
     for util in (LogQuality(7.0), Linear(0.3), CappedLinear(2.0, 5), Tabulated(QUAD_VALUES)):
         fam = UtilityFamily((util,))
-        deltas = fam.marginals_upto(1, 40)
+        fam.marginal(1, 39)
+        deltas = fam.marginals[0]
         assert len(deltas) == 40
         assert all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
 
@@ -107,7 +107,8 @@ def test_marginals_never_increase():
 def test_concave_tables_accepted(start, first, drops):
     u = Tabulated(concave_values(first, drops, start))
     fam = UtilityFamily((u,))
-    deltas = fam.marginals_upto(1, len(drops) + 4)
+    fam.marginal(1, len(drops) + 3)
+    deltas = fam.marginals[0]
     assert all(a >= b - 1e-9 for a, b in zip(deltas, deltas[1:]))
 
 
