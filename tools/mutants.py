@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 # Seconds allowed for one suite run; the slowest mutant to die, horizon-snapshot,
-# takes about 30 s, and an equivalent one, which runs the whole suite, about 33 s.
+# takes 30 to 40 s, about as long as an equivalent one, which runs the whole suite.
 TIMEOUT = 300.0
 
 
