@@ -16,9 +16,10 @@ replications and output path) is a command-line flag. Example::
       ]
     }
 
-Validation errors carry the offending field path; JSON syntax errors keep the
-parser's line and column. This module holds every rule for reading JSON,
-including the utility specs.
+Errors of the JSON rules carry the offending field path; JSON syntax errors
+keep the parser's line and column. This module holds every rule for reading
+JSON, including the utility specs; the system's values are judged by
+``FluidSystem``, whose errors come without a path.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .model import (
-    CappedLinear, FluidSystem, Linear, LogQuality, Tabulated, Utility, UtilityFamily,
-    _check_fractions,
-)
+from .model import CappedLinear, FluidSystem, Linear, LogQuality, Tabulated, Utility, UtilityFamily
 
 __all__ = ["ConfigError", "load_config", "parse_config", "utility_from_dict"]
 
@@ -155,17 +153,8 @@ def parse_config(doc: Any) -> tuple[FluidSystem, float | None]:
         extra = set(entry) - {"fraction", "utility"}
         if extra:
             raise ConfigError(where, f"unexpected fields: {sorted(extra)}")
-    try:
-        _check_fractions(fractions)
-    except ValueError as exc:
-        raise ConfigError("classes", str(exc)) from None
-
     mu = _number(_req(doc, "mu", ""), "mu")
-    if not mu > 0:
-        raise ConfigError("mu", f"must be > 0, got {mu}")
     rho = _number(_req(doc, "rho", ""), "rho")
-    if rho < 0:
-        raise ConfigError("rho", f"must be >= 0, got {rho}")
 
     beta = None
     if "beta" in doc:
@@ -173,7 +162,10 @@ def parse_config(doc: Any) -> tuple[FluidSystem, float | None]:
         if not 0 < beta <= 1:
             raise ConfigError("beta", f"must be in (0, 1], got {beta}")
 
-    system = FluidSystem(alpha=tuple(fractions), rho=rho, mu=mu, family=UtilityFamily(utilities))
+    try:
+        system = FluidSystem(tuple(fractions), rho=rho, mu=mu, family=UtilityFamily(utilities))
+    except ValueError as exc:
+        raise ConfigError("", str(exc)) from None
     return system, beta
 
 
@@ -190,9 +182,4 @@ def load_config(path: str | Path) -> tuple[FluidSystem, float | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    try:
-        return parse_config(doc)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("", str(exc)) from None
+    return parse_config(doc)

@@ -266,7 +266,7 @@ class _Stepper:
         move_cap, half = 10.0 * dt * system.lam + 1e-15, 0.5 * dt
         pour_order = [c for c in system.family.enumerate_ranked(system.m * levels)
                       if c.level <= levels]
-        add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
+        add, subtract, multiply = np.add, np.subtract, np.multiply
         head, junctions = gaps[:-1], gaps[levels + 1 :: levels + 2]
         # Written in place by every step: the drifts, the predictor stage and the
         # states, each with the views of its flat row that a gap row and a drift read.
@@ -282,20 +282,16 @@ class _Stepper:
             add(q, multiply(d1, dt, out=pred), out=pred)
             subtract(pred_head, pred_tail, out=head)
             junctions.fill(1e300)
-            stage, _ = _project_conserving(pred, alpha, pour_order, gaps)
-            if stage is not pred:
-                copyto(pred, stage)
+            _project_conserving(pred, alpha, pour_order, gaps)
             drift(pred_upper, inner2)
             # d1 holds (d1 + d2) * dt / 2 until the next step's first stage.
             add(q, multiply(add(d1, d2, out=d1), half, out=d1), out=raw)
             subtract(raw_head, raw_tail, out=head)
             junctions.fill(1e300)
-            new, moved = _project_conserving(raw, alpha, pour_order, gaps)
+            moved = _project_conserving(raw, alpha, pour_order, gaps)
             if moved > move_cap:
                 raise RuntimeError(f"projection moved the state by {moved:.3e} at t={k * dt:.6f}; "
                                    f"dt={dt} is too large for these dynamics")
-            if new is not raw:
-                copyto(raw, new)
             now, after = after, now
             yield raw
             if raw.tobytes() == q.tobytes():
@@ -328,21 +324,21 @@ def equilibrium_profile(system: FluidSystem) -> QVector:
 
 def _project_conserving(
     raw: np.ndarray, alpha: np.ndarray, pour_order: list[Coordinate], gaps: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> float:
     """Feasibility projection that redistributes instead of discarding.
 
     Clamp to [0, alpha] and restore monotonicity across levels, then pour the
     clipped-off mass back into the best-ranked slots that still have room
     (that is where the exact dynamics would have routed it once the boundary
-    slot filled mid-step). Returns the projected state, whose gap row it
-    writes over ``raw``'s in ``gaps``, and the maximum pointwise displacement.
-    Mass that finds no room stays lost; the caller checks the total against
-    its own running target. ``raw`` has column 0 at ``alpha`` and a zero last
-    column, so with no negative gap it is feasible already and comes back
-    itself, moved by 0.
+    slot filled mid-step). Writes the projected state over ``raw`` and its
+    gap row over ``raw``'s in ``gaps``, and returns the maximum pointwise
+    displacement. Mass that finds no room stays lost; the caller checks the
+    total against its own running target. ``raw`` has column 0 at ``alpha``
+    and a zero last column, so with no negative gap it is feasible already
+    and stays as it is, moved by 0.
     """
     if float(np.minimum.reduce(gaps)) >= 0.0:
-        return raw, 0.0
+        return 0.0
     target = float(raw[:, 1:].sum())
     proj = np.minimum.accumulate(np.clip(raw, 0.0, alpha[:, None]), axis=1)
     proj[:, -1] = 0.0
@@ -361,8 +357,10 @@ def _project_conserving(
             left -= move
             if left <= 1e-18:
                 break
-    _gap_row(proj, gaps)
-    return proj, float(np.abs(proj - raw).max())
+    moved = float(np.abs(proj - raw).max())
+    raw[...] = proj
+    _gap_row(raw, gaps)
+    return moved
 
 
 def integrate_fluid(

@@ -308,14 +308,15 @@ def _check_fractions(alpha: Sequence[float]) -> tuple[float, ...]:
 
 
 def _class_sizes(n: int, alpha: tuple[float, ...]) -> tuple[int, ...]:
-    """Pools per class of an ``n``-pool system; each ``n * alpha[i]`` must be whole."""
+    """Pools per class of an ``n``-pool system; each ``n * alpha[i]`` must be whole and >= 1."""
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     sizes = []
     for i, a in enumerate(alpha):
         pools = a * n
-        if abs(pools - round(pools)) > ALPHA_INT_TOL:
-            raise ValueError(f"n * alpha must be integral: class {i + 1} would get {pools} pools")
+        if abs(pools - round(pools)) > ALPHA_INT_TOL or round(pools) < 1:
+            raise ValueError(f"n * alpha must be integral and >= 1: class {i + 1} would get "
+                             f"{pools} pools")
         sizes.append(int(round(pools)))
     return tuple(sizes)
 
@@ -538,11 +539,12 @@ class OccupancyState:
         return sum(self.counts[cls - 1][level:])
 
     def max_occupied(self, cls: int) -> int:
+        """The deepest level a class-``cls`` pool holds; every class has a pool."""
         counts = self.counts[cls - 1]
-        for v in range(len(counts) - 1, -1, -1):
-            if counts[v]:
-                return v
-        raise ValueError(f"class {cls} has no pools")
+        v = len(counts) - 1
+        while not counts[v]:
+            v -= 1
+        return v
 
     def pick_pool(self, u: float, cls: int | None = None) -> tuple[int, int]:
         """Cell ``(cls, occ)`` of a uniformly chosen pool, given a uniform draw ``u``.

@@ -41,12 +41,7 @@ class Policy:
     #: Current learning rank, for policies that have one.
     rank: int | None = None
 
-    def bind(
-        self,
-        state: OccupancyState,
-        config: SystemConfig,
-        initial_rank: int | None = None,
-    ) -> None:
+    def bind(self, state: OccupancyState, config: SystemConfig) -> None:
         """Attach to a fresh run. Called once before any decision."""
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
@@ -89,7 +84,7 @@ class Jlmu(Policy):
     def __init__(self) -> None:
         self._family: UtilityFamily | None = None
 
-    def bind(self, state, config, initial_rank=None):
+    def bind(self, state, config):
         self._family = config.family
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
@@ -112,6 +107,22 @@ class Jlmu(Policy):
 # ---------------------------------------------------------------------------
 # Threshold learning dispatch
 # ---------------------------------------------------------------------------
+
+
+def _first_open_rank(family: UtilityFamily, state: OccupancyState) -> int:
+    """Rank of the best slot not yet filled by every pool of its class.
+
+    Some class-``cls`` pool holds fewer than ``level`` tasks exactly when the
+    class's emptiest pool does, so each class's first open slot sits one
+    level above its lowest pool, and the answer is the best of those. The
+    rank table of depth ``max(low) + 1`` ranks its best ``m * depth`` slots,
+    and some class fills ``depth`` levels of them, so that class's open slot
+    is inside and the least entry is exact. It is a start that
+    :meth:`Slta.check_goodness` accepts from ``sim.init_state``'s states.
+    """
+    low = state.min_occ
+    table = family.rank_table(max(low) + 1)
+    return min(int(table[ci, v]) for ci, v in enumerate(low))
 
 
 class Slta(Policy):
@@ -163,6 +174,8 @@ class Slta(Policy):
         return list(self._thr)
 
     def bind(self, state, config, initial_rank=None):
+        """Attach to a run from ``state`` at rank ``initial_rank``, by default
+        the first rank the state leaves open (:func:`_first_open_rank`)."""
         self._family = config.family
         beta = (
             self._beta_override
@@ -172,7 +185,8 @@ class Slta(Policy):
         if not 0 < beta <= 1:
             raise ValueError(f"learning fraction beta must be in (0, 1], got {beta}")
         self._quota = state.n * beta
-        self.rank = int(initial_rank) if initial_rank is not None else 1
+        self.rank = (_first_open_rank(self._family, state) if initial_rank is None
+                     else int(initial_rank))
         if self.rank < 1:
             raise ValueError(f"initial rank must be >= 1, got {self.rank}")
         self._reload(state)
@@ -297,7 +311,7 @@ class UniformDispatch(Policy):
         self.cls = cls
         self.name = "random" if cls is None else f"fixed:{cls}"
 
-    def bind(self, state, config, initial_rank=None):
+    def bind(self, state, config):
         self.check_classes(state.m)
 
     def check_classes(self, m: int) -> None:

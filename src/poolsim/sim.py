@@ -149,18 +149,14 @@ class Metrics:
         return self.empirical_bound - self.avg_u
 
 
-def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
-    """Starting occupancies plus the matching initial learning rank.
-
-    ``empty`` puts every pool at zero and the rank at the bottom. ``optimal``
+def init_state(config: SystemConfig, init: str) -> OccupancyState:
+    """Starting occupancies. ``empty`` puts every pool at zero. ``optimal``
     rounds the greedy-fill profile to whole tasks: class totals follow the
-    largest-remainder split of ``round(n * rho)`` tasks, and each class spreads
-    its total as evenly as possible (all pools within one task of each other).
-    The rank is then the best-ranked slot the rounded state leaves unsaturated,
-    which always satisfies the learning policy's starting requirement.
-    """
+    largest-remainder split of ``round(n * rho)`` tasks, and each class
+    spreads its total as evenly as possible (all pools within one task of
+    each other)."""
     if init == "empty":
-        return OccupancyState.empty(config.n, config.alpha), 1
+        return OccupancyState.empty(config.n, config.alpha)
     if init != "optimal":
         raise ValueError(f"unknown init mode {init!r}")
     n = config.n
@@ -184,30 +180,13 @@ def init_state(config: SystemConfig, init: str) -> tuple[OccupancyState, int]:
     for size, tasks in zip(config.class_sizes, base):
         low, extra = divmod(tasks, size)
         counts.append([0] * low + [size - extra, extra])
-    state = OccupancyState(config.alpha, counts)
-    rank = _first_open_rank(config, state)
-    return state, rank
+    return OccupancyState(config.alpha, counts)
 
 
 def _start_tasks(config: SystemConfig, init: str) -> int:
     """Tasks present at time 0: none from the empty start, ``round(n * rho)``
     from the optimal one."""
     return 0 if init == "empty" else int(round(config.n * config.rho))
-
-
-def _first_open_rank(config: SystemConfig, state: OccupancyState) -> int:
-    """Rank of the best slot not yet filled by every pool of its class.
-
-    Some class-``cls`` pool holds fewer than ``level`` tasks exactly when the
-    class's emptiest pool does, so each class's first open slot sits one
-    level above its lowest pool, and the answer is the best of those. The
-    rank table of depth ``max(low) + 1`` ranks its best ``m * depth`` slots,
-    and some class fills ``depth`` levels of them, so that class's open slot
-    is inside and the least entry is exact.
-    """
-    low = state.min_occ
-    table = config.family.rank_table(max(low) + 1)
-    return min(int(table[ci, v]) for ci, v in enumerate(low))
 
 
 def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float, float]:
@@ -392,8 +371,8 @@ def simulate(
     horizon = run.horizon
     warmup = _clock.warmup
 
-    state, base_rank = init_state(config, run.init)
-    policy.bind(state, config, initial_rank=base_rank)
+    state = init_state(config, run.init)
+    policy.bind(state, config)
 
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
 

@@ -125,6 +125,38 @@ def test_parse_error_paths():
         assert needle in str(err.value), f"expected {needle!r} in {err.value}"
 
 
+@pytest.mark.parametrize("doc, where, needle", [
+    pytest.param(["schema", 1], "", "must be a JSON object", id="not-an-object"),
+    pytest.param({**BASE_DOC, "classes": [3]}, "classes[0]", "each class must be an object",
+                 id="class-not-an-object"),
+    pytest.param({**BASE_DOC, "classes": [{"fraction": 1.0, "utility": 3}]},
+                 "classes[0].utility", "'kind' field", id="utility-not-an-object"),
+    pytest.param({**BASE_DOC, "classes": [{**BASE_DOC["classes"][0], "weight": 1},
+                                          BASE_DOC["classes"][1]]},
+                 "classes[0]", "unexpected fields: ['weight']", id="class-extra-field"),
+])
+def test_parse_refuses_documents_of_the_wrong_shape(doc, where, needle):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path == where and needle in str(err.value)
+
+
+@pytest.mark.parametrize("changes, needle", [
+    pytest.param({"mu": 0.0}, "mu must be finite and > 0, got 0.0", id="mu"),
+    pytest.param({"rho": -0.5}, "rho must be finite and >= 0, got -0.5", id="rho"),
+    pytest.param({"classes": [{**c, "fraction": 0.6} for c in BASE_DOC["classes"]]},
+                 "class fractions must sum to 1, got 1.2", id="fraction-sum"),
+    # both finite, but the arrival rate rho * mu overflows
+    pytest.param({"mu": 1e300, "rho": 1e300}, "arrival rate rho * mu overflows", id="overflow"),
+])
+def test_the_model_judges_a_configs_values(tmp_path, capsys, changes, needle):
+    doc = {**BASE_DOC, **changes}
+    with pytest.raises(ConfigError, match=re.escape(needle)):
+        parse_config(doc)
+    assert main(["bound", "--config", write_config(tmp_path, doc)]) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+
+
 def test_parse_takes_the_closed_ends_of_rho_and_beta():
     # rho = 0 is a draining system, and beta = 1 a quota of every pool
     system, beta = parse_config({**BASE_DOC, "rho": 0, "beta": 1})
@@ -439,6 +471,16 @@ def test_cli_simulate_requires_policy_and_n(tmp_path, capsys, flag):
     assert f"required: {flag}" in capsys.readouterr().err
 
 
+def test_cli_simulate_refuses_a_class_of_no_pools(tmp_path, capsys):
+    # n * alpha = 1e-10 for class 1 lies within 1e-9 of 0 pools
+    doc = {**BASE_DOC, "classes": [{**BASE_DOC["classes"][0], "fraction": 1e-10},
+                                   {**BASE_DOC["classes"][1], "fraction": 1 - 1e-10}]}
+    argv = ["simulate", "--config", write_config(tmp_path, doc), "--policy", "jlmu",
+            "--n", "1", "--T", "1"]
+    assert main(argv) == 2
+    assert "integral and >= 1: class 1 would get 1e-10 pools" in capsys.readouterr().err
+
+
 def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
     # an infinite horizon used to start a run that never returned
     argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS]
@@ -480,6 +522,14 @@ def test_cli_rejects_threads_below_one(argv, threads, capsys):
         main(argv + [threads])
     assert info.value.code == 2
     assert re.search(rf"argument {argv[-1]}\S*: must be >= 1", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["x", "2.5"])
+def test_cli_count_flags_refuse_what_is_not_a_whole_number(text, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["rank", "--config", "c.json", "--count", text])
+    assert info.value.code == 2
+    assert f"argument --count/-k: need a whole number, got '{text}'" in capsys.readouterr().err
 
 
 def test_fan_out_over_processes_keeps_the_bytes(tmp_path, monkeypatch):
@@ -637,6 +687,23 @@ def test_cli_suboptimal_refuses_one_rep_before_any_run(monkeypatch, capsys):
     assert "reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--a", "0", "a: must be > 0, got 0.0"),
+    ("--eps", "1", "eps: must be in (0, 1), got 1.0"),
+    ("--rho", "0", "rho: must be > 0, got 0.0"),
+])
+def test_cli_suboptimal_refuses_bad_parameters_before_any_run(monkeypatch, capsys, flag,
+                                                               value, needle):
+    from poolsim import cli
+
+    def no_runs(*args):
+        raise AssertionError(f"suboptimal ran before checking {flag}")
+
+    monkeypatch.setattr(cli, "coupled_simulate", no_runs)
+    assert main(["suboptimal", flag, value, "--T", "1"]) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI: fluid command
 
@@ -724,6 +791,13 @@ def test_cli_fluid_truncation_failure_is_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_cli_fluid_refuses_a_start_past_the_truncation(tmp_path, capsys):
+    # q* fills class 2 to level 12
+    argv = ["fluid", "--config", write_config(tmp_path), "--init", "qstar", "--levels", "3"]
+    assert main(argv) == 2
+    assert "mass at level 12 beyond truncation 3" in capsys.readouterr().err
 
 
 def test_cli_fluid_refuses_a_horizon_beyond_the_step_cap(tmp_path, capsys):

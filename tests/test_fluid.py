@@ -297,7 +297,8 @@ def test_feasible_stage_comes_back_unchanged(rng):
     order = ranked_slots(system, 20)
     for raw in padded_profiles(rng, 300):
         gaps = fluid._gap_row(raw, np.empty(raw.size))
-        proj, moved = fluid._project_conserving(raw, alpha, order, gaps)
+        proj = raw.copy()
+        moved = fluid._project_conserving(proj, alpha, order, gaps)
         reference, reference_moved = reference_project_conserving(raw.copy(), alpha, order)
         assert moved == 0.0 == reference_moved
         assert proj.tobytes() == raw.tobytes() == reference.tobytes()
@@ -319,7 +320,8 @@ def test_infeasible_stage_matches_the_full_projection(rng):
             continue
         branches[projection_branch(raw, alpha)] += 1
         gaps = fluid._gap_row(raw, np.empty(raw.size))
-        proj, moved = fluid._project_conserving(raw, alpha, order, gaps)
+        proj = raw.copy()
+        moved = fluid._project_conserving(proj, alpha, order, gaps)
         reference, reference_moved = reference_project_conserving(raw, alpha, order)
         assert proj.tobytes() == reference.tobytes()
         assert moved == reference_moved > 0.0
@@ -616,6 +618,30 @@ def test_reflection_needs_uniform_grid():
     path = integrate_fluid(system, None, cfg)
     with pytest.raises(ValueError, match="uniform grid"):
         verify_reflection_system(path)
+
+
+def first_record(system):
+    """A path cut to its starting record."""
+    path = integrate_fluid(system, None, IntegratorConfig(dt=1e-3, levels=30, horizon=1e-3))
+    return FluidPath(times=path.times[:1], states=path.states[:1], system=system,
+                     config=path.config)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda system: skorokhod_reflect([], 1.0), "non-empty vector",
+                 id="reflect-empty"),
+    pytest.param(lambda system: skorokhod_reflect(np.zeros((2, 2)), 1.0), "non-empty vector",
+                 id="reflect-matrix"),
+    pytest.param(lambda system: verify_reflection_system(first_record(system)),
+                 "at least two recorded states", id="verify-one-record"),
+    # the equilibrium fills class 2 to level 12, past a truncation at 3
+    pytest.param(lambda system: integrate_fluid(system, equilibrium_profile(system),
+                                                IntegratorConfig(dt=1e-3, levels=3, horizon=1.0)),
+                 "mass at level 12 beyond truncation 3", id="start-past-truncation"),
+])
+def test_fluid_refuses_inputs_it_cannot_read(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(two_class_system(8, 9.75))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from poolsim.config import utility_from_dict
 from poolsim.model import (
+    MAX_ENUMERATION,
     CappedLinear,
     Coordinate,
+    FluidSystem,
     Linear,
     LogQuality,
     OccupancyState,
@@ -83,6 +85,43 @@ def test_tabulated_quadratic_marginals():
     # past the table the last marginal is carried on
     assert fam.marginal(1, 25) == pytest.approx(fam.marginal(1, 40), abs=1e-12)
     assert u.value(26) == pytest.approx(u.value(25) + fam.marginal(1, 25), rel=1e-12)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: Linear(math.inf), ValueError, "finite slope", id="linear-slope"),
+    pytest.param(lambda: CappedLinear(-1.0, 2), ValueError, "finite slope >= 0",
+                 id="capped-slope"),
+    pytest.param(lambda: CappedLinear(1.0, 0), ValueError, "cap must be an integer >= 1",
+                 id="capped-cap"),
+    pytest.param(lambda: Tabulated((1.0,)), ValueError, "at least two values", id="table-short"),
+    pytest.param(lambda: Tabulated((0.0, math.nan)), ValueError, "values must be finite",
+                 id="table-nan"),
+    pytest.param(lambda: UtilityFamily(()), ValueError, "at least one class utility",
+                 id="family-empty"),
+    pytest.param(lambda: two_class_family().marginal(1, -1), ValueError,
+                 "occupancy must be >= 0", id="marginal-negative"),
+    pytest.param(lambda: two_class_family().slot(0), ValueError, "rank must be >= 1",
+                 id="slot-zero"),
+    pytest.param(lambda: two_class_family().slot(MAX_ENUMERATION + 1), RuntimeError,
+                 "ranked walk exceeded", id="slot-past-cap"),
+    pytest.param(lambda: two_class_family().enumerate_ranked(-1), ValueError,
+                 "count must be >= 0", id="enumerate-negative"),
+    pytest.param(lambda: two_class_family().enumerate_ranked(MAX_ENUMERATION + 1), ValueError,
+                 "refusing to enumerate", id="enumerate-past-cap"),
+    pytest.param(lambda: FluidSystem((), 1.0, 1.0, two_class_family()), ValueError,
+                 "at least one class fraction", id="fractions-empty"),
+    pytest.param(lambda: FluidSystem((1.5, -0.5), 1.0, 1.0, two_class_family()), ValueError,
+                 "class fraction 2 must be > 0", id="fraction-negative"),
+    pytest.param(lambda: QVector(alpha=np.array(TWO_CLASS_ALPHA), tail=np.array(TWO_CLASS_ALPHA)),
+                 ValueError, r"tail must be a \(classes, depth\+1\) matrix", id="tail-flat"),
+    pytest.param(lambda: QVector.zeros(TWO_CLASS_ALPHA, 2).get(1, -1), ValueError,
+                 "level must be >= 0", id="get-negative"),
+    pytest.param(lambda: QVector.zeros(TWO_CLASS_ALPHA, 2).l1_distance(QVector.zeros((1.0,), 2)),
+                 ValueError, "different class counts", id="distance-classes"),
+])
+def test_model_refuses_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_tabulated_rejects_convex_segments():
@@ -495,3 +534,14 @@ def test_system_config_validation():
     # zero load is allowed; it models a draining system
     cfg0 = SystemConfig(n=4, alpha=TWO_CLASS_ALPHA, rho=0.0, mu=1.0, family=fam)
     assert cfg0.lam == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_class_needs_a_pool(n):
+    # n * 1e-10 lies within 1e-9 of 0 pools, which once passed the integrality
+    # check and left a state with an empty class
+    alpha = (1e-10, 1.0 - 1e-10)
+    with pytest.raises(ValueError, match="integral and >= 1: class 1 would get"):
+        SystemConfig(n=n, alpha=alpha, rho=1.0, mu=1.0, family=two_class_family())
+    with pytest.raises(ValueError, match="integral and >= 1: class 1 would get"):
+        OccupancyState.empty(n, alpha)

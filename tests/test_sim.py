@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from poolsim import sim
 from poolsim.cli import main
 from poolsim.model import CappedLinear, Linear, SystemConfig, UtilityFamily
-from poolsim.policies import Jlmu, parse_policy
+from poolsim.policies import Jlmu, _first_open_rank, parse_policy
 from poolsim.sim import (
     MAX_EVENTS,
     BoundViolation,
     Metrics,
     RunConfig,
-    _first_open_rank,
     _stream,
     batch_means,
     coupled_simulate,
@@ -78,40 +77,46 @@ def test_run_config_rejects_non_finite_times():
             RunConfig(horizon=10.0, sample_times=(1.0, bad))
 
 
+@pytest.mark.parametrize("field", ["seed", "replication"])
+def test_run_config_refuses_negative_stream_keys(field):
+    with pytest.raises(ValueError, match="seed and replication must be >= 0"):
+        RunConfig(horizon=10.0, **{field: -1})
+
+
 # ---------------------------------------------------------------------------
 # initial states
 
 
 def test_init_state_empty():
     config = two_class_system(8, 9.75)
-    state, rank = init_state(config, "empty")
-    assert rank == 1
+    state = init_state(config, "empty")
+    assert _first_open_rank(config.family, state) == 1
     assert state.total_tasks == 0
     assert state.counts[0][0] == 4 and state.counts[1][0] == 4
 
 
 def test_init_state_optimal_integral_load():
     config = two_class_system(50, 10.0)
-    state, rank = init_state(config, "optimal")
+    state = init_state(config, "optimal")
     assert state.counts[0][8] == 25
     assert state.counts[1][12] == 25
     assert state.total_tasks == 500
-    assert rank == 21  # the boundary slot of the greedy fill
+    assert _first_open_rank(config.family, state) == 21  # the boundary slot of the greedy fill
 
 
 def test_init_state_optimal_fractional_load():
     config = two_class_system(8, 9.75)
-    state, rank = init_state(config, "optimal")
+    state = init_state(config, "optimal")
     assert state.counts[0][8] == 4
     assert state.counts[1][11] == 2
     assert state.counts[1][12] == 2
     assert state.total_tasks == 78  # round(8 * 9.75)
-    assert rank == 20
+    assert _first_open_rank(config.family, state) == 20
 
 
 def test_init_state_spreads_classes_evenly():
     config = two_class_system(50, 9.75)
-    state, _ = init_state(config, "optimal")
+    state = init_state(config, "optimal")
     assert state.total_tasks == round(50 * 9.75)
     for cls in (1, 2):
         present = [v for v, c in enumerate(state.counts[cls - 1]) if c]
@@ -150,7 +155,7 @@ def test_first_open_rank_matches_the_slot_walk(data):
     ]
     state = PoolModel(alpha, occupancies).state()
     config = SystemConfig(n=state.n, alpha=alpha, rho=1.0, mu=1.0, family=make())
-    assert _first_open_rank(config, state) == walked_open_rank(make(), state.min_occ)
+    assert _first_open_rank(config.family, state) == walked_open_rank(make(), state.min_occ)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +331,10 @@ def test_kernel_moves_match_the_reference_moves(name, three_class, init):
     else:
         config = two_class_system(20, 9.75)
         run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
-    start, rank = init_state(config, init)
+    start = init_state(config, init)
     model = PoolModel.of(start)
     reference = parse_policy(name)
-    reference.bind(model.state(), config, initial_rank=rank)
+    reference.bind(model.state(), config)
     draws = _stream(run.seed, run.replication, 1, run.selection_slot)  # selection stream
     seen = []
 
@@ -575,6 +580,33 @@ def test_stalled_event_clock_is_refused(monkeypatch, capsys, path):
 
 def test_bound_violation_is_a_runtime_error():
     assert issubclass(BoundViolation, RuntimeError)
+
+
+@pytest.mark.parametrize("slack, refused", [(-0.5 * sim.BOUND_TOL, False),
+                                            (-2.0 * sim.BOUND_TOL, True)])
+def test_a_run_above_its_ceiling_is_refused(monkeypatch, slack, refused):
+    # the ceiling at the run's realized mass moved to sit `slack` off its
+    # average utility: within BOUND_TOL the run passes, beyond it is refused
+    config, run = two_class_system(4, 3.0), RunConfig(horizon=10.0, seed=1)
+    metrics = simulate(config, "jlmu", run)
+    ceiling = sim.upper_bound
+
+    def moved(family, alpha, rho):
+        return metrics.avg_u + slack if rho == metrics.avg_s else ceiling(family, alpha, rho)
+
+    monkeypatch.setattr(sim, "upper_bound", moved)
+    if refused:
+        with pytest.raises(BoundViolation, match="exceeds its ceiling"):
+            simulate(config, "jlmu", run)
+    else:
+        assert simulate(config, "jlmu", run).bound_gap == pytest.approx(slack, abs=1e-12)
+
+
+def test_cli_exits_3_for_a_run_above_its_ceiling(monkeypatch, capsys):
+    monkeypatch.setattr(sim, "upper_bound", lambda family, alpha, rho: 0.0)
+    assert main(["table1", "--scale", "4", "--reps", "1", "--T", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "exceeds its ceiling" in err
 
 
 def test_overflowing_utilities_are_refused():

@@ -1,27 +1,32 @@
 """Mutation check of the unit suite.
 
 Each mutant below changes one line of ``src/poolsim``. The runner copies
-``src/``, ``tests/`` and ``README.md`` to a temporary directory, checks that
-every mutant's text occurs exactly once there, and runs the unit suite (all of
-``tests/`` but the acceptance battery) once unmutated and then once per mutant,
-with ``-x`` and a time limit. A mutant the suite fails on is killed; one it
-passes survived. An equivalent mutant, which no input can tell from the
-original, carries its argument and is expected to survive::
+``src/``, ``tests/`` and ``README.md`` to one temporary tree per worker,
+checks that every mutant's text occurs exactly once there, and runs the unit
+suite (all of ``tests/`` but the acceptance battery) once unmutated and then
+once per mutant, with ``-x`` and a time limit. A mutant the suite fails on is
+killed; one it passes survived. An equivalent mutant, which no input can tell
+from the original, carries its argument and is expected to survive::
 
-    python tools/mutants.py
+    python tools/mutants.py [--workers W]
 
-Exits 1 when a mutant is not killed, or an equivalent one not survived.
+The mutants run on ``W`` workers, by default ``os.cpu_count()``, each
+applying its mutant to a tree of its own; the results are printed in list
+order. Exits 1 when a mutant is not killed, or an equivalent one not survived.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import queue
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,7 +69,6 @@ MUTANTS = [
     Mutant("fill-term-index", ASSIGN, "terms[2 * ci + 1] = float(", "terms[2 * ci] = float("),
     # config
     Mutant("config-beta-one", CONFIG, "if not 0 < beta <= 1:", "if not 0 < beta < 1:"),
-    Mutant("config-rho-zero", CONFIG, "    if rho < 0:", "    if rho <= 0:"),
     Mutant("json-bool-refusal", CONFIG,
            "    if isinstance(value, bool) or not isinstance(value, (int, float)):",
            "    if not isinstance(value, (int, float)):"),
@@ -77,6 +81,13 @@ MUTANTS = [
     Mutant("slta-class-skip", POLICIES, "if k < green:", "if k <= green:"),
     Mutant("uniform-class-check", POLICIES, "if self.cls is not None and self.cls > m:",
            "if self.cls is not None and self.cls >= m:"),
+    # SLTA's default start at rank 1; the starting rank read off the filled
+    # slot below the open one, or off a table too shallow for the deepest class
+    Mutant("slta-default-rank", POLICIES,
+           "_first_open_rank(self._family, state) if initial_rank is None",
+           "1 if initial_rank is None"),
+    Mutant("open-rank-filled-slot", POLICIES, "int(table[ci, v])", "int(table[ci, v - 1])"),
+    Mutant("open-rank-depth", POLICIES, "rank_table(max(low) + 1)", "rank_table(max(low))"),
     Mutant("slta-fallback-pool", POLICIES, "                pool = prev_green\n",
            "                pool = total_green\n",
            equivalent="the branch runs when total_green - prev_green == 0, so the two "
@@ -111,11 +122,10 @@ MUTANTS = [
     Mutant("walk-warmup-weights", SIM, "        weights[weights <= 0] = 0.0\n", ""),
     Mutant("walk-final-segment", SIM, "final = _clock.final", "final = 0.0"),
     Mutant("walk-block-start", SIM, "t_last = float(times[-1])", "t_last = float(times[0])"),
-    # the starting rank read off the filled slot below the open one, or off a
-    # table too shallow for the deepest class; r_final read off the first rank
-    Mutant("open-rank-filled-slot", SIM, "int(table[ci, v])", "int(table[ci, v - 1])"),
-    Mutant("open-rank-depth", SIM, "rank_table(max(low) + 1)", "rank_table(max(low))"),
     Mutant("r-final-first", SIM, "self.rank_history[-1][1]", "self.rank_history[0][1]"),
+    # a run that lands above its ceiling passes the check
+    Mutant("ceiling-check", SIM, "metrics.bound_gap >= -BOUND_TOL",
+           "metrics.bound_gap >= -math.inf"),
     Mutant("init-remainder-tie", SIM, "key=lambda ci: (-rem[ci], ci)",
            "key=lambda ci: (-rem[ci], -ci)",
            equivalent="n * alpha is within 1e-9 of a whole number and the fill walks at most "
@@ -148,8 +158,7 @@ MUTANTS = [
     Mutant("drain-offset", FLUID, "np.empty(cells, dtype=bool), gaps[1:-1]",
            "np.empty(cells, dtype=bool), gaps[2:]"),
     # a projected stage or step left out of the buffer the next drift reads
-    Mutant("stage-copy", FLUID, "if stage is not pred:", "if stage is pred:"),
-    Mutant("state-copy", FLUID, "if new is not raw:", "if new is raw:"),
+    Mutant("projection-write", FLUID, "    raw[...] = proj\n", ""),
     # the sum over a rank's spans skips one-slot spans, not only empty ones
     Mutant("empty-span-filter", FLUID, "if span.stop > span.start]",
            "if span.stop > span.start + 1]"),
@@ -183,7 +192,7 @@ def run_suite(tree: Path) -> tuple[str, float]:
     """Run the unit suite in ``tree``: passed, failed or timed out, and seconds."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "tests", "--ignore=tests/test_acceptance.py"]
+            f"--basetemp={tree / 'pytest-tmp'}", "tests", "--ignore=tests/test_acceptance.py"]
     started = time.perf_counter()
     # A session of its own, so that a timeout also ends the suite's workers.
     with subprocess.Popen(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
@@ -197,36 +206,60 @@ def run_suite(tree: Path) -> tuple[str, float]:
     return ("passed" if code == 0 else "failed"), time.perf_counter() - started
 
 
+def copy_tree(tree: Path) -> Path:
+    """Copy what the unit suite reads to ``tree``."""
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
+    shutil.copy2(ROOT / "README.md", tree / "README.md")
+    return tree
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Mutation check of the unit suite.")
+    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="suite runs at once (default: the cpu count)")
+    workers = max(1, parser.parse_args().workers)
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="poolsim-mutants-") as tmp:
-        tree = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
-        shutil.copytree(ROOT / "tests", tree / "tests", ignore=skip)
-        shutil.copy2(ROOT / "README.md", tree / "README.md")
+        trees = [copy_tree(Path(tmp) / str(k)) for k in range(workers)]
         for m in MUTANTS:
-            count = (tree / m.path).read_text().count(m.old)
+            count = (trees[0] / m.path).read_text().count(m.old)
             if count != 1:
                 print(f"{m.name}: its text occurs {count} times in {m.path}, not once",
                       file=sys.stderr)
                 return 2
 
-        outcome, seconds = run_suite(tree)
+        outcome, seconds = run_suite(trees[0])
         print(f"{'unmutated':<24} {outcome:<10} {seconds:6.1f} s", flush=True)
         if outcome != "passed":
             print("the unmutated suite must pass", file=sys.stderr)
             return 2
-        wrong = 0
-        for m in MUTANTS:
+        free: queue.SimpleQueue[Path] = queue.SimpleQueue()
+        for tree in trees:
+            free.put(tree)
+
+        def attempt(m: Mutant) -> tuple[str, float]:
+            # Take a tree no other run is using, and hand it back restored.
+            tree = free.get()
             target = tree / m.path
             original = target.read_text()
-            target.write_text(original.replace(m.old, m.new))
-            result, seconds = run_suite(tree)
-            target.write_text(original)
-            outcome = {"passed": "survived", "failed": "killed"}.get(result, result)
-            note = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
-            print(f"{m.name:<24} {outcome:<10} {seconds:6.1f} s{note}", flush=True)
-            wrong += outcome != ("survived" if m.equivalent else "killed")
+            try:
+                target.write_text(original.replace(m.old, m.new))
+                return run_suite(tree)
+            finally:
+                target.write_text(original)
+                free.put(tree)
+
+        wrong = 0
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map yields in list order, each result as soon as it and those before it are in.
+            for m, (result, seconds) in zip(MUTANTS, pool.map(attempt, MUTANTS)):
+                outcome = {"passed": "survived", "failed": "killed"}.get(result, result)
+                note = f"  (equivalent: {m.equivalent})" if m.equivalent else ""
+                print(f"{m.name:<24} {outcome:<10} {seconds:6.1f} s{note}", flush=True)
+                wrong += outcome != ("survived" if m.equivalent else "killed")
+    print(f"{time.perf_counter() - started:.0f} s on {workers} workers")
     print(f"{len(MUTANTS)} mutants, {wrong} not as expected")
     return 1 if wrong else 0
 
