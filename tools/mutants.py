@@ -8,16 +8,15 @@ once per mutant, with ``-x`` and a time limit. A mutant the suite fails on is
 killed; one it passes survived. An equivalent mutant, which no input can tell
 from the original, carries its argument and is expected to survive::
 
-    python tools/mutants.py [--workers W]
+    python tools/mutants.py
 
-The mutants run on ``W`` workers, by default ``os.cpu_count()``, each
-applying its mutant to a tree of its own; the results are printed in list
-order. Exits 1 when a mutant is not killed, or an equivalent one not survived.
+The mutants run on ``os.cpu_count()`` workers, each applying its mutant to a
+tree of its own; the results are printed in list order. Exits 1 when a
+mutant is not killed, or an equivalent one not survived.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import queue
 import shutil
@@ -31,8 +30,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-# Seconds allowed for one suite run; the slowest mutant to die, horizon-snapshot,
-# takes 30 to 40 s, about as long as an equivalent one, which runs the whole suite.
+# Seconds allowed for one suite run; the slowest mutants to die, horizon-snapshot
+# and ceiling-check, take 30 to 40 s, about as long as an equivalent one, which
+# runs the whole suite.
 TIMEOUT = 300.0
 
 
@@ -122,8 +122,9 @@ MUTANTS = [
     Mutant("walk-warmup-weights", SIM, "        weights[weights <= 0] = 0.0\n", ""),
     Mutant("walk-final-segment", SIM, "final = _clock.final", "final = 0.0"),
     Mutant("walk-block-start", SIM, "t_last = float(times[-1])", "t_last = float(times[0])"),
+    # r_final read off the first rank; a run that lands above its ceiling
+    # passes the check
     Mutant("r-final-first", SIM, "self.rank_history[-1][1]", "self.rank_history[0][1]"),
-    # a run that lands above its ceiling passes the check
     Mutant("ceiling-check", SIM, "metrics.bound_gap >= -BOUND_TOL",
            "metrics.bound_gap >= -math.inf"),
     Mutant("init-remainder-tie", SIM, "key=lambda ci: (-rem[ci], ci)",
@@ -216,10 +217,7 @@ def copy_tree(tree: Path) -> Path:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Mutation check of the unit suite.")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="suite runs at once (default: the cpu count)")
-    workers = max(1, parser.parse_args().workers)
+    workers = os.cpu_count() or 1
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="poolsim-mutants-") as tmp:
         trees = [copy_tree(Path(tmp) / str(k)) for k in range(workers)]
