@@ -36,14 +36,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from .assign import optimal_assignment
 from .config import ConfigError, load_config
-from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
 from .model import FluidSystem, LogQuality, QVector, SystemConfig, UtilityFamily
 from .policies import UniformDispatch, parse_policy
 from .sim import Metrics, RunConfig, batch_means, coupled_simulate
@@ -191,6 +189,8 @@ def _fan_out(cells: list[Cell], threads: int) -> list[list[Metrics]]:
     workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
         return [_run_cell(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, cells))
 
@@ -312,6 +312,8 @@ def cmd_suboptimal(args: argparse.Namespace) -> int:
 
 
 def cmd_fluid(args: argparse.Namespace) -> int:
+    from .fluid import IntegratorConfig, equilibrium_profile, integrate_fluid, verify_reflection_system
+
     # The mean-field model needs no pool count.
     system = _load_at_rho(args)
     integ = IntegratorConfig.for_system(system, horizon=args.T, dt=args.dt, levels=args.levels)

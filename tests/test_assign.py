@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolsim import assign, model
 from poolsim.assign import (
     optimal_assignment,
     upper_bound,
@@ -374,6 +375,26 @@ def test_validate_feasible_rejects_perturbations():
         validate_feasible(opt.q_star, TWO_CLASS_ALPHA, 9.5)
     with pytest.raises(ValueError):
         validate_feasible(opt.q_star, (0.25, 0.25, 0.5), 9.75)
+
+
+def short_ranking_fill(monkeypatch):
+    # class 2 takes every one of 10 ranked slots, so their mass, 1.0, stops
+    # short of a load below 10 * max(alpha)
+    monkeypatch.setattr(model, "MAX_ENUMERATION", 10)
+    monkeypatch.setattr(assign, "MAX_ENUMERATION", 10)
+    return upper_bound(UtilityFamily((Linear(1.0), Linear(2.0))), (0.9, 0.1), 5.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(short_ranking_fill, "needs more than 10 ranked slots", id="ranked-mass-short"),
+    pytest.param(lambda monkeypatch: validate_feasible(
+                     QVector(alpha=np.array(TWO_CLASS_ALPHA), tail=np.full((2, 1), 0.5)),
+                     (0.25, 0.75), 1.0),
+                 "fractions disagree with alpha", id="fractions-disagree"),
+])
+def test_assign_refuses_what_it_cannot_fill_or_check(call, match, monkeypatch):
+    with pytest.raises(ValueError, match=match):
+        call(monkeypatch)
 
 
 # ---------------------------------------------------------------------------

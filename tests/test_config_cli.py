@@ -225,7 +225,7 @@ def test_out_directory_is_checked_before_any_work(tmp_path, monkeypatch, capsys)
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(cli, "_run_cell", no_work)
-    monkeypatch.setattr(cli, "integrate_fluid", no_work)
+    monkeypatch.setattr("poolsim.fluid.integrate_fluid", no_work)
     missing = str(tmp_path / "no-such-dir" / "out.csv")
     cfg = write_config(tmp_path)
     fluid = ["fluid", "--config", cfg, "--T", "20"]
@@ -481,6 +481,13 @@ def test_cli_simulate_refuses_a_class_of_no_pools(tmp_path, capsys):
     assert "integral and >= 1: class 1 would get 1e-10 pools" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_cli_reports_a_write_that_fails_after_the_out_check(tmp_path, capsys):
+    # /dev/full passes the check (a file in a directory) and refuses every write
+    assert main(["bound", "--config", write_config(tmp_path), "--out", "/dev/full"]) == 2
+    assert "out: cannot write /dev/full: No space left on device" in capsys.readouterr().err
+
+
 def test_cli_simulate_rejects_infinite_horizon(tmp_path, capsys):
     # an infinite horizon used to start a run that never returned
     argv = ["simulate", "--config", write_config(tmp_path), *RUN_FLAGS]
@@ -563,7 +570,7 @@ def test_fan_out_clamps_workers(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(cli, "_run_cell", lambda cell: [cell])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._fan_out(["a", "b"], 10**6) == [["a"], ["b"]]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from poolsim import sim
 from poolsim.cli import main
 from poolsim.model import CappedLinear, Linear, SystemConfig, UtilityFamily
-from poolsim.policies import Jlmu, _first_open_rank, parse_policy
+from poolsim.policies import Jlmu, Slta, _first_open_rank, parse_policy
 from poolsim.sim import (
     MAX_EVENTS,
     BoundViolation,
@@ -123,6 +123,19 @@ def test_init_state_spreads_classes_evenly():
         assert len(present) <= 2
         assert max(present) - min(present) <= 1
     PoolModel.of(state).audit(state)
+
+
+@pytest.mark.parametrize("start, match", [
+    pytest.param(lambda config, state: Slta().bind(state, config, initial_rank=0),
+                 "initial rank must be >= 1", id="slta-rank-zero"),
+    # init_state is public and takes a bare string, so it checks the mode too
+    pytest.param(lambda config, state: init_state(config, "bogus"),
+                 "unknown init mode 'bogus'", id="init-mode"),
+])
+def test_a_run_refuses_a_start_it_cannot_take(start, match):
+    config = two_class_system(8, 9.75)
+    with pytest.raises(ValueError, match=match):
+        start(config, init_state(config, "empty"))
 
 
 def walked_open_rank(family: UtilityFamily, low: list[int]) -> int:

@@ -186,6 +186,12 @@ MUTANTS = [
     Mutant("suboptimal-reps", CLI, "if args.reps < 2:", "if args.reps < 1:"),
     Mutant("run-order", CLI, "for system in systems for seed in seeds for rep in range(reps)",
            "for system in systems for rep in range(reps) for seed in seeds"),
+    # modules a command may never use, loaded again at import
+    Mutant("eager-pool-import", CLI, "from dataclasses import replace\n",
+           "from concurrent.futures import ProcessPoolExecutor\nfrom dataclasses import replace\n"),
+    Mutant("eager-fluid-import", CLI, "from .config import ConfigError, load_config\n",
+           "from .config import ConfigError, load_config\nfrom .fluid import IntegratorConfig,"
+           " equilibrium_profile, integrate_fluid, verify_reflection_system\n"),
 ]
 
 
