@@ -42,7 +42,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .assign import optimal_assignment
 from .config import ConfigError, load_config
-from .model import FluidSystem, LogQuality, QVector, SystemConfig, UtilityFamily
+from .model import CappedLinear, FluidSystem, Linear, LogQuality, QVector, SystemConfig, UtilityFamily
 from .policies import UniformDispatch, parse_policy
 from .sim import Metrics, RunConfig, batch_means, coupled_simulate
 
@@ -269,8 +269,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_suboptimal(args: argparse.Namespace) -> int:
-    from .model import CappedLinear, Linear
-
     a, eps, rho = args.a, args.eps, args.rho
     if not a > 0:
         raise ConfigError("a", f"must be > 0, got {a}")

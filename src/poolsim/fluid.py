@@ -450,8 +450,6 @@ class ReflectionReport:
 
     @property
     def max_residual(self) -> float:
-        if not self.slots:
-            return 0.0
         return float(max(self.flow_residuals.max(), self.state_residuals.max()))
 
 

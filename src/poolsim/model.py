@@ -551,11 +551,10 @@ class OccupancyState:
 
         The pool is chosen among all pools, or among class ``cls`` when given:
         the draw picks a class by its pool count, then a level by ``N(i, j)``.
+        The draw must satisfy ``0 <= u < 1``, so ``int(u * total)`` stays below ``total``.
         """
         if cls is None:
             k = int(u * self.n)
-            if k == self.n:  # u * n can round up to n
-                k -= 1
             ci = 0
             while k >= self.class_sizes[ci]:
                 k -= self.class_sizes[ci]
@@ -563,8 +562,6 @@ class OccupancyState:
         else:
             ci = cls - 1
             k = int(u * self.class_sizes[ci])
-            if k == self.class_sizes[ci]:
-                k -= 1
         counts = self.counts[ci]
         v = self.min_occ[ci]
         k -= counts[v]

@@ -35,8 +35,8 @@ class Policy:
     """
 
     name = "?"
-    #: When True the simulator reports every occupancy change via notify_push /
-    #: notify_pop so the policy can keep running counters.
+    #: When True the simulator reports occupancy changes to notify_push / notify_pop
+    #: and nonzero learning steps to apply_learning; such a policy defines all three.
     tracks_tokens = False
     #: Current learning rank, for policies that have one.
     rank: int | None = None
@@ -45,7 +45,7 @@ class Policy:
         """Attach to a fresh run. Called once before any decision."""
 
     def decide(self, state: OccupancyState, u: float) -> tuple[int, int, int]:
-        """Where an arriving task goes: ``(cls, occ, delta)``.
+        """Where an arriving task goes, given a draw ``0 <= u < 1``: ``(cls, occ, delta)``.
 
         The task joins a class-``cls`` pool holding ``occ`` tasks, so that
         cell must hold a pool. ``delta`` in {-1, 0, +1} is the learning-rank
@@ -55,15 +55,6 @@ class Policy:
         them; a caller with a state of its own grows them first.
         """
         raise NotImplementedError
-
-    def notify_push(self, ci: int, prev_occ: int) -> None:  # pragma: no cover
-        pass
-
-    def notify_pop(self, ci: int, prev_occ: int) -> None:  # pragma: no cover
-        pass
-
-    def apply_learning(self, state: OccupancyState, delta: int) -> None:  # pragma: no cover
-        """Move the learning rank by ``delta`` once the arrival is dispatched."""
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +227,7 @@ class Slta(Policy):
             self._total_green += 1
 
     def apply_learning(self, state: OccupancyState, delta: int) -> None:
-        if delta == 0:
-            return
+        """Move the learning rank by ``delta`` once the arrival is dispatched."""
         self.rank += delta
         self._reload(state)
 
@@ -267,8 +257,6 @@ class Slta(Policy):
                 pool = prev_green
                 skip = -1
             k = int(u * pool)
-            if k == pool:  # u * pool can round up to pool
-                k -= 1
             # A class by its green count, then a level up from its lowest pool.
             for ci, green in enumerate(self._green):
                 if ci != skip:

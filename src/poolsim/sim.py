@@ -149,20 +149,18 @@ class Metrics:
         return self.empirical_bound - self.avg_u
 
 
-def init_state(config: SystemConfig, init: str) -> OccupancyState:
-    """Starting occupancies. ``empty`` puts every pool at zero. ``optimal``
-    rounds the greedy-fill profile to whole tasks: class totals follow the
-    largest-remainder split of ``round(n * rho)`` tasks, and each class
-    spreads its total as evenly as possible (all pools within one task of
-    each other)."""
-    if init == "empty":
+def init_state(config: SystemConfig, run: RunConfig) -> OccupancyState:
+    """Starting occupancies of ``run``. ``empty`` puts every pool at zero.
+    ``optimal`` rounds the greedy-fill profile to whole tasks: class totals
+    follow the largest-remainder split of ``round(n * rho)`` tasks, and each
+    class spreads its total as evenly as possible (all pools within one task
+    of each other)."""
+    if run.init == "empty":
         return OccupancyState.empty(config.n, config.alpha)
-    if init != "optimal":
-        raise ValueError(f"unknown init mode {init!r}")
     n = config.n
     assign = optimal_assignment(config.family, config.alpha, config.rho)
     class_mass = assign.q_star.class_mass()
-    total = _start_tasks(config, init)
+    total = _start_tasks(config, run)
     base = []
     rem = []
     for ci in range(config.m):
@@ -183,10 +181,10 @@ def init_state(config: SystemConfig, init: str) -> OccupancyState:
     return OccupancyState(config.alpha, counts)
 
 
-def _start_tasks(config: SystemConfig, init: str) -> int:
+def _start_tasks(config: SystemConfig, run: RunConfig) -> int:
     """Tasks present at time 0: none from the empty start, ``round(n * rho)``
     from the optimal one."""
-    return 0 if init == "empty" else int(round(config.n * config.rho))
+    return 0 if run.init == "empty" else int(round(config.n * config.rho))
 
 
 def _admit(config: SystemConfig, run: RunConfig) -> tuple[float, float, float]:
@@ -276,7 +274,7 @@ class _EventClock:
         warmup = self.warmup
         arr_rate = config.n * config.lam
         ev_gen = _stream(run.seed, run.replication, _STREAM_EVENTS)
-        s_tot = _start_tasks(config, run.init)
+        s_tot = _start_tasks(config, run)
 
         acc_s = 0.0
         comp_s = 0.0
@@ -371,7 +369,7 @@ def simulate(
     horizon = run.horizon
     warmup = _clock.warmup
 
-    state = init_state(config, run.init)
+    state = init_state(config, run)
     policy.bind(state, config)
 
     sel_gen = _stream(run.seed, run.replication, _STREAM_SELECTION, run.selection_slot)
@@ -391,9 +389,10 @@ def simulate(
 
     decide = policy.decide
     tracks = policy.tracks_tokens
-    notify_push = policy.notify_push
-    notify_pop = policy.notify_pop
-    apply_learning = policy.apply_learning
+    if tracks:
+        notify_push = policy.notify_push
+        notify_pop = policy.notify_pop
+        apply_learning = policy.apply_learning
 
     u_agg = state.aggregate_value(family)
 
@@ -458,8 +457,6 @@ def simulate(
                 # The departing task: a class by its task total, then a level
                 # j by weight j * N(i, j).
                 k = int(u * s_tot)
-                if k == s_tot:
-                    k -= 1
                 ci = 0
                 while k >= class_tasks[ci]:
                     k -= class_tasks[ci]

@@ -77,7 +77,7 @@ def batched_run(config: SystemConfig, policy, run, batches: int):
             acc[b] += (edge - lo) * value
             lo = edge
 
-    start = init_state(config, run.init)
+    start = init_state(config, run)
     last = [0.0, start.aggregate_value(family), start.total_tasks]
 
     def hook(kind, t, state, policy):

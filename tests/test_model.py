@@ -461,6 +461,24 @@ def test_pick_pool_by_class_then_level():
     assert [state.pick_pool(k / 4) for k in range(4)] == [(1, 0), (1, 2), (2, 5), (2, 5)]
     assert state.pick_pool(0.6, cls=1) == (1, 2)
     assert state.pick_pool(1.0 - 2.0**-53, cls=2) == (2, 5)
+    assert state.pick_pool(1.0 - 2.0**-53) == (2, 5)
+
+
+# Every power of two below 2**53 and its neighbours, where the float spacing changes.
+POWER_EDGES = sorted({2**e + d for e in range(53) for d in (-1, 0, 1)} - {0, 2**53})
+
+
+@settings(max_examples=1000, deadline=None)
+@given(total=st.integers(min_value=1, max_value=2**53 - 1))
+def test_the_top_draw_indexes_below_the_total(total):
+    # The walks turn a draw 0 <= u < 1 into an index int(u * total) with no
+    # clamp. The top draw 1 - 2**-53 times a whole total < 2**53 lies at least
+    # total * 2**-53 below the total, more than half the float spacing there,
+    # so the product rounds below the total and the index is total - 1.
+    top = math.nextafter(1.0, 0.0)
+    assert top == 1.0 - 2.0**-53
+    for n in (*POWER_EDGES, total):
+        assert int(top * n) == n - 1, n
 
 
 def test_counts_constructor_histogram_form():

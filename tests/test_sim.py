@@ -89,7 +89,7 @@ def test_run_config_refuses_negative_stream_keys(field):
 
 def test_init_state_empty():
     config = two_class_system(8, 9.75)
-    state = init_state(config, "empty")
+    state = init_state(config, RunConfig(horizon=1.0))
     assert _first_open_rank(config.family, state) == 1
     assert state.total_tasks == 0
     assert state.counts[0][0] == 4 and state.counts[1][0] == 4
@@ -97,7 +97,7 @@ def test_init_state_empty():
 
 def test_init_state_optimal_integral_load():
     config = two_class_system(50, 10.0)
-    state = init_state(config, "optimal")
+    state = init_state(config, RunConfig(horizon=1.0, init="optimal"))
     assert state.counts[0][8] == 25
     assert state.counts[1][12] == 25
     assert state.total_tasks == 500
@@ -106,7 +106,7 @@ def test_init_state_optimal_integral_load():
 
 def test_init_state_optimal_fractional_load():
     config = two_class_system(8, 9.75)
-    state = init_state(config, "optimal")
+    state = init_state(config, RunConfig(horizon=1.0, init="optimal"))
     assert state.counts[0][8] == 4
     assert state.counts[1][11] == 2
     assert state.counts[1][12] == 2
@@ -116,7 +116,7 @@ def test_init_state_optimal_fractional_load():
 
 def test_init_state_spreads_classes_evenly():
     config = two_class_system(50, 9.75)
-    state = init_state(config, "optimal")
+    state = init_state(config, RunConfig(horizon=1.0, init="optimal"))
     assert state.total_tasks == round(50 * 9.75)
     for cls in (1, 2):
         present = [v for v, c in enumerate(state.counts[cls - 1]) if c]
@@ -128,14 +128,11 @@ def test_init_state_spreads_classes_evenly():
 @pytest.mark.parametrize("start, match", [
     pytest.param(lambda config, state: Slta().bind(state, config, initial_rank=0),
                  "initial rank must be >= 1", id="slta-rank-zero"),
-    # init_state is public and takes a bare string, so it checks the mode too
-    pytest.param(lambda config, state: init_state(config, "bogus"),
-                 "unknown init mode 'bogus'", id="init-mode"),
 ])
 def test_a_run_refuses_a_start_it_cannot_take(start, match):
     config = two_class_system(8, 9.75)
     with pytest.raises(ValueError, match=match):
-        start(config, init_state(config, "empty"))
+        start(config, init_state(config, RunConfig(horizon=1.0)))
 
 
 def walked_open_rank(family: UtilityFamily, low: list[int]) -> int:
@@ -344,7 +341,7 @@ def test_kernel_moves_match_the_reference_moves(name, three_class, init):
     else:
         config = two_class_system(20, 9.75)
         run = RunConfig(horizon=45.0, seed=8, replication=1, init=init)
-    start = init_state(config, init)
+    start = init_state(config, run)
     model = PoolModel.of(start)
     reference = parse_policy(name)
     reference.bind(model.state(), config)
