@@ -7,8 +7,8 @@ A pytest plugin. Load it with ``-p`` from the repository root::
 Each test runs under a ``sys.settrace`` function that records the lines of
 the ``poolsim`` package it executes, its fixtures' set-up and tear-down
 included. The global trace function returns ``None`` for frames of code
-outside the package, so other code runs untraced; code run in worker
-processes is not seen. The suite then writes ``linemap.json`` (or the path
+outside the package, so other code runs untraced; code run in other
+threads or in worker processes is not seen. The suite then writes ``linemap.json`` (or the path
 given by ``--linemap``):
 
 - ``tests``: the node ids of the traced tests, in run order;
@@ -30,7 +30,6 @@ import importlib.util
 import inspect
 import json
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -118,13 +117,11 @@ class LineMap:
     def pytest_runtest_protocol(self, item: pytest.Item, nextitem):
         seen: set[tuple[str, int]] = set()
         tracer = self._tracer(seen)
-        threading.settrace(tracer)
         sys.settrace(tracer)
         try:
             yield
         finally:
             sys.settrace(None)
-            threading.settrace(None)
         index = len(self.tests)
         self.tests.append(item.nodeid)
         for filename, line in seen:
